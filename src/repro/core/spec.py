@@ -671,9 +671,18 @@ class TechniqueSpec:
         else that varies across process restarts — which is what lets
         it key the persistent ``.repro-cache/`` and the experiment
         runner's memoisation.
+
+        Computed at most once per instance: the spec is frozen, so the
+        digest is memoised on it, outside the dataclass fields (``==``,
+        ``hash()``, ``repr`` and :meth:`to_dict` never see it).  A
+        :func:`dataclasses.replace` copy starts without the memo.
         """
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
-        return digest.hexdigest()[:SPEC_HASH_LEN]
+        memo = self.__dict__.get("_spec_hash")
+        if memo is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
+            memo = digest.hexdigest()[:SPEC_HASH_LEN]
+            object.__setattr__(self, "_spec_hash", memo)
+        return memo
 
 
 def _dataclass_from_doc(cls, doc: Mapping, where: str):

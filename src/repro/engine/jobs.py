@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.core.adaptive import AdaptiveConfig
@@ -44,7 +45,9 @@ def trace_cache_key(benchmark: str, seed: int, scale: float) -> str:
 
     Keyed by the *scaled spec* (not just the name) so editing a
     benchmark profile invalidates its traces, plus seed and scale.
+    ``scale`` is keyed as a float, so ``1`` and ``1.0`` share a trace.
     """
+    scale = float(scale)
     spec = scaled_spec(get_profile(benchmark).spec, scale)
     return (f"{benchmark}-s{seed}-"
             f"{config_hash(spec, seed, scale, CACHE_VERSION)}")
@@ -84,6 +87,11 @@ class SimJob:
     exactly as given (callers may inspect what they submitted); the
     :attr:`spec` property is the resolved identity every derived key
     and manifest uses.
+
+    The job is frozen, so its identity — :attr:`spec`,
+    :meth:`cache_key` and :attr:`manifest_hash` — is derived once per
+    instance and travels with it (into pool workers too).  ``scale``
+    is stored as a float: ``scale=1`` and ``scale=1.0`` are one run.
     """
 
     benchmark: str
@@ -93,10 +101,18 @@ class SimJob:
     scale: float = 1.0
     fast_forward: bool = True
 
-    @property
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", float(self.scale))
+
+    @cached_property
     def spec(self) -> TechniqueSpec:
         """The resolved technique spec this job runs."""
         return as_spec(self.config)
+
+    @cached_property
+    def manifest_hash(self) -> str:
+        """The ``config_hash`` this job's manifests carry."""
+        return config_hash(self.spec.spec_hash(), self.sm_config)
 
     def cache_key(self) -> str:
         """Result-cache key: human-readable prefix + full config hash.
@@ -107,14 +123,17 @@ class SimJob:
         bit-identical by contract — a fast-forward bug then cannot
         poison serially-produced entries (or the other way round).
         """
-        spec = self.spec
-        profile = get_profile(self.benchmark)
-        digest = config_hash(
-            scaled_spec(profile.spec, self.scale), spec.spec_hash(),
-            self.sm_config, self.seed, self.scale, profile.dram_latency,
-            self.fast_forward, CACHE_VERSION)
-        return (f"{self.benchmark}-{spec.name}"
-                f"-s{self.seed}-{digest}")
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            spec = self.spec
+            profile = get_profile(self.benchmark)
+            digest = config_hash(
+                scaled_spec(profile.spec, self.scale), spec.spec_hash(),
+                self.sm_config, self.seed, self.scale,
+                profile.dram_latency, self.fast_forward, CACHE_VERSION)
+            key = f"{self.benchmark}-{spec.name}-s{self.seed}-{digest}"
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 @dataclass
@@ -151,7 +170,7 @@ def failure_manifest(job: SimJob, report: JobReport) -> RunManifest:
         technique=spec.name,
         seed=job.seed,
         scale=job.scale,
-        config_hash=config_hash(spec.spec_hash(), job.sm_config),
+        config_hash=job.manifest_hash,
         cycles=0,
         instructions=0,
         status=report.status.value,
@@ -214,7 +233,6 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
                      listener=session.emit if session is not None
                      else None) if cache_dir else None
     spec = job.spec
-    settings_hash = config_hash(spec.spec_hash(), job.sm_config)
     key = job.cache_key()
 
     if cache is not None:
@@ -226,7 +244,7 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
                 technique=spec.name,
                 seed=job.seed,
                 scale=job.scale,
-                config_hash=settings_hash,
+                config_hash=job.manifest_hash,
                 cycles=result.cycles,
                 instructions=result.stats.instructions_retired,
                 wall_seconds={"cache_load": time.perf_counter() - t0},
@@ -256,7 +274,7 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
         technique=spec.name,
         seed=job.seed,
         scale=job.scale,
-        config_hash=settings_hash,
+        config_hash=job.manifest_hash,
         cycles=result.cycles,
         instructions=result.stats.instructions_retired,
         wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},

@@ -102,15 +102,11 @@ def _ledger_record(index: int, job: SimJob,
                    outcome: JobOutcome) -> Dict[str, object]:
     """One run-ledger job line, derived from the settled outcome."""
     manifest = outcome.manifest
-    try:
-        spec_hash = job.spec.spec_hash()
-    except Exception:  # unresolvable spec; the status already says so
-        spec_hash = ""
     return dict(
         index=index,
         benchmark=manifest.benchmark,
         technique=manifest.technique,
-        spec_hash=spec_hash,
+        spec_hash=job.spec.spec_hash(),
         seed=manifest.seed,
         scale=manifest.scale,
         status=outcome.status.value,

@@ -131,13 +131,19 @@ class ExperimentRunner:
         while a hand-built spec keeps its own parameters.  An
         ``adaptive`` override only applies to adaptive-capable specs —
         the others ignore it, exactly as the pre-spec wiring did.
+
+        A spec that already carries the wanted parameters is returned
+        itself, not cloned, so its memoised hash is reused across
+        calls.  "Already carries" compares reprs, not ``==``: equal
+        parameters of another type (``bet=14.0``) hash differently.
         """
         spec = as_spec(technique)
-        if gating is not None:
+        if gating is None and not isinstance(technique, TechniqueSpec):
+            gating = self.settings.gating
+        if gating is not None and repr(gating) != repr(spec.gating):
             spec = replace(spec, gating=gating)
-        elif not isinstance(technique, TechniqueSpec):
-            spec = replace(spec, gating=self.settings.gating)
-        if adaptive is not None and spec.adaptive is not None:
+        if (adaptive is not None and spec.adaptive is not None
+                and repr(adaptive) != repr(spec.adaptive)):
             spec = replace(spec, adaptive=adaptive)
         return spec
 

@@ -20,17 +20,37 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 
+def _repr_bytes(obj: object) -> bytes:
+    """``repr(obj)`` as UTF-8, memoised on frozen dataclass instances.
+
+    The memo lives on the instance, outside its fields, like
+    :func:`functools.cached_property` — never in a table keyed by
+    equality, where ``1 == 1.0 == True`` (and dataclasses holding
+    them) would alias reprs, and hence hashes, that differ.
+    """
+    params = getattr(type(obj), "__dataclass_params__", None)
+    memo = getattr(obj, "__dict__", None)
+    if params is None or not params.frozen or memo is None:
+        return repr(obj).encode("utf-8")
+    text = memo.get("_config_repr")
+    if text is None:
+        text = memo["_config_repr"] = repr(obj).encode("utf-8")
+    return text
+
+
 def config_hash(*objects: object) -> str:
     """Stable short hash over configuration objects.
 
     Uses each object's ``repr`` — the config dataclasses in this repo
     (``SMConfig``, ``GatingParams``, ``AdaptiveConfig``, ...) all have
     value-complete reprs — hashed with SHA-256 and truncated to 12 hex
-    chars, enough to tell configurations apart at a glance.
+    chars, enough to tell configurations apart at a glance.  A frozen
+    dataclass's repr is computed once per instance, so re-hashing the
+    same ``SMConfig`` or scaled ``TraceSpec`` costs only the digest.
     """
     digest = hashlib.sha256()
     for obj in objects:
-        digest.update(repr(obj).encode("utf-8"))
+        digest.update(_repr_bytes(obj))
         digest.update(b"\x00")
     return digest.hexdigest()[:12]
 

@@ -37,6 +37,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import result_digest
@@ -92,6 +93,10 @@ class JobRequest:
     ``fast_forward=None`` (the default) defers to the executing path:
     the engine's configured default when one is attached, plain serial
     simulation inline — exactly what the pre-service runner did.
+
+    ``scale`` is stored as a float, so ``scale=1`` and ``scale=1.0``
+    dedupe onto one ticket *and* share the engine's cache keys.  The
+    request is frozen; its resolved spec and identity are derived once.
     """
 
     benchmark: str
@@ -101,10 +106,18 @@ class JobRequest:
     scale: float = 1.0
     fast_forward: Optional[bool] = None
 
-    @property
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", float(self.scale))
+
+    @cached_property
     def spec(self) -> TechniqueSpec:
         """The resolved technique spec this request runs."""
         return as_spec(self.technique)
+
+    @cached_property
+    def _identity(self) -> Tuple:
+        return (self.benchmark, self.spec.spec_hash(), self.seed,
+                self.scale, config_hash(self.sm_config))
 
     def label(self) -> str:
         """Telemetry label, matching the engine's ``job_label`` form."""
@@ -117,8 +130,7 @@ class JobRequest:
         and the resolved fast-forward flag, so one service shared by
         differently-configured callers can never alias their cells.
         """
-        return (self.benchmark, self.spec.spec_hash(), self.seed,
-                self.scale, config_hash(self.sm_config), fast_forward)
+        return self._identity + (fast_forward,)
 
     def to_sim_job(self, fast_forward: bool) -> SimJob:
         """The engine-level :class:`SimJob` this request resolves to."""
@@ -200,7 +212,9 @@ class JobTicket:
     how many times the ticket was (re-)submitted — the observable proof
     of single-flight dedupe.  ``feed`` carries the job's event stream
     (state changes, forwarded engine telemetry, the final summary) and
-    closes when the ticket settles.
+    closes when the ticket settles.  ``job`` is the engine-level
+    :class:`SimJob` both execution paths run; it carries the cache key
+    and manifest hash, derived once.
     """
 
     def __init__(self, job_id: str, request: JobRequest, key: Tuple,
@@ -209,6 +223,7 @@ class JobTicket:
         self.request = request
         self.key = key
         self.fast_forward = fast_forward
+        self.job = request.to_sim_job(fast_forward)
         self.label = request.label()
         self.state = JobState.QUEUED
         self.outcome: Optional[JobOutcome] = None
@@ -458,9 +473,7 @@ class SimulationService:
                 for ticket in batch:
                     self._set_state(ticket, JobState.RUNNING)
                     ticket.started_at = time.time()
-                jobs = [t.request.to_sim_job(t.fast_forward)
-                        for t in batch]
-                outcomes = self._run_engine_batch(jobs)
+                outcomes = self._run_engine_batch([t.job for t in batch])
                 for ticket, outcome in zip(batch, outcomes):
                     self._settle(ticket, outcome)
             finally:
@@ -487,8 +500,7 @@ class SimulationService:
 
     def _execute_engine(self, ticket: JobTicket) -> JobOutcome:
         with self._exec_lock:
-            job = ticket.request.to_sim_job(ticket.fast_forward)
-            return self._run_engine_batch([job])[0]
+            return self._run_engine_batch([ticket.job])[0]
 
     def _run_engine_batch(self, jobs: List[SimJob]) -> List[JobOutcome]:
         """One engine batch; must be called under ``_exec_lock``."""
@@ -524,7 +536,7 @@ class SimulationService:
             technique=spec.name,
             seed=request.seed,
             scale=request.scale,
-            config_hash=config_hash(spec.spec_hash(), request.sm_config),
+            config_hash=ticket.job.manifest_hash,
             cycles=result.cycles,
             instructions=result.stats.instructions_retired,
             wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},

@@ -10,9 +10,12 @@ config dataclasses.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from repro.core.spec import (
     GATING_POLICIES,
     GatingPolicySpec,
     SCHEDULERS,
+    SPEC_HASH_LEN,
     SchedulerSpec,
     TECHNIQUES,
     TechniqueSpec,
@@ -239,6 +243,92 @@ class TestRoundTrip:
             env={"PYTHONPATH": REPO_SRC, "PYTHONHASHSEED": "random"})
         assert fresh.stdout.strip() == ",".join(
             technique_spec(n).spec_hash() for n in names)
+
+
+@st.composite
+def adaptive_configs(draw):
+    low = draw(st.integers(min_value=0, max_value=12))
+    return AdaptiveConfig(
+        epoch_cycles=draw(st.integers(min_value=1, max_value=5000)),
+        threshold=draw(st.integers(min_value=0, max_value=20)),
+        decay_epochs=draw(st.integers(min_value=1, max_value=8)),
+        min_idle_detect=low,
+        max_idle_detect=draw(st.integers(min_value=low, max_value=24)))
+
+
+GATING_PARAMS = st.builds(
+    GatingParams,
+    idle_detect=st.integers(min_value=0, max_value=10),
+    bet=st.integers(min_value=1, max_value=24),
+    wakeup_delay=st.integers(min_value=0, max_value=9))
+
+
+def memo_case(gating, adaptive) -> TechniqueSpec:
+    return TechniqueSpec(
+        "memo_case", scheduler=SchedulerSpec("gates"),
+        gating_policy=GatingPolicySpec("coordinated_blackout"),
+        gating=gating, adaptive=adaptive)
+
+
+def fresh_hash(spec: TechniqueSpec) -> str:
+    digest = hashlib.sha256(spec.canonical_json().encode("utf-8"))
+    return digest.hexdigest()[:SPEC_HASH_LEN]
+
+
+class TestSpecHashMemo:
+    """``spec_hash()`` is memoised per instance and nothing can tell."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(gating=GATING_PARAMS, adaptive=st.none() | adaptive_configs())
+    def test_memo_equals_fresh_digest(self, gating, adaptive):
+        spec = memo_case(gating, adaptive)
+        first = spec.spec_hash()
+        assert first == fresh_hash(spec)
+        assert spec.spec_hash() == first
+
+    @settings(max_examples=50, deadline=None)
+    @given(gating=GATING_PARAMS, other=GATING_PARAMS,
+           adaptive=st.none() | adaptive_configs())
+    def test_replaced_copy_hashes_its_own_gating(self, gating, other,
+                                                 adaptive):
+        spec = memo_case(gating, adaptive)
+        spec.spec_hash()
+        copy = replace(spec, gating=other)
+        assert copy.spec_hash() == fresh_hash(copy)
+        assert (copy.spec_hash() == spec.spec_hash()) == (other == gating)
+
+    @settings(max_examples=50, deadline=None)
+    @given(gating=GATING_PARAMS, adaptive=st.none() | adaptive_configs())
+    def test_memo_invisible_to_value_semantics(self, gating, adaptive):
+        spec = memo_case(gating, adaptive)
+        twin = memo_case(gating, adaptive)
+        before = (hash(spec), repr(spec), spec.to_dict(),
+                  spec.canonical_json())
+        spec.spec_hash()
+        assert spec == twin
+        assert (hash(spec), repr(spec), spec.to_dict(),
+                spec.canonical_json()) == before
+        assert (hash(twin), repr(twin), twin.to_dict(),
+                twin.canonical_json()) == before
+
+    @settings(max_examples=50, deadline=None)
+    @given(gating=GATING_PARAMS, adaptive=st.none() | adaptive_configs())
+    def test_pickled_after_hashing_keeps_the_hash(self, gating, adaptive):
+        spec = memo_case(gating, adaptive)
+        spec.spec_hash()
+        revived = pickle.loads(pickle.dumps(spec))
+        assert revived == spec
+        assert revived.spec_hash() == memo_case(gating,
+                                                adaptive).spec_hash()
+
+    def test_equal_specs_of_other_types_keep_their_own_hash(self):
+        """``bet=14 == bet=14.0`` but their canonical JSON differs; no
+        memo may alias the two."""
+        ints = memo_case(GatingParams(bet=14), None)
+        floats = memo_case(GatingParams(bet=14.0), None)
+        assert ints == floats
+        assert ints.spec_hash() != floats.spec_hash()
+        assert floats.spec_hash() == fresh_hash(floats)
 
 
 # ----------------------------------------------------------------------

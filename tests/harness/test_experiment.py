@@ -1,10 +1,13 @@
 """Tests for the experiment runner and derived metrics."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.core.spec import TechniqueSpec, technique_spec
 from repro.core.techniques import Technique
+from repro.engine.pool import ParallelEngine
 from repro.harness.experiment import (
     ExperimentRunner,
     ExperimentSettings,
@@ -44,6 +47,61 @@ class TestRunnerCaching:
                              ("hotspot", Technique.CONV_PG),
                              ("nw", Technique.BASELINE),
                              ("nw", Technique.CONV_PG)}
+
+
+class TestRunIdentity:
+    TECHNIQUES = ("baseline", "conv_pg", "gates", "naive_blackout",
+                  "coord_blackout", "warped_gates")
+
+    def test_names_and_enums_resolve_to_the_registered_spec(self):
+        runner = ExperimentRunner(SETTINGS)
+        registered = technique_spec("warped_gates")
+        assert runner._resolve("warped_gates") is registered
+        assert runner._resolve(Technique.WARPED_GATES) is registered
+        assert runner._resolve("warped_gates",
+                               gating=GatingParams()) is registered
+
+    def test_resolve_still_applies_differing_gating(self):
+        runner = ExperimentRunner(SETTINGS)
+        spec = runner._resolve("conv_pg", gating=GatingParams(bet=20))
+        assert spec.gating == GatingParams(bet=20)
+        # Equal but differently typed parameters hash differently, so
+        # they must not collapse onto the registered spec.
+        floats = runner._resolve("conv_pg", gating=GatingParams(bet=14.0))
+        assert floats is not technique_spec("conv_pg")
+        assert floats.spec_hash() != technique_spec("conv_pg").spec_hash()
+
+    def test_warm_pass_hashes_each_spec_at_most_once(self, tmp_path,
+                                                     monkeypatch):
+        settings = ExperimentSettings(scale=TEST_SCALE,
+                                      benchmarks=("hotspot", "nw"))
+        cells = [(b, t) for b in settings.benchmarks
+                 for t in self.TECHNIQUES]
+
+        def grid_pass():
+            with ParallelEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
+                runner = ExperimentRunner(settings, engine=engine)
+                runner.prefetch(cells)
+                for benchmark, technique in cells:
+                    runner.run(benchmark, technique)
+            return runner
+
+        grid_pass()  # fills the cache
+        calls = Counter()
+        hashed = []  # keeps counted specs alive, so no id is reused
+        canonical_json = TechniqueSpec.canonical_json
+
+        def counting(spec):
+            calls[id(spec)] += 1
+            hashed.append(spec)
+            return canonical_json(spec)
+
+        monkeypatch.setattr(TechniqueSpec, "canonical_json", counting)
+        runner = grid_pass()
+        assert all(m.cache_hit for m in runner.manifests)
+        assert len(runner.manifests) == len(cells)
+        assert max(calls.values(), default=0) <= 1
+        assert sum(calls.values()) <= len(self.TECHNIQUES)
 
 
 class TestMetrics:

@@ -1,5 +1,7 @@
 """Tests for run provenance: config hashing and manifests."""
 
+import dataclasses
+
 from repro.core.adaptive import AdaptiveConfig
 from repro.obs.manifest import (
     RunManifest,
@@ -29,6 +31,26 @@ class TestConfigHash:
         digest = config_hash(SMConfig())
         assert len(digest) == 12
         int(digest, 16)
+
+    def test_memoised_repr_matches_fresh_and_stays_invisible(self):
+        config = SMConfig()
+        before = (repr(config), hash(config), dataclasses.asdict(config))
+        first = config_hash(config, 1, 1.0)
+        assert config_hash(config, 1, 1.0) == first
+        assert config_hash(SMConfig(), 1, 1.0) == first
+        assert config == SMConfig()
+        assert (repr(config), hash(config),
+                dataclasses.asdict(config)) == before
+        narrower = dataclasses.replace(config, issue_width=1)
+        assert narrower != config
+        assert config_hash(narrower, 1, 1.0) != first
+
+    def test_equal_values_of_other_types_never_alias(self):
+        ints, floats = GatingParams(bet=14), GatingParams(bet=14.0)
+        assert ints == floats
+        assert config_hash(ints) == config_hash(ints)
+        assert config_hash(ints) != config_hash(floats)
+        assert config_hash(1) != config_hash(1.0) != config_hash(True)
 
 
 def _manifest(**overrides):
