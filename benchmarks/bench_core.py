@@ -71,9 +71,9 @@ DENSE_SCALE = 1.0
 #: the reference container) — the kernel targets >= 1.5x against it.
 PRE_PR_DENSE_CYCLES_PER_SEC = 25_510.0
 MIN_DENSE_SPEEDUP = 1.5
-#: The pure-Python floor: with numpy and the compiled build both
-#: unavailable the fast-forward path must still beat the rate the
-#: serial loop reached before this PR's kernel work.
+#: The auto-path floor: the fast-forward path (planner handing dense
+#: windows to the kernel) must beat the fast-forward rate measured
+#: before the kernel work.
 PRE_PR_DENSE_FF_CYCLES_PER_SEC = 28_543.0
 #: Bus-enabled loop overhead target (fraction of the plain-loop rate).
 MAX_INSTRUMENTED_OVERHEAD = 0.10
@@ -223,16 +223,10 @@ def _dense_rate(rounds: int = 5, **run_kwargs) -> tuple:
 def test_core_dense_single_sm(benchmark):
     """Dense-regime throughput: the SoA step kernel's gate.
 
-    Three rates on the same workload: the forced dense kernel (the
-    headline), the fast-forward auto path (planner hands dense windows
-    to the kernel), and the pure-Python fallback (``REPRO_PURE_PYTHON``
-    forces the no-numpy seeding; the compiled build, when installed,
-    shows up here too).
+    Two rates on the same workload: the forced dense kernel (the
+    headline) and the fast-forward auto path (planner hands dense
+    windows to the kernel).
     """
-    import os
-
-    from repro.sim.vectorize import PURE_PYTHON_ENV
-
     benchmark.pedantic(
         run_benchmark,
         args=(DENSE_BENCHMARK, TechniqueConfig(Technique.WARPED_GATES)),
@@ -240,15 +234,6 @@ def test_core_dense_single_sm(benchmark):
         rounds=3, iterations=1, warmup_rounds=1)
     kernel_rate, kernel_result = _dense_rate(dense_kernel=True)
     auto_rate, auto_result = _dense_rate(fast_forward=True)
-    saved = os.environ.get(PURE_PYTHON_ENV)
-    os.environ[PURE_PYTHON_ENV] = "1"
-    try:
-        pure_rate, _ = _dense_rate(fast_forward=True)
-    finally:
-        if saved is None:
-            del os.environ[PURE_PYTHON_ENV]
-        else:
-            os.environ[PURE_PYTHON_ENV] = saved
     kernel_speedup = kernel_rate / PRE_PR_DENSE_CYCLES_PER_SEC
     print_figure(
         "CORE/dense_single_sm",
@@ -256,15 +241,13 @@ def test_core_dense_single_sm(benchmark):
         f"{kernel_rate:,.0f} cycles/s ({kernel_speedup:.2f}x vs pre-PR "
         f"{PRE_PR_DENSE_CYCLES_PER_SEC:,.0f}), auto {auto_rate:,.0f} "
         f"(planner_overhead="
-        f"{auto_result.stats.planner_overhead_cycles}), "
-        f"pure-python {pure_rate:,.0f}")
+        f"{auto_result.stats.planner_overhead_cycles})")
     previous = _record("dense_single_sm", {
         "benchmark": DENSE_BENCHMARK, "scale": DENSE_SCALE,
         "technique": "warped_gates", "best_of": 5,
         "cycles": kernel_result.cycles,
         "kernel_cycles_per_sec": round(kernel_rate, 1),
         "auto_cycles_per_sec": round(auto_rate, 1),
-        "pure_python_cycles_per_sec": round(pure_rate, 1),
         "planner_overhead_cycles":
             auto_result.stats.planner_overhead_cycles,
         "pre_pr_cycles_per_sec": PRE_PR_DENSE_CYCLES_PER_SEC,
@@ -277,9 +260,9 @@ def test_core_dense_single_sm(benchmark):
           f">= {MIN_DENSE_SPEEDUP}x "
           f"(with {SPEEDUP_TOLERANCE:.0%} tolerance)")
     _gate("dense_single_sm",
-          pure_rate >= PRE_PR_DENSE_FF_CYCLES_PER_SEC
+          auto_rate >= PRE_PR_DENSE_FF_CYCLES_PER_SEC
           * SPEEDUP_TOLERANCE,
-          f"pure-Python dense rate {pure_rate:,.0f} cycles/s fell "
+          f"auto dense rate {auto_rate:,.0f} cycles/s fell "
           f"below the pre-PR fast-forward rate "
           f"{PRE_PR_DENSE_FF_CYCLES_PER_SEC:,.0f} "
           f"(with {SPEEDUP_TOLERANCE:.0%} tolerance)")

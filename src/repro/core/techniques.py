@@ -47,7 +47,7 @@ from repro.core.spec import (
     scheduler_plugin,
     technique_spec,
 )
-from repro.isa.optypes import OpClass, UNIT_FOR_OP_CLASS
+from repro.isa.optypes import CUDA_CORE_CLASSES, UNIT_FOR_OP_CLASS
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.power.gating import ConventionalPolicy, GatingDomain
@@ -264,7 +264,7 @@ def build_sm(kernel, config,
 def _attach_cuda_core_domains(sm: StreamingMultiprocessor,
                               spec: TechniqueSpec) -> None:
     plugin = gating_policy_plugin(spec.gating_policy.name)
-    for cls in (OpClass.INT, OpClass.FP):
+    for cls in CUDA_CORE_CLASSES:
         pipes = sm.pipelines_of(UNIT_FOR_OP_CLASS[cls])
         # One policy instance per unit type, shared by the type's
         # cluster domains (coordinated policies require it; stateless

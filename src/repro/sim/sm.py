@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.optypes import ExecUnitKind, OpClass, UNIT_FOR_OP_CLASS
+from repro.isa.optypes import (ALL_OP_CLASSES, CUDA_CORE_CLASSES,
+                               ExecUnitKind, OpClass, UNIT_FOR_OP_CLASS)
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.obs.events import IssueStall, KernelBoundary
@@ -48,12 +49,6 @@ from repro.sim.memory import MemoryStats, MemorySubsystem
 from repro.sim.regfile import RegisterFileModel
 from repro.sim.sched.base import IssueCandidate, SchedulerView, WarpScheduler
 from repro.sim.stats import SMStats
-
-#: Enum members materialised once — iterating the Enum class itself
-#: builds a fresh iterator + genexpr per use, which shows up when done
-#: every cycle in the classify/issue path.
-_ALL_OP_CLASSES = tuple(OpClass)
-_CUDA_OP_CLASSES = (OpClass.INT, OpClass.FP)
 
 
 class CycleHook(Protocol):
@@ -391,7 +386,7 @@ class StreamingMultiprocessor:
         self._gated_pipes = [(p, domains[p.name]) for p in self.pipelines
                              if p.name in domains]
         blackout: Dict[OpClass, tuple] = {}
-        for cls in (OpClass.INT, OpClass.FP):
+        for cls in CUDA_CORE_CLASSES:
             pipes = self._by_kind[UNIT_FOR_OP_CLASS[cls]]
             blackout[cls] = tuple(domains[p.name] for p in pipes
                                   if p.name in domains)
@@ -566,7 +561,7 @@ class StreamingMultiprocessor:
         view = self._view
         actv = view.actv_counts
         rdy = view.rdy_counts
-        for cls in _ALL_OP_CLASSES:
+        for cls in ALL_OP_CLASSES:
             actv[cls] = 0
             rdy[cls] = 0
         candidates: List[IssueCandidate] = []
@@ -609,7 +604,7 @@ class StreamingMultiprocessor:
                 append(warp.cand_stalled)
         if self._has_blackout:
             blackout = view.type_in_blackout
-            for cls in _CUDA_OP_CLASSES:
+            for cls in CUDA_CORE_CLASSES:
                 doms = self._blackout_domains[cls]
                 flag = bool(doms)
                 for domain in doms:

@@ -1,13 +1,12 @@
 """Property tests: the dense-step kernel is decision-identical.
 
-Each example builds a random small workload, runs it serially, through
-the forced dense kernel (``dense_kernel=True``) and through the
-kernel's pure-Python seeding path, and requires the canonical result
-form — every stats counter, gating counter, idle histogram, warp
-record and flat metric — to match exactly.  The golden identity suite
-pins the real benchmarks; this sweeps the odd corners random traces
-reach (single warps, tiny traces, degenerate mixes, tiny MSHR files)
-where window-resync and event-heap edge cases live.
+Each example builds a random small workload, runs it serially and
+through the forced dense kernel (``dense_kernel=True``), and requires
+the canonical result form — every stats counter, gating counter, idle
+histogram, warp record and flat metric — to match exactly.  The golden
+identity suite pins the real benchmarks; this sweeps the odd corners
+random traces reach (single warps, tiny traces, degenerate mixes, tiny
+MSHR files) where window-resync and event-heap edge cases live.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,8 +15,6 @@ from repro.core.techniques import Technique, TechniqueConfig, build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
-from repro.sim.kernel import DenseStepKernel
-from repro.sim.vectorize import numpy_available
 from tests.sim.identity import canonical_result
 
 
@@ -57,26 +54,6 @@ def run_one(spec, technique, seed, **kwargs):
     return sm.run()
 
 
-def run_forced(spec, technique, seed, use_numpy):
-    """Run entirely through a DenseStepKernel with explicit seeding.
-
-    Drives the core directly (mirroring what ``run()`` does under
-    ``dense_kernel=True``) so the ``use_numpy`` flavour can be forced
-    regardless of what ``numpy_available()`` would choose.
-    """
-    sm = build_sm(generate_kernel(spec, seed=seed),
-                  TechniqueConfig(technique), sm_config=CONFIG)
-    sm._ran = True
-    sm.scheduler.reset()
-    sm._prepare()
-    core = DenseStepKernel(sm, use_numpy=use_numpy)
-    assert core.vectorized is use_numpy
-    cycle = 0
-    while not sm._drained():
-        cycle = core.run_window(cycle, sm.config.max_cycles)
-    return sm._collect(cycle)
-
-
 @given(spec=small_specs(), technique=TECHNIQUES,
        seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=50, deadline=None)
@@ -87,23 +64,3 @@ def test_dense_kernel_equals_serial(spec, technique, seed):
         run_one(spec, technique, seed, dense_kernel=True))
     assert forced == serial
 
-
-@given(spec=small_specs(), technique=TECHNIQUES,
-       seed=st.integers(min_value=0, max_value=50))
-@settings(max_examples=25, deadline=None)
-def test_scalar_seeding_equals_vectorized(spec, technique, seed):
-    """Both window-seeding flavours decide identically to serial.
-
-    ``DenseStepKernel(use_numpy=...)`` is normally chosen at
-    construction from ``numpy_available()``; here each flavour is
-    forced explicitly so the no-numpy install's behaviour is proven on
-    every environment that runs the suite.
-    """
-    serial = canonical_result(run_one(spec, technique, seed))
-    scalar = canonical_result(run_forced(spec, technique, seed,
-                                         use_numpy=False))
-    assert scalar == serial
-    if numpy_available():
-        vectorized = canonical_result(run_forced(spec, technique, seed,
-                                                 use_numpy=True))
-        assert vectorized == serial

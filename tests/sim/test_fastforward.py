@@ -5,9 +5,7 @@ interesting can happen is real-stepped — idle *and* busy quiescent
 spans alike are jumped; these tests pin the observable contract —
 identical cycles, identical flat metrics, identical gating counters —
 across every technique, and check the forwarder actually skips where
-it should and disables itself where it must.  The numpy-batched and
-scalar head-status planners must agree not just on results but on the
-exact spans they skip.
+it should and disables itself where it must.
 """
 
 import pytest
@@ -43,11 +41,14 @@ def test_fast_forward_bit_identical(bench_name, technique):
 
 
 def test_forwarder_actually_skips():
-    sm, _ = _run("bfs", Technique.CONV_PG, fast_forward=True)
-    assert sm._forwarder is not None
-    assert sm._forwarder.supported
-    assert sm._forwarder.skipped_cycles > 0
-    assert sm._forwarder.skips > 0
+    for bench_name, technique in (("bfs", Technique.CONV_PG),
+                                  ("hotspot", Technique.WARPED_GATES),
+                                  ("bfs", Technique.WARPED_GATES)):
+        sm, _ = _run(bench_name, technique, fast_forward=True)
+        assert sm._forwarder is not None
+        assert sm._forwarder.supported
+        assert sm._forwarder.skipped_cycles > 0
+        assert sm._forwarder.skips > 0
 
 
 def test_serial_run_has_no_forwarder():
@@ -80,39 +81,6 @@ def test_enabled_bus_suppresses_skipping():
     assert sm._forwarder.skipped_cycles == 0
     _, serial = _run("hotspot", Technique.CONV_PG, fast_forward=False)
     assert result.metrics == serial.metrics
-
-
-@pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
-def test_scalar_and_batch_planners_agree(bench_name):
-    """The numpy-batched head scan is a pure acceleration.
-
-    Forcing the scalar and vectorized planners over the same run must
-    yield identical results *and* identical skip accounting — same
-    skipped cycles, same span count — because both classify from the
-    same cached head summaries.
-    """
-    from repro.sim.fastforward import SpanFastForwarder
-    from repro.sim.vectorize import numpy_available
-
-    if not numpy_available():
-        pytest.skip("numpy not available")
-    outcomes = {}
-    for use_numpy in (False, True):
-        kernel = build_kernel(bench_name, seed=0, scale=SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                      dram_latency=get_profile(bench_name).dram_latency,
-                      fast_forward=False)
-        sm._forwarder = SpanFastForwarder(sm, use_numpy=use_numpy)
-        result = sm.run()
-        outcomes[use_numpy] = (result, sm._forwarder.skipped_cycles,
-                               sm._forwarder.skips)
-    scalar_result, scalar_skipped, scalar_spans = outcomes[False]
-    batch_result, batch_skipped, batch_spans = outcomes[True]
-    assert batch_result.metrics == scalar_result.metrics
-    assert batch_result.domain_stats == scalar_result.domain_stats
-    assert batch_skipped == scalar_skipped
-    assert batch_spans == scalar_spans
-    assert scalar_skipped > 0
 
 
 def test_max_cycles_overrun_raises_identically():

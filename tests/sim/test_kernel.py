@@ -3,16 +3,15 @@
 The golden identity suite pins whole forced-kernel runs bit-identical;
 these tests exercise the kernel's moving parts directly — window
 boundaries, drain inside a window, interleaving kernel windows with
-serial stepping, both seeding flavours — and the fast-forward
-planner's adaptive handoff into dense mode.
+serial stepping — and the fast-forward planner's adaptive handoff into
+dense mode.
 """
 
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
-from repro.sim.fastforward import PLAN_BACKOFF_CAP, SpanFastForwarder
+from repro.sim.fastforward import PLAN_BACKOFF_CAP
 from repro.sim.kernel import DenseStepKernel
-from repro.sim.vectorize import numpy_available
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 from tests.sim.identity import canonical_result
@@ -103,18 +102,6 @@ def test_kernel_windows_interleave_with_serial_stepping():
                 cycle += 1
         turn += 1
     assert canonical_result(sm._collect(cycle)) == serial
-
-
-def test_scalar_and_vectorized_seeding_agree():
-    serial = canonical_result(_serial_result("bfs",
-                                             Technique.WARPED_GATES))
-    for use_numpy in ((False, True) if numpy_available()
-                      else (False,)):
-        sm = _prepared("bfs", Technique.WARPED_GATES)
-        core = DenseStepKernel(sm, use_numpy=use_numpy)
-        assert core.vectorized is use_numpy
-        cycle = core.run_window(0, sm.config.max_cycles)
-        assert canonical_result(sm._collect(cycle)) == serial
 
 
 def test_dense_kernel_false_forbids_handoff():
