@@ -88,9 +88,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.isa.optypes import CUDA_CORE_CLASSES, ExecUnitKind
+from repro.isa.optypes import ExecUnitKind
 from repro.power.gating import GatingPolicy
-from repro.sim.sched.base import IssueCandidate, SchedulerView
+from repro.sim.sched.base import SchedulerView
 
 #: Floor of the failed-plan backoff cap: after repeated failures the
 #: planner re-arms at most this many cycles later.  Tuned on the
@@ -284,8 +284,7 @@ class SpanFastForwarder:
         if sm.bus.enabled or sm._retry:
             return cycle
 
-        config = sm.config
-        bound: float = config.max_cycles
+        bound: float = sm.config.max_cycles
 
         # Pipeline completions: a drain due this cycle (retire, memory
         # access, scoreboard resolution) forces a real step; later ones
@@ -309,10 +308,7 @@ class SpanFastForwarder:
         if mem_event < bound:
             bound = mem_event
 
-        threshold = config.memory.pending_threshold
         ibuffer_entries = sm.fetch.ibuffer_entries
-        ages = sm._ages
-        all_cands = sm.scheduler.needs_all_candidates
         view = SchedulerView()
         actv = view.actv_counts
         pending = 0
@@ -334,26 +330,12 @@ class SpanFastForwarder:
                 return cycle  # fetch still streams this warp
             if not buffered:
                 continue  # exhausted, draining outstanding work
-            scoreboard = warp.scoreboard
             popped = warp.fetch_pc - buffered
-            version = scoreboard.version
             if popped != warp.cache_popped \
-                    or version != warp.cache_version:
-                # Same refresh as SM._classify — the planner and the
-                # issue stage share one memoised head summary.
-                head = buf[0]
-                (warp.head_ready_at, warp.head_mem_until,
-                 warp.head_unresolved) = scoreboard.head_status(
-                    head, threshold)
-                warp.cache_popped = popped
-                warp.cache_version = version
-                warp.head_inst = head
-                age = ages[warp.slot]
-                warp.cand_ready = IssueCandidate(warp.slot, age, head,
-                                                 True)
-                warp.cand_stalled = (
-                    IssueCandidate(warp.slot, age, head, False)
-                    if all_cands else None)
+                    or warp.cache_version != warp.scoreboard.version:
+                # The planner and the issue stage share one memoised
+                # head summary.
+                sm._refresh_head(warp, popped)
             if warp.head_unresolved:
                 pending += 1
                 unresolved_any = True
@@ -413,8 +395,7 @@ class SpanFastForwarder:
         if bound <= cycle:
             return cycle
 
-        for cls in CUDA_CORE_CLASSES:
-            view.type_in_blackout[cls] = sm._type_in_blackout(cycle, cls)
+        sm._blackout_flags(cycle, view.type_in_blackout)
         if sm.scheduler.idle_flip_pending(cycle, view):
             return cycle
 

@@ -1,32 +1,43 @@
-"""Dense-regime SoA step kernel for the SM cycle loop.
+"""Dense-regime step kernel for the SM cycle loop.
 
 :mod:`repro.sim.fastforward` wins when cycles are quiescent; the other
 regime — every cycle issuing or about to — is dominated by the per-warp
-Python dispatch in ``_classify``/``order``/``_issue``.  This module
-executes *runs of dense cycles* against a per-slot state block instead
-of re-deriving the whole classification every cycle.
+Python dispatch of classification and ordering.  This module runs
+*windows of dense cycles* through the SM's own stages, replacing only
+those two: the kernel keeps the classification up to date by delta
+instead of re-deriving it every cycle, and orders the ready set natively.
 
-Two layers share the work:
+Every other stage is the SM's single copy, called in ``_step``'s order:
+writeback (:meth:`~StreamingMultiprocessor._writeback`, which also
+reports the slots whose load resolved), warp management, fetch, the
+stamp-guarded head refresh (``_refresh_head``), the blackout flags
+(``_blackout_flags``), the issue walk with its stall accounting and
+event publishes (``_walk``), and the power update.  A kernel-stepped
+window is therefore bit-identical to the same cycles stepped serially;
+the golden identity harness pins that for every technique.
+
+What the kernel owns:
 
 * **Window entry** — every resident slot's cached head summary (the
-  same ``(popped, scoreboard version)``-stamped scalars ``_classify``
-  and the span planner share) is classified once, slot by slot,
-  seeding the incremental state below.  An unchanged warp's refresh
-  costs two integer compares.
-* **Per cycle** — classification is maintained *by delta*, not
-  recomputed: each slot carries a category (no head / unresolved /
+  ``(popped, scoreboard version)``-stamped scalars that ``_classify``
+  and the span planner share) is classified once, seeding the
+  incremental state below.  An unchanged warp costs two integer
+  compares.
+* **Per cycle** — each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts, the
-  per-class ACTV counters and sorted ready-slot lists are updated only
-  when a slot's category changes.  Time-driven changes (a pending
-  window expiring at ``mem_until``, a ready flip at ``ready_at``) come
-  from a min-heap of per-slot transition events; state-driven changes
-  come from exactly the events that can invalidate the scalar cache.
-  (Numpy reductions over <= 48 slots were measured slower than the
-  Python they replace — per-call overhead dominates at this width —
-  both per cycle and at window entry; ``docs/performance.md`` has
-  numbers.)
+  per-class ACTV counters and sorted ready-slot lists change only when a
+  slot's category does.  Time-driven changes (a pending window expiring
+  at ``mem_until``, a ready flip at ``ready_at``) come from a min-heap
+  of per-slot transition events; state-driven changes come from exactly
+  the events that can invalidate the head cache.
+* **Ordering** — the built-in schedulers declare a ``dense_order_mode``
+  (GATES' rank-bucket rotation, the two-level last-issuer rotation,
+  classic LRR) that the kernel computes from its sorted ready lists,
+  decision-identical to the scheduler's ``order``; any other scheduler
+  gets the candidate list ``_classify`` would build and orders it
+  itself.  ``docs/performance.md`` measures native against generic.
 
-The synchronisation rules mirror the scalar cache's invalidation
+The synchronisation rules mirror the head cache's invalidation
 conditions, which are complete by construction:
 
 * ``scoreboard.version`` bumps only in ``record_issue`` (the issue
@@ -46,18 +57,6 @@ conditions, which are complete by construction:
 * between version bumps, recomputing a head summary at any cycle
   yields identical values (the cache's documented invariant), so the
   cached absolute thresholds driving the event heap never go stale.
-
-Issue ordering runs natively for the built-in scheduler family via
-their declared ``dense_order_mode`` (GATES' rank-bucket rotation, the
-two-level last-issuer rotation, classic LRR), each transcribed from —
-and kept decision-identical to — the scheduler's ``order``; every
-other scheduler takes the generic path, which materialises the same
-candidate list the scalar ``_classify`` builds and calls ``order``
-itself.  Either way the hazard walk, bookkeeping, power update and
-event publishes are faithful transcriptions of ``SM._step``'s stages:
-a kernel-stepped window is bit-identical to the same cycles stepped
-serially, and the golden identity harness pins that for every
-technique.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import List, Optional, Set
 
-from repro.isa.optypes import ALL_OP_CLASSES, CUDA_CORE_CLASSES
-from repro.obs.events import IssueStall
-from repro.power.gating import DomainState
+from repro.isa.optypes import ALL_OP_CLASSES
 from repro.sim.sched.base import IssueCandidate
 
 #: Per-slot categories of the incremental classification.  Ordered so
@@ -100,7 +97,6 @@ class DenseStepKernel:
         #: Slots whose scoreboard resolved a load this writeback (their
         #: classification is stale until refreshed).
         self._dirty: Set[int] = set()
-        self._threshold = sm.config.memory.pending_threshold
         # --- incremental classification state --------------------------
         self._cat: List[int] = [CAT_NONE] * n_slots
         self._opx: List[int] = [0] * n_slots
@@ -117,6 +113,10 @@ class DenseStepKernel:
         self._ready_cls: List[List[int]] = [[], [], [], []]
         sched = sm.scheduler
         self._all_cands = sched.needs_all_candidates
+        warps = sm.warps
+        #: Slot -> the warp's memoised ready candidate, the object the
+        #: serial path hands the scheduler (native orders are slots).
+        self._cand_of = lambda slot: warps[slot].cand_ready
         #: Native ordering mode declared by the scheduler, or None for
         #: the generic call-order-every-cycle path.
         self._mode: Optional[str] = getattr(sched, "dense_order_mode",
@@ -184,6 +184,7 @@ class DenseStepKernel:
         empty = self._empty
         empty.clear()
         self._dirty.clear()
+        refresh_head = sm._refresh_head
         for warp in sm.warps:
             if warp.trace is None:
                 continue
@@ -192,32 +193,11 @@ class DenseStepKernel:
                 if warp.fetch_pc < warp.trace_len:
                     empty.add(warp.slot)
                 continue
-            self._refresh_cache(warp, buf)
+            popped = warp.fetch_pc - len(buf)
+            if popped != warp.cache_popped \
+                    or warp.cache_version != warp.scoreboard.version:
+                refresh_head(warp, popped)
             self._classify_slot(warp, cycle)
-
-    def _refresh_cache(self, warp, buf) -> None:
-        """The scalar stamp-guarded head-summary refresh, verbatim.
-
-        Identical to the memoised refresh in ``SM._classify`` (the
-        planner shares it too), so the warp's cached candidates stay
-        interchangeable between the kernel and the serial path mid-run.
-        """
-        scoreboard = warp.scoreboard
-        popped = warp.fetch_pc - len(buf)
-        version = scoreboard.version
-        if popped != warp.cache_popped or version != warp.cache_version:
-            head = buf[0]
-            (warp.head_ready_at, warp.head_mem_until,
-             warp.head_unresolved) = scoreboard.head_status(
-                head, self._threshold)
-            warp.cache_popped = popped
-            warp.cache_version = version
-            warp.head_inst = head
-            age = self.sm._ages[warp.slot]
-            warp.cand_ready = IssueCandidate(warp.slot, age, head, True)
-            warp.cand_stalled = (
-                IssueCandidate(warp.slot, age, head, False)
-                if self._all_cands else None)
 
     def _classify_slot(self, warp, cycle: int) -> None:
         """(Re)derive one slot's category and add its contributions.
@@ -273,13 +253,11 @@ class DenseStepKernel:
 
     def _refresh(self, warp, cycle: int) -> None:
         """Re-sync one non-empty slot after a tracked state change."""
-        buf = warp.ibuffer
-        popped = warp.fetch_pc - len(buf)
-        version = warp.scoreboard.version
+        popped = warp.fetch_pc - len(warp.ibuffer)
         if popped == warp.cache_popped \
-                and version == warp.cache_version:
+                and warp.cache_version == warp.scoreboard.version:
             return  # nothing actually moved; contributions stand
-        self._refresh_cache(warp, buf)
+        self.sm._refresh_head(warp, popped)
         self._remove(warp.slot)
         self._classify_slot(warp, cycle)
 
@@ -295,8 +273,8 @@ class DenseStepKernel:
     def _cycle(self, cycle: int) -> None:
         sm = self.sm
 
-        # stage 1: writeback (transcribed, collecting resolved slots)
-        self._writeback(cycle)
+        # stage 1: writeback, collecting the slots whose load resolved
+        sm._writeback(cycle, self._dirty)
 
         # stage 2: warp management; any residency change replaces the
         # _resident list object, which forces a full resync.
@@ -338,17 +316,7 @@ class DenseStepKernel:
             actv[cls] = actv4[index]
         sm.actv_counts = actv
         if sm._has_blackout:
-            blackout = view.type_in_blackout
-            for cls in CUDA_CORE_CLASSES:
-                doms = sm._blackout_domains[cls]
-                flag = bool(doms)
-                for domain in doms:
-                    gated_since = domain._gated_since
-                    if gated_since is None \
-                            or cycle - gated_since >= domain.bet:
-                        flag = False
-                        break
-                blackout[cls] = flag
+            sm._blackout_flags(cycle, view.type_in_blackout)
         stats = sm.stats
         n_active = self._n_active
         stats.active_warp_sum += n_active
@@ -356,13 +324,10 @@ class DenseStepKernel:
         if n_active > stats.active_warp_max:
             stats.active_warp_max = n_active
 
-        # stage 5: schedule-select + issue walk
-        regfile = sm.regfile
-        if regfile is not None:
-            regfile.begin_cycle()
-        ordered = self._order(cycle, view)
-        if ordered:
-            issued = self._walk(cycle, ordered)
+        # stage 5: schedule-select + the SM's issue walk; an issue pops
+        # the buffer and bumps the version, so issued slots re-sync.
+        issued = sm._walk(cycle, self._order(cycle, view))
+        if issued:
             warps = sm.warps
             for slot in issued:
                 warp = warps[slot]
@@ -372,15 +337,6 @@ class DenseStepKernel:
                     self._invalidate(slot)
                     if warp.fetch_pc < warp.trace_len:
                         empty.add(slot)
-        else:
-            width = sm._issue_width
-            stats.stalls.no_ready_warp += width
-            bus = sm.bus
-            if bus.enabled:
-                stall = IssueStall(cycle, "no_ready_warp")
-                publish = bus.publish
-                for _ in range(width):
-                    publish(stall)
 
         # stage 6: power update, cycle count, hooks
         sm._update_power(cycle)
@@ -389,72 +345,29 @@ class DenseStepKernel:
             hook.on_cycle(cycle)
 
     # ------------------------------------------------------------------
-    # stage transcriptions
+    # issue ordering
     # ------------------------------------------------------------------
 
-    def _writeback(self, cycle: int) -> None:
-        """``SM._writeback`` with resolved-load slot collection.
-
-        A slot's classification goes stale during writeback exactly
-        when its scoreboard version bumps, i.e. when ``resolve_memory``
-        ran — a successful non-store access.  Retires and releases
-        touch no stamped state.
-        """
-        sm = self.sm
-        dirty = self._dirty
-        memory = sm.memory
-        if cycle >= memory.next_event:
-            for completion in memory.tick(cycle):
-                sm._retire(completion.warp_slot)
-        for pipe in sm.pipelines:
-            flight = pipe._in_flight
-            if flight and flight[0][0] <= cycle:
-                for done in pipe.drain(cycle):
-                    inst = done.inst
-                    if inst.is_mem:
-                        slot = done.warp_slot
-                        if sm._access_memory(cycle, slot, inst) \
-                                and not inst.is_store:
-                            dirty.add(slot)
-                    else:
-                        sm._retire(done.warp_slot)
-        if sm._retry:
-            still_waiting = []
-            for slot, inst in sm._retry:
-                if not sm._access_memory(cycle, slot, inst,
-                                         requeue=False):
-                    still_waiting.append((slot, inst))
-                elif not inst.is_store:
-                    dirty.add(slot)
-            sm._retry = still_waiting
-        for warp in sm._resident:
-            scoreboard = warp.scoreboard
-            if cycle >= scoreboard._next_release:
-                scoreboard.release_completed(cycle)
-
-    def _order(self, cycle: int, view) -> Optional[List[int]]:
-        """The scheduler's issue order for this cycle, as slot indices.
+    def _order(self, cycle: int, view):
+        """The scheduler's issue order for this cycle, as candidates.
 
         Native modes replicate the per-cycle mutations of the
         scheduler's ``order`` exactly (GATES' priority update, LRR's
         pointer advance) including on no-ready cycles, because the
-        scalar issue stage calls ``order`` unconditionally.  Returns a
-        falsy value when nothing is ready.
+        scalar issue stage calls ``order`` unconditionally; their slot
+        orders map lazily to each warp's memoised ready candidate, so
+        the walk resolves only the slots it reaches.  Returns a falsy
+        value when nothing is ready.
         """
-        sm = self.sm
-        sched = sm.scheduler
+        sched = self.sm.scheduler
         mode = self._mode
         if mode is None:
             # Generic path: same candidate list _classify builds, in
             # ascending slot order, then the scheduler's own order().
             candidates: List[IssueCandidate] = []
-            rdy = view.rdy_counts
-            ready_cls = self._ready_cls
-            for index, cls in enumerate(ALL_OP_CLASSES):
-                rdy[cls] = len(ready_cls[index])
             active_all = self._active_all
             if active_all:
-                warps = sm.warps
+                warps = self.sm.warps
                 cat = self._cat
                 all_cands = self._all_cands
                 append = candidates.append
@@ -464,31 +377,30 @@ class DenseStepKernel:
                         append(warp.cand_ready)
                     elif all_cands:
                         append(warp.cand_stalled)
-            return [c.slot
-                    for c in sched.order(cycle, candidates, view)]
+            return sched.order(cycle, candidates, view)
         if mode == "gates":
             sched._update_priority(cycle, view)
             if not self._ready_all:
                 return None
             start = (sched._last_slot + 1) % sched.n_slots
             ready_cls = self._ready_cls
-            order: List[int] = []
+            slots: List[int] = []
             for opx in self._rank_order[sched._highest]:
                 bucket = ready_cls[opx]
                 if bucket:
-                    order += self._rotate(bucket, start)
-            return order
-        if mode == "rotate_every_cycle":
+                    slots += self._rotate(bucket, start)
+        elif mode == "rotate_every_cycle":
             start = sched._pointer
             sched._pointer = (start + 1) % sched.n_slots
             if not self._ready_all:
                 return None
-            return self._rotate(self._ready_all, start)
-        # "rotate_after_last"
-        if not self._ready_all:
-            return None
-        return self._rotate(self._ready_all,
-                            (sched._last_slot + 1) % sched.n_slots)
+            slots = self._rotate(self._ready_all, start)
+        else:  # "rotate_after_last"
+            if not self._ready_all:
+                return None
+            slots = self._rotate(self._ready_all,
+                                 (sched._last_slot + 1) % sched.n_slots)
+        return map(self._cand_of, slots)
 
     @staticmethod
     def _rotate(slots: List[int], start: int) -> List[int]:
@@ -501,88 +413,6 @@ class DenseStepKernel:
         if index == 0 or index == len(slots):
             return slots
         return slots[index:] + slots[:index]
-
-    def _walk(self, cycle: int, ordered: List[int]) -> List[int]:
-        """The hazard walk of ``SM._issue``'s ordered branch, verbatim.
-
-        ``ordered`` holds slot indices; each maps to the warp's
-        memoised ready candidate — the very object the scalar path
-        would hand the scheduler, so ``on_issue`` sees identical
-        arguments.  Returns the slots that issued, so the caller can
-        refresh them (an issue pops the buffer and bumps the version).
-        """
-        sm = self.sm
-        width = sm._issue_width
-        issued = 0
-        issued_slots: List[int] = []
-        regfile = sm.regfile
-        stats = sm.stats
-        stalls = stats.stalls
-        unit_table = sm._unit_table
-        warps = sm.warps
-        bus = sm.bus
-        publish_events = bus.enabled
-        for slot in ordered:
-            if issued >= width:
-                break
-            candidate = warps[slot].cand_ready
-            inst = candidate.inst
-            pipes, doms, n_pipes, is_ldst = unit_table[inst.op_class]
-            if is_ldst and sm._retry:
-                stalls.mshr_full += 1
-                if publish_events:
-                    bus.publish(IssueStall(cycle, "mshr_full"))
-                continue
-            index = slot % n_pipes
-            pipe = pipes[index]
-            domain = doms[index]
-            if domain is not None \
-                    and not (domain._gated_since is None
-                             and cycle >= domain._wake_done):
-                if domain.state(cycle) is DomainState.WAKING:
-                    stalls.unit_waking += 1
-                    if publish_events:
-                        bus.publish(IssueStall(cycle, "unit_waking"))
-                    continue
-                domain.request_wakeup(cycle)
-                if domain._gated_since is not None:
-                    stalls.unit_gated += 1
-                    if publish_events:
-                        bus.publish(IssueStall(cycle, "unit_gated"))
-                else:
-                    stalls.unit_waking += 1
-                    if publish_events:
-                        bus.publish(IssueStall(cycle, "unit_waking"))
-                continue
-            if cycle < pipe._port_free_at:
-                stalls.structural += 1
-                if publish_events:
-                    bus.publish(IssueStall(cycle, "structural"))
-                continue
-            warp = warps[slot]
-            warp.ibuffer.popleft()
-            conflict = (regfile.charge(slot, inst)
-                        if regfile is not None else 0)
-            warp.scoreboard.record_issue(inst, cycle + conflict)
-            pipe.issue(cycle, slot, inst, extra_hold=conflict)
-            until = sm._sm_busy_until
-            if cycle >= until:
-                tracker = sm._sm_tracker
-                tracker.observe_busy_span(until - sm._sm_span_start)
-                tracker.observe_idle_span(cycle - until)
-                sm._sm_span_start = cycle
-                until = cycle
-            pipe_until = pipe.busy_until
-            if pipe_until > until:
-                until = pipe_until
-            sm._sm_busy_until = until
-            warp.outstanding += 1
-            stats.instructions_issued += 1
-            stats.issued_by_class[inst.op_class] += 1
-            sm.scheduler.on_issue(cycle, candidate)
-            issued += 1
-            issued_slots.append(slot)
-        return issued_slots
 
 
 __all__ = ["DenseStepKernel", "CAT_NONE", "CAT_UNRES", "CAT_PEND",

@@ -1,7 +1,7 @@
 """Warp schedulers for the SM issue stage.
 
 * :mod:`repro.sim.sched.base` -- the scheduler interface and the
-  per-cycle view (candidates, ACTV/RDY counters, blackout status).
+  per-cycle view (candidates, ACTV counters, blackout status).
 * :mod:`repro.sim.sched.two_level` -- the baseline Two-level scheduler
   (Gebhart et al. [12]) the paper builds on, plus a single-level loose
   round-robin scheduler for ablations.

@@ -2,9 +2,9 @@
 
 Each cycle the SM builds the *active set* — one :class:`IssueCandidate`
 per warp whose head instruction is not blocked on a long-latency memory
-event — plus a :class:`SchedulerView` carrying the aggregate counters the
-paper's issue logic keeps in hardware (INT_ACTV/FP_ACTV, per-type RDY
-counters, per-type blackout status).  The scheduler returns the *ready*
+event — plus a :class:`SchedulerView` carrying the aggregate state the
+paper's issue logic keeps in hardware (the INT_ACTV/FP_ACTV counters,
+per-type blackout status).  The scheduler returns the *ready*
 candidates in issue-priority order; the SM walks that order, skipping
 candidates whose unit has a structural or power-gating hazard, until the
 issue width is filled.
@@ -52,15 +52,12 @@ class SchedulerView:
         actv_counts: Active-set occupancy per instruction type — the
             hardware INT_ACTV / FP_ACTV counters (kept for all four
             types here; GATES only consults INT and FP).
-        rdy_counts: Ready instructions per type (INT_RDY, FP_RDY, ...).
         type_in_blackout: For each CUDA-core type, True when *every*
             cluster of that type is in un-wakeable blackout; GATES'
             extended priority switch consults this (section 5).
     """
 
     actv_counts: Dict[OpClass, int] = field(
-        default_factory=lambda: {cls: 0 for cls in OpClass})
-    rdy_counts: Dict[OpClass, int] = field(
         default_factory=lambda: {cls: 0 for cls in OpClass})
     type_in_blackout: Dict[OpClass, bool] = field(
         default_factory=lambda: {cls: False for cls in OpClass})

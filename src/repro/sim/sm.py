@@ -11,7 +11,7 @@ cycle by cycle through the stages of Figure 1a:
 4. **classification** — each resident warp's head instruction is sorted
    into the pending set (blocked on a long-latency memory event) or the
    active set, with its ready bit and type counters (the two-level
-   scheduler's data structures, plus GATES' ACTV/RDY counters);
+   scheduler's data structures, plus GATES' ACTV counters);
 5. **issue** — the plugged-in scheduler orders ready candidates; the SM
    walks the order, resolving structural and power-gating hazards, until
    the dual-issue width is filled;
@@ -26,7 +26,7 @@ paper — and every ablation — runs on the identical substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.optypes import (ALL_OP_CLASSES, CUDA_CORE_CLASSES,
@@ -250,7 +250,6 @@ class StreamingMultiprocessor:
         self.dense_kernel = dense_kernel
         self._kernel_core = None
         # --- hot-loop state (frozen by _prepare at run start) ---------
-        self._prepared = False
         self._pending_threshold = config.memory.pending_threshold
         self._issue_width = config.issue_width
         #: Whether the launcher exposes multi-kernel boundaries (the
@@ -373,7 +372,6 @@ class StreamingMultiprocessor:
         indistinguishable from the legacy per-cycle path, which never
         created them.
         """
-        self._prepared = True
         domains = self.domains
         table: Dict[OpClass, tuple] = {}
         for cls in OpClass:
@@ -422,7 +420,7 @@ class StreamingMultiprocessor:
         self._manage_warps(cycle)
         self.stats.fetched += self.fetch.tick(self.warps)
         candidates, view = self._classify(cycle)
-        self._issue(cycle, candidates, view)
+        self._walk(cycle, self.scheduler.order(cycle, candidates, view))
         self._update_power(cycle)
         self.stats.cycles += 1
         for hook in self.hooks:
@@ -432,7 +430,15 @@ class StreamingMultiprocessor:
     # stage 1: writeback
     # ------------------------------------------------------------------
 
-    def _writeback(self, cycle: int) -> None:
+    def _writeback(self, cycle: int,
+                   resolved: Optional[Set[int]] = None) -> None:
+        """Deliver memory values, drain pipelines, release producers.
+
+        ``resolved``, when given, collects the slots whose load resolved
+        this cycle — the only writeback event that bumps a scoreboard
+        version, so exactly the slots whose head summary went stale
+        (the dense kernel re-classifies them).
+        """
         memory = self.memory
         if cycle >= memory.next_event:
             for completion in memory.tick(cycle):
@@ -443,14 +449,16 @@ class StreamingMultiprocessor:
                 for done in pipe.drain(cycle):
                     inst = done.inst
                     if inst.is_mem:
-                        self._access_memory(cycle, done.warp_slot, inst)
+                        self._access_memory(cycle, done.warp_slot, inst,
+                                            resolved=resolved)
                     else:
                         self._retire(done.warp_slot)
         if self._retry:
             still_waiting: List[Tuple[int, Instruction]] = []
             for slot, inst in self._retry:
                 if not self._access_memory(cycle, slot, inst,
-                                           requeue=False):
+                                           requeue=False,
+                                           resolved=resolved):
                     still_waiting.append((slot, inst))
             self._retry = still_waiting
         for warp in self._resident:
@@ -459,11 +467,14 @@ class StreamingMultiprocessor:
                 scoreboard.release_completed(cycle)
 
     def _access_memory(self, cycle: int, slot: int, inst: Instruction,
-                       requeue: bool = True) -> bool:
+                       requeue: bool = True,
+                       resolved: Optional[Set[int]] = None) -> bool:
         """Hand a drained LDST instruction to the memory model.
 
         Returns False when the MSHR file rejected the access (it will
-        retry next cycle and hold the LDST port via back-pressure).
+        retry next cycle and hold the LDST port via back-pressure).  A
+        load's slot is added to ``resolved`` (when given) once its
+        scoreboard entry resolves.
         """
         ready = self.memory.access(cycle, slot, inst)
         if ready is None:
@@ -475,6 +486,8 @@ class StreamingMultiprocessor:
         else:
             assert inst.dest is not None
             self.warps[slot].scoreboard.resolve_memory(inst.dest, ready)
+            if resolved is not None:
+                resolved.add(slot)
         return True
 
     def _retire(self, slot: int) -> None:
@@ -557,63 +570,34 @@ class StreamingMultiprocessor:
         warp is two integer compares against cached absolute cycles,
         and the IssueCandidate objects are memoised alongside.
         """
-        threshold = self._pending_threshold
         view = self._view
         actv = view.actv_counts
-        rdy = view.rdy_counts
         for cls in ALL_OP_CLASSES:
             actv[cls] = 0
-            rdy[cls] = 0
         candidates: List[IssueCandidate] = []
         append = candidates.append
         pending = 0
         active = 0
         all_cands = self.scheduler.needs_all_candidates
-        ages = self._ages
         for warp in self._resident:
             buf = warp.ibuffer
             if not buf:
                 continue
-            scoreboard = warp.scoreboard
             popped = warp.fetch_pc - len(buf)
             if popped != warp.cache_popped \
-                    or warp.cache_version != scoreboard.version:
-                head = buf[0]
-                (warp.head_ready_at, warp.head_mem_until,
-                 warp.head_unresolved) = scoreboard.head_status(
-                    head, threshold)
-                warp.cache_popped = popped
-                warp.cache_version = scoreboard.version
-                warp.head_inst = head
-                age = ages[warp.slot]
-                warp.cand_ready = IssueCandidate(warp.slot, age, head,
-                                                 True)
-                warp.cand_stalled = (
-                    IssueCandidate(warp.slot, age, head, False)
-                    if all_cands else None)
+                    or warp.cache_version != warp.scoreboard.version:
+                self._refresh_head(warp, popped)
             if warp.head_unresolved or cycle < warp.head_mem_until:
                 pending += 1
                 continue
             active += 1
-            cls = warp.head_inst.op_class
-            actv[cls] += 1
+            actv[warp.head_inst.op_class] += 1
             if cycle >= warp.head_ready_at:
-                rdy[cls] += 1
                 append(warp.cand_ready)
             elif all_cands:
                 append(warp.cand_stalled)
         if self._has_blackout:
-            blackout = view.type_in_blackout
-            for cls in CUDA_CORE_CLASSES:
-                doms = self._blackout_domains[cls]
-                flag = bool(doms)
-                for domain in doms:
-                    gated_since = domain._gated_since
-                    if gated_since is None \
-                            or cycle - gated_since >= domain.bet:
-                        flag = False
-                        break
-                blackout[cls] = flag
+            self._blackout_flags(cycle, view.type_in_blackout)
         self.actv_counts = actv
         stats = self.stats
         stats.active_warp_sum += active
@@ -622,28 +606,62 @@ class StreamingMultiprocessor:
             stats.active_warp_max = active
         return candidates, view
 
-    def _type_in_blackout(self, cycle: int, cls: OpClass) -> bool:
-        if self._prepared:
-            domains = self._blackout_domains.get(cls, ())
-        else:
-            pipes = self._by_kind[UNIT_FOR_OP_CLASS[cls]]
-            domains = tuple(self.domains[p.name] for p in pipes
-                            if p.name in self.domains)
-        return bool(domains) and all(d.in_blackout(cycle)
-                                     for d in domains)
+    def _refresh_head(self, warp: WarpContext, popped: int) -> None:
+        """Recompute one warp's cached head summary and candidates.
+
+        Callers compare the ``(popped, scoreboard version)`` stamp
+        inline and call this only on a mismatch.  The serial
+        classification, the dense kernel and the span planner all share
+        this one cache, so a warp's memoised candidates stay the same
+        objects whichever execution mode reaches it next.
+        """
+        head = warp.ibuffer[0]
+        scoreboard = warp.scoreboard
+        (warp.head_ready_at, warp.head_mem_until,
+         warp.head_unresolved) = scoreboard.head_status(
+            head, self._pending_threshold)
+        warp.cache_popped = popped
+        warp.cache_version = scoreboard.version
+        warp.head_inst = head
+        slot = warp.slot
+        age = self._ages[slot]
+        warp.cand_ready = IssueCandidate(slot, age, head, True)
+        warp.cand_stalled = (
+            IssueCandidate(slot, age, head, False)
+            if self.scheduler.needs_all_candidates else None)
+
+    def _blackout_flags(self, cycle: int,
+                        flags: Dict[OpClass, bool]) -> None:
+        """Fill ``flags`` with each CUDA-core type's blackout status.
+
+        A type is in blackout when it has gated clusters and every one
+        of them is gated and short of break-even (un-wakeable).
+        """
+        for cls, doms in self._blackout_domains.items():
+            flag = bool(doms)
+            for domain in doms:
+                gated_since = domain._gated_since
+                if gated_since is None or cycle - gated_since >= domain.bet:
+                    flag = False
+                    break
+            flags[cls] = flag
 
     # ------------------------------------------------------------------
     # stage 5: issue
     # ------------------------------------------------------------------
 
-    def _issue(self, cycle: int, candidates: List[IssueCandidate],
-               view: SchedulerView) -> None:
-        """Walk the scheduler's priority order, filling the issue width.
+    def _walk(self, cycle: int, ordered) -> List[int]:
+        """Issue from a priority order of ready candidates.
+
+        ``ordered`` is the scheduler's order (any iterable of
+        candidates), falsy when nothing is ready — then every issue
+        lane records a no-ready-warp stall.  The walk stops once the
+        issue width is filled and returns the slots that issued.
 
         The unit-acquisition logic (MSHR back-pressure, the warp's home
         SP cluster, power-gating hazards, the structural port check) is
         inlined here against the precomputed ``_unit_table`` — this loop
-        plus :meth:`_classify` dominates busy-cycle runtime.  CUDA-core
+        plus classification dominates busy-cycle runtime.  CUDA-core
         (INT/FP) work is *bound* to the warp's home cluster (``slot mod
         n_clusters``), modelling Fermi's static warp-to-scheduler
         assignment — a warp cannot migrate to the other cluster when its
@@ -651,94 +669,91 @@ class StreamingMultiprocessor:
         receives a wakeup request (granted immediately under
         conventional gating, denied while in blackout).
         """
-        ordered = self.scheduler.order(cycle, candidates, view)
         width = self._issue_width
-        issued = 0
+        issued: List[int] = []
         regfile = self.regfile
         if regfile is not None:
             regfile.begin_cycle()
-        if ordered:
-            stats = self.stats
-            stalls = stats.stalls
-            unit_table = self._unit_table
-            warps = self.warps
-            bus = self.bus
-            publish_events = bus.enabled
-            for candidate in ordered:
-                if issued >= width:
-                    break
-                inst = candidate.inst
-                pipes, doms, n_pipes, is_ldst = unit_table[inst.op_class]
-                if is_ldst and self._retry:
-                    # MSHR back-pressure holds the LDST port for retries.
-                    stalls.mshr_full += 1
-                    if publish_events:
-                        bus.publish(IssueStall(cycle, "mshr_full"))
-                    continue
-                slot = candidate.slot
-                index = slot % n_pipes
-                pipe = pipes[index]
-                domain = doms[index]
-                if domain is not None \
-                        and not (domain._gated_since is None
-                                 and cycle >= domain._wake_done):
-                    # Unavailable: replicate the legacy hazard ladder.
-                    if domain.state(cycle) is DomainState.WAKING:
-                        stalls.unit_waking += 1
-                        if publish_events:
-                            bus.publish(IssueStall(cycle, "unit_waking"))
-                        continue
-                    domain.request_wakeup(cycle)
-                    if domain._gated_since is not None:
-                        stalls.unit_gated += 1
-                        if publish_events:
-                            bus.publish(IssueStall(cycle, "unit_gated"))
-                    else:
-                        stalls.unit_waking += 1
-                        if publish_events:
-                            bus.publish(IssueStall(cycle, "unit_waking"))
-                    continue
-                if cycle < pipe._port_free_at:
-                    stalls.structural += 1
-                    if publish_events:
-                        bus.publish(IssueStall(cycle, "structural"))
-                    continue
-                warp = warps[slot]
-                warp.ibuffer.popleft()
-                # Operand-collector bank conflicts delay both the
-                # dispatch port and the result; the scoreboard sees the
-                # late start.
-                conflict = (regfile.charge(slot, inst)
-                            if regfile is not None else 0)
-                warp.scoreboard.record_issue(inst, cycle + conflict)
-                pipe.issue(cycle, slot, inst, extra_hold=conflict)
-                # SM-wide busy watermark (span-based SM_WIDE tracker).
-                until = self._sm_busy_until
-                if cycle >= until:
-                    tracker = self._sm_tracker
-                    tracker.observe_busy_span(until - self._sm_span_start)
-                    tracker.observe_idle_span(cycle - until)
-                    self._sm_span_start = cycle
-                    until = cycle
-                pipe_until = pipe.busy_until
-                if pipe_until > until:
-                    until = pipe_until
-                self._sm_busy_until = until
-                warp.outstanding += 1
-                stats.instructions_issued += 1
-                stats.issued_by_class[inst.op_class] += 1
-                self.scheduler.on_issue(cycle, candidate)
-                issued += 1
-        else:
+        bus = self.bus
+        publish_events = bus.enabled
+        if not ordered:
             self.stats.stalls.no_ready_warp += width
-            bus = self.bus
-            if bus.enabled:
+            if publish_events:
                 # The per-lane stall records are identical; publish one
                 # immutable instance ``width`` times.
                 stall = IssueStall(cycle, "no_ready_warp")
-                publish = bus.publish
                 for _ in range(width):
-                    publish(stall)
+                    bus.publish(stall)
+            return issued
+        stats = self.stats
+        stalls = stats.stalls
+        unit_table = self._unit_table
+        warps = self.warps
+        for candidate in ordered:
+            inst = candidate.inst
+            pipes, doms, n_pipes, is_ldst = unit_table[inst.op_class]
+            if is_ldst and self._retry:
+                # MSHR back-pressure holds the LDST port for retries.
+                stalls.mshr_full += 1
+                if publish_events:
+                    bus.publish(IssueStall(cycle, "mshr_full"))
+                continue
+            slot = candidate.slot
+            index = slot % n_pipes
+            pipe = pipes[index]
+            domain = doms[index]
+            if domain is not None \
+                    and not (domain._gated_since is None
+                             and cycle >= domain._wake_done):
+                # Unavailable: replicate the legacy hazard ladder.
+                if domain.state(cycle) is DomainState.WAKING:
+                    stalls.unit_waking += 1
+                    if publish_events:
+                        bus.publish(IssueStall(cycle, "unit_waking"))
+                    continue
+                domain.request_wakeup(cycle)
+                if domain._gated_since is not None:
+                    stalls.unit_gated += 1
+                    if publish_events:
+                        bus.publish(IssueStall(cycle, "unit_gated"))
+                else:
+                    stalls.unit_waking += 1
+                    if publish_events:
+                        bus.publish(IssueStall(cycle, "unit_waking"))
+                continue
+            if cycle < pipe._port_free_at:
+                stalls.structural += 1
+                if publish_events:
+                    bus.publish(IssueStall(cycle, "structural"))
+                continue
+            warp = warps[slot]
+            warp.ibuffer.popleft()
+            # Operand-collector bank conflicts delay both the dispatch
+            # port and the result; the scoreboard sees the late start.
+            conflict = (regfile.charge(slot, inst)
+                        if regfile is not None else 0)
+            warp.scoreboard.record_issue(inst, cycle + conflict)
+            pipe.issue(cycle, slot, inst, extra_hold=conflict)
+            # SM-wide busy watermark (span-based SM_WIDE tracker).
+            until = self._sm_busy_until
+            if cycle >= until:
+                tracker = self._sm_tracker
+                tracker.observe_busy_span(until - self._sm_span_start)
+                tracker.observe_idle_span(cycle - until)
+                self._sm_span_start = cycle
+                until = cycle
+            pipe_until = pipe.busy_until
+            if pipe_until > until:
+                until = pipe_until
+            self._sm_busy_until = until
+            warp.outstanding += 1
+            stats.instructions_issued += 1
+            stats.issued_by_class[inst.op_class] += 1
+            self.scheduler.on_issue(cycle, candidate)
+            issued.append(slot)
+            if len(issued) == width:
+                break
+        return issued
 
     # ------------------------------------------------------------------
     # stage 6: power-gating update

@@ -31,8 +31,6 @@ def build_view(candidates):
     view = SchedulerView()
     for candidate in candidates:
         view.actv_counts[candidate.op_class] += 1
-        if candidate.ready:
-            view.rdy_counts[candidate.op_class] += 1
     return view
 
 

@@ -41,7 +41,7 @@ TECHNIQUES = st.sampled_from([
     Technique.BASELINE, Technique.CONV_PG, Technique.GATES,
     Technique.NAIVE_BLACKOUT, Technique.COORD_BLACKOUT,
     Technique.WARPED_GATES, Technique.LRR_CONV_PG,
-    Technique.CCWS_CONV_PG])
+    Technique.CCWS_CONV_PG, Technique.FETCH_GROUP_CONV_PG])
 
 CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
                   memory=MemoryConfig(mshr_entries=4, dram_latency=120))

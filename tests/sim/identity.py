@@ -95,8 +95,14 @@ def run_golden_device(benchmark: str, technique_value: str,
 
 
 def run_instrumented_golden(benchmark: str = "hotspot",
-                            technique_value: str = "warped_gates"):
-    """One bus-enabled golden run; returns (result, events)."""
+                            technique_value: str = "warped_gates",
+                            **kwargs):
+    """One bus-enabled golden run; returns (result, events).
+
+    ``kwargs`` reach :func:`~repro.core.techniques.build_sm`, so
+    ``dense_kernel=True`` or ``fast_forward=True`` selects another
+    execution mode; every mode must publish the serial event stream.
+    """
     from repro.core.techniques import Technique, TechniqueConfig, build_sm
     from repro.obs.bus import EventBus
     from repro.workloads.registry import build_kernel
@@ -105,7 +111,8 @@ def run_instrumented_golden(benchmark: str = "hotspot",
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     bus = EventBus(enabled=True)
     sm = build_sm(kernel, TechniqueConfig(Technique(technique_value)),
-                  dram_latency=get_profile(benchmark).dram_latency, bus=bus)
+                  dram_latency=get_profile(benchmark).dram_latency, bus=bus,
+                  **kwargs)
     events = []
     bus.subscribe(events.append)
     return sm.run(), events

@@ -104,9 +104,16 @@ def test_device_fast_forward_matches_golden(bench_name, technique):
         "diverged from the serial device core")
 
 
-def test_event_stream_matches_golden():
-    """A bus-enabled run publishes the identical ordered event stream."""
-    _, events = run_instrumented_golden()
+#: Execution modes the instrumented golden run is pinned under: the
+#: serial oracle, the forced dense kernel, and the span planner.
+_MODES = {"serial": {}, "kernel": {"dense_kernel": True},
+          "fast_forward": {"fast_forward": True}}
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_event_stream_matches_golden(mode):
+    """Every execution mode publishes the identical ordered event stream."""
+    _, events = run_instrumented_golden(**_MODES[mode])
     assert events, "instrumented golden run published no events"
     assert (event_stream_digest(events)
             == GOLDENS["events/hotspot/warped_gates"]), (
@@ -114,14 +121,16 @@ def test_event_stream_matches_golden():
         "count) from the golden digest")
 
 
-def test_instrumented_result_equals_serial():
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_instrumented_result_equals_serial(mode):
     """Enabling the bus must not perturb the simulation itself.
 
     The instrumented run's result digest is committed twice on purpose:
     ``events/hotspot/warped_gates/result`` must equal the serial
-    ``hotspot/warped_gates`` digest, proving observability is read-only.
+    ``hotspot/warped_gates`` digest, proving observability is read-only
+    in every execution mode.
     """
-    result, _ = run_instrumented_golden()
+    result, _ = run_instrumented_golden(**_MODES[mode])
     digest = result_digest(result)
     assert digest == GOLDENS["events/hotspot/warped_gates/result"]
     assert digest == GOLDENS["hotspot/warped_gates"], (
