@@ -292,8 +292,11 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
 class SMPartJob:
     """One SM's share of a multi-SM :class:`~repro.sim.gpu.GPU` run.
 
-    Carries the already-split part trace (parts are small and cheap to
-    pickle), so workers need no access to the parent kernel.
+    Carries the already-split part trace, so workers need no access to
+    the parent kernel.  That is not cheap: the fifteen parts of one
+    ``gtx480`` launch pickle to about 292 kB (the benchmark's
+    ``engine.part_pickle_kb``).  ROADMAP item "Ship identities, not
+    payloads" plans to send a trace identity instead.
     """
 
     part: KernelTrace

@@ -13,8 +13,9 @@ launch queue, the way successive thread blocks refill a real SM.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Set
 
 from repro.isa.instructions import Instruction
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -24,23 +25,23 @@ from repro.sim.scoreboard import Scoreboard
 class WarpContext:
     """Runtime state of one resident warp slot.
 
-    Slotted and deliberately property-light on the hot paths: the fetch
-    and classification stages touch every resident warp every cycle, so
-    the per-warp state they read (``trace_len``, ``trace_insts``, the
-    ``head_*`` classification cache) is stored as plain attributes.
+    Slotted and deliberately property-light on the hot paths: fetch
+    visits only the slots in its refill set and classification touches
+    the resident warps, so the per-warp state they read (``trace_len``,
+    ``trace_insts``, the ``head_*`` classification cache) is stored as
+    plain attributes.
     """
 
     __slots__ = ("slot", "trace", "trace_len", "trace_insts", "fetch_pc",
-                 "ibuffer", "scoreboard", "retired", "outstanding",
-                 "cache_popped", "cache_version", "head_inst",
-                 "head_ready_at", "head_mem_until", "head_unresolved",
-                 "cand_ready", "cand_stalled")
+                 "ibuffer", "refill", "scoreboard", "retired",
+                 "outstanding", "cache_popped", "cache_version",
+                 "head_inst", "head_ready_at", "head_mem_until",
+                 "head_unresolved", "cand_ready", "cand_stalled")
 
     #: Class-wide assignment generation, bumped on every ``assign``.
-    #: The fetch engine's quiescent fast path (all occupied slots
-    #: trace-exhausted => nothing to fetch until a new warp arrives)
-    #: keys its validity on this, so it self-invalidates no matter who
-    #: assigns the warp — no wiring between launcher and fetch engine.
+    #: A fetch engine rebuilds its refill set whenever this moved since
+    #: its last rebuild, so a newly assigned warp is fetched no matter
+    #: who assigned it — no wiring between launcher and fetch engine.
     assign_generation = 0
 
     def __init__(self, slot: int) -> None:
@@ -53,6 +54,10 @@ class WarpContext:
         self.trace_insts: Sequence[Instruction] = ()
         self.fetch_pc = 0            # next trace index to fetch
         self.ibuffer: Deque[Instruction] = deque()
+        #: The refill set of the fetch engine this warp is bound to
+        #: (a private set until the first ``tick`` binds it); ``pop_head``
+        #: adds the slot, because issue just made room in its buffer.
+        self.refill: Set[int] = set()
         self.scoreboard = Scoreboard()
         self.retired = 0
         #: Instructions issued but not yet fully completed (pipeline or
@@ -109,7 +114,8 @@ class WarpContext:
         return self.ibuffer[0] if self.ibuffer else None
 
     def pop_head(self) -> Instruction:
-        """Remove the head instruction at issue."""
+        """Remove the head instruction at issue and queue a refill."""
+        self.refill.add(self.slot)
         return self.ibuffer.popleft()
 
     def release(self) -> None:
@@ -124,7 +130,17 @@ class WarpContext:
 
 
 class FetchEngine:
-    """Round-robin fetch/decode feeding the per-warp I-buffers."""
+    """Round-robin fetch/decode feeding the per-warp I-buffers.
+
+    Fetch visits only the slots of its *refill set*: a superset of the
+    slots whose buffer has room and whose trace has instructions left.
+    A slot enters the set when issue pops its head (``pop_head``) or
+    when it is assigned (the next ``tick`` rebuilds the set from a full
+    scan, keyed on :attr:`WarpContext.assign_generation`); a visit that
+    finds it full or trace-exhausted drops it.  Every slot outside the
+    set would fetch nothing, so visiting the set in round-robin order
+    fetches exactly what a scan of every slot would.
+    """
 
     def __init__(self, fetch_width: int, ibuffer_entries: int) -> None:
         if fetch_width < 1:
@@ -134,56 +150,66 @@ class FetchEngine:
         self.fetch_width = fetch_width
         self.ibuffer_entries = ibuffer_entries
         self._rr_start = 0
-        #: assign_generation at the moment a full scan found no warp
-        #: with unfetched trace; while it still matches, tick only
-        #: rotates the round-robin pointer (the drain-tail fast path).
-        self._quiet_gen = -1
+        #: Slots that may have room and trace left (see the class doc).
+        self._refill: Set[int] = set()
+        #: assign_generation at the last rebuild of ``_refill``.
+        self._gen = -1
+
+    def _rebuild(self, warps: List[WarpContext]) -> None:
+        """Refill set from a full scan; binds every warp to it."""
+        refill = self._refill
+        refill.clear()
+        entries = self.ibuffer_entries
+        for warp in warps:
+            warp.refill = refill
+            if warp.fetch_pc < warp.trace_len \
+                    and len(warp.ibuffer) < entries:
+                refill.add(warp.slot)
+        self._gen = WarpContext.assign_generation
 
     def tick(self, warps: List[WarpContext]) -> int:
         """Fetch up to ``fetch_width`` instructions into needy buffers.
 
-        Round-robins across warp slots so no warp starves the front end.
-        Returns the number of instructions fetched (statistics).
+        Round-robins across warp slots so no warp starves the front end:
+        the pointer advances one slot per tick, and the refill set is
+        visited in slot order starting from it.  Returns the number of
+        instructions fetched (statistics).
 
-        Hot path: runs every cycle over every slot, so the per-warp
-        skip test is two plain attribute compares (an unoccupied slot
-        has ``trace_len == 0`` and counts as exhausted) and the fill is
-        a bulk slice of the precomputed instruction sequence.
+        Hot path: cost scales with the refill set, to which issue adds
+        at most ``issue_width`` slots per cycle, not with the slot count.
         """
         n = len(warps)
         if n == 0:
             return 0
-        if self._quiet_gen == WarpContext.assign_generation:
-            # Every occupied slot was trace-exhausted at the last full
-            # scan and no warp has been assigned since: nothing can be
-            # fetched, only the round-robin pointer moves.
-            self._rr_start = (self._rr_start + 1) % n
+        if self._gen != WarpContext.assign_generation:
+            self._rebuild(warps)
+        start = self._rr_start
+        self._rr_start = (start + 1) % n
+        refill = self._refill
+        if not refill:
             return 0
+        order = sorted(refill)
+        first = bisect_left(order, start)
+        if first:
+            order = order[first:] + order[:first]
         fetched = 0
-        any_room = False
         width = self.fetch_width
         entries = self.ibuffer_entries
-        i = self._rr_start
-        self._rr_start = (i + 1) % n
-        for _ in range(n):
-            warp = warps[i]
-            i += 1
-            if i == n:
-                i = 0
+        for slot in order:
+            warp = warps[slot]
             pc = warp.fetch_pc
             room = warp.trace_len - pc
-            if room <= 0:
-                continue
-            any_room = True
             buf = warp.ibuffer
             free = entries - len(buf)
-            if free <= 0:
+            if room <= 0 or free <= 0:
+                refill.discard(slot)
                 continue
             take = width - fetched
-            if take > free:
-                take = free
-            if take > room:
-                take = room
+            if take >= free or take >= room:
+                # This fill fills the buffer or exhausts the trace: the
+                # slot leaves the set until issue pops it again.
+                take = free if free < room else room
+                refill.discard(slot)
             insts = warp.trace_insts
             for k in range(pc, pc + take):
                 buf.append(insts[k])
@@ -191,8 +217,6 @@ class FetchEngine:
             fetched += take
             if fetched >= width:
                 break
-        if not any_room:
-            self._quiet_gen = WarpContext.assign_generation
         return fetched
 
     def skip_idle_cycles(self, span: int, n_warps: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.isa.instructions import Instruction
-from repro.isa.optypes import OpClass
+from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.obs.bus import NULL_BUS, EventBus
 
 
@@ -58,9 +58,9 @@ class SchedulerView:
     """
 
     actv_counts: Dict[OpClass, int] = field(
-        default_factory=lambda: {cls: 0 for cls in OpClass})
+        default_factory=lambda: dict.fromkeys(ALL_OP_CLASSES, 0))
     type_in_blackout: Dict[OpClass, bool] = field(
-        default_factory=lambda: {cls: False for cls in OpClass})
+        default_factory=lambda: dict.fromkeys(ALL_OP_CLASSES, False))
 
 
 def rotated_ready(candidates: Sequence[IssueCandidate], start: int,

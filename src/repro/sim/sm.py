@@ -727,7 +727,7 @@ class StreamingMultiprocessor:
                     bus.publish(IssueStall(cycle, "structural"))
                 continue
             warp = warps[slot]
-            warp.ibuffer.popleft()
+            warp.pop_head()
             # Operand-collector bank conflicts delay both the dispatch
             # port and the result; the scoreboard sees the late start.
             conflict = (regfile.charge(slot, inst)

@@ -74,6 +74,73 @@ def test_buffers_never_exceed_capacity(lengths, fetch_width, buffer_size):
             assert len(warp.ibuffer) <= buffer_size
 
 
+def reference_tick(rr, warps, fetch_width, buffer_size):
+    """Full-scan fetch: every slot visited in round-robin order from
+    ``rr``.  Returns (fetched, next round-robin pointer)."""
+    n = len(warps)
+    fetched = 0
+    for step in range(n):
+        warp = warps[(rr + step) % n]
+        take = min(fetch_width - fetched, buffer_size - len(warp.ibuffer),
+                   warp.trace_len - warp.fetch_pc)
+        if take <= 0:
+            continue
+        pc = warp.fetch_pc
+        warp.ibuffer.extend(warp.trace_insts[pc:pc + take])
+        warp.fetch_pc = pc + take
+        fetched += take
+        if fetched >= fetch_width:
+            break
+    return fetched, (rr + 1) % n
+
+
+fetch_steps = st.lists(
+    st.tuples(st.sampled_from(["assign", "pop", "pop", "release", "idle"]),
+              st.integers(min_value=0, max_value=47),
+              st.integers(min_value=0, max_value=12)),
+    max_size=200)
+
+
+@given(steps=fetch_steps,
+       n_slots=st.integers(min_value=1, max_value=48),
+       fetch_width=st.integers(min_value=1, max_value=8),
+       buffer_size=st.integers(min_value=1, max_value=4))
+@settings(max_examples=400, deadline=None)
+def test_refill_set_matches_full_scan(steps, n_slots, fetch_width,
+                                      buffer_size):
+    """The refill-set fetch fetches exactly what a scan of every slot
+    fetches, under any interleaving of assign, issue pops and release;
+    every step ends with a tick."""
+    warps = [WarpContext(i) for i in range(n_slots)]
+    ref = [WarpContext(i) for i in range(n_slots)]
+    fetch = FetchEngine(fetch_width, buffer_size)
+    rr = 0
+    for op, index, length in steps:
+        slot = index % n_slots
+        if op == "assign":
+            trace = WarpTrace(index, tuple(int_op(dest=j % 8)
+                                           for j in range(length)))
+            warps[slot].assign(trace)
+            ref[slot].assign(trace)
+        elif op == "pop":
+            # Pop from a buffered slot, so pops and refills interleave
+            # even when most of the 48 slots are empty.
+            buffered = [w.slot for w in ref if w.ibuffer]
+            if buffered:
+                slot = buffered[index % len(buffered)]
+                popped = warps[slot].pop_head()
+                assert popped is ref[slot].pop_head()
+        elif op == "release":
+            warps[slot].release()
+            ref[slot].release()
+        expected, rr = reference_tick(rr, ref, fetch_width, buffer_size)
+        assert fetch.tick(warps) == expected
+        assert fetch._rr_start == rr
+        for warp, want in zip(warps, ref):
+            assert warp.fetch_pc == want.fetch_pc
+            assert list(warp.ibuffer) == list(want.ibuffer)
+
+
 @given(groups=st.lists(warp_lengths, min_size=1, max_size=4),
        gap=st.integers(min_value=0, max_value=30))
 @settings(max_examples=100, deadline=None)

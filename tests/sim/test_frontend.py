@@ -91,6 +91,25 @@ class TestFetchEngine:
         assert fetch.tick(warps) == 2
         assert len(warps[1].ibuffer) == 2
 
+    def test_refill_set_holds_only_popped_slots(self):
+        warps = [WarpContext(i) for i in range(48)]
+        for i, w in enumerate(warps):
+            w.assign(make_trace(i, n=8))
+        fetch = FetchEngine(fetch_width=2, ibuffer_entries=2)
+        while fetch.tick(warps):
+            pass
+        assert all(len(w.ibuffer) == 2 for w in warps)
+        assert fetch.tick(warps) == 0
+        assert not fetch._refill
+        warps[17].pop_head()
+        assert fetch._refill == {17}
+        before = [w.fetch_pc for w in warps]
+        assert fetch.tick(warps) == 1
+        assert [w.fetch_pc - pc for w, pc in zip(warps, before)] \
+            == [1 if i == 17 else 0 for i in range(48)]
+        assert len(warps[17].ibuffer) == 2
+        assert not fetch._refill
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FetchEngine(fetch_width=0, ibuffer_entries=1)
