@@ -30,19 +30,18 @@ baseline, so GATES changes only *type* priority, not fairness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.isa.optypes import OpClass
 from repro.obs.events import PriorityFlip
-from repro.sim.sched.base import (IssueCandidate, SchedulerView,
-                                  WarpScheduler, rotated_ready)
+from repro.sim.sched.base import SchedulerView, WarpScheduler, rotate
 
 #: Issue-priority class order for each possible highest type — the
-#: [highest, LDST, SFU, lowest] ladder of section 4, precomputed once so
-#: the per-cycle ordering never rebuilds a rank dict.
+#: [highest, LDST, SFU, lowest] ladder of section 4 — as op-class
+#: indices into ``SchedulerView.ready_by_class``.
 _CLASS_ORDER = {
-    OpClass.INT: (OpClass.INT, OpClass.LDST, OpClass.SFU, OpClass.FP),
-    OpClass.FP: (OpClass.FP, OpClass.LDST, OpClass.SFU, OpClass.INT),
+    hi: (int(hi), int(OpClass.LDST), int(OpClass.SFU), int(lo))
+    for hi, lo in ((OpClass.INT, OpClass.FP), (OpClass.FP, OpClass.INT))
 }
 
 
@@ -50,11 +49,6 @@ class GatesScheduler(WarpScheduler):
     """Gating-aware two-level warp scheduler."""
 
     name = "gates"
-    # ``order`` filters on the ready bit immediately.
-    needs_all_candidates = False
-    # The dense kernel replicates the rank-bucket rotation natively
-    # (and calls ``_update_priority`` every cycle, as ``order`` does).
-    dense_order_mode = "gates"
 
     def __init__(self, n_slots: int = 48,
                  max_priority_cycles: Optional[int] = None,
@@ -86,34 +80,24 @@ class GatesScheduler(WarpScheduler):
         """The CUDA-core type currently holding the top priority slot."""
         return self._highest
 
-    def order(self, cycle: int, candidates: Sequence[IssueCandidate],
-              view: SchedulerView) -> List[IssueCandidate]:
+    def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
+        # The priority update runs every cycle, ready warps or not.
         self._update_priority(cycle, view)
+        if not view.ready:
+            return view.ready
+        # Type rank first, then the baseline's rotated slot order within
+        # each type: the view's per-type ready lists, in ladder order.
         start = (self._last_slot + 1) % self.n_slots
-        # Bucket by instruction type, then rotate each bucket.  The
-        # buckets preserve input order, so this equals the old stable
-        # composite-key sort on (type rank, rotated slot) — radix-style
-        # — without per-comparison rank lookups on the hot path.
-        by_class: Dict[OpClass, List[IssueCandidate]] = {}
-        for cand in candidates:
-            if cand.ready:
-                cls = cand.inst.op_class
-                bucket = by_class.get(cls)
-                if bucket is None:
-                    by_class[cls] = [cand]
-                else:
-                    bucket.append(cand)
-        if not by_class:
-            return []
-        ordered: List[IssueCandidate] = []
-        for cls in _CLASS_ORDER[self._highest]:
-            bucket = by_class.get(cls)
+        ready_by_class = view.ready_by_class
+        ordered: List[int] = []
+        for opx in _CLASS_ORDER[self._highest]:
+            bucket = ready_by_class[opx]
             if bucket:
-                ordered.extend(rotated_ready(bucket, start, self.n_slots))
+                ordered += rotate(bucket, start)
         return ordered
 
-    def on_issue(self, cycle: int, candidate: IssueCandidate) -> None:
-        self._last_slot = candidate.slot
+    def on_issue(self, cycle: int, slot: int) -> None:
+        self._last_slot = slot
 
     def reset(self) -> None:
         self._highest = OpClass.INT

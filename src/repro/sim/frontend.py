@@ -35,8 +35,8 @@ class WarpContext:
     __slots__ = ("slot", "trace", "trace_len", "trace_insts", "fetch_pc",
                  "ibuffer", "refill", "scoreboard", "retired",
                  "outstanding", "cache_popped", "cache_version",
-                 "head_inst", "head_ready_at", "head_mem_until",
-                 "head_unresolved", "cand_ready", "cand_stalled")
+                 "head_inst", "head_opx", "head_ready_at", "head_mem_until",
+                 "head_unresolved")
 
     #: Class-wide assignment generation, bumped on every ``assign``.
     #: A fetch engine rebuilds its refill set whenever this moved since
@@ -66,18 +66,16 @@ class WarpContext:
         # --- incremental classification cache -------------------------
         # Valid while (cache_popped, cache_version) matches the warp's
         # issued-instruction count and its scoreboard version; holds the
-        # head instruction's absolute-cycle readiness summary
-        # (Scoreboard.head_status) plus memoised IssueCandidate objects,
-        # so per-cycle classification is integer compares, not operand
-        # scans and allocations.
+        # head instruction, its op-class index and its absolute-cycle
+        # readiness summary (Scoreboard.head_status), so per-cycle
+        # classification is integer compares, not operand scans.
         self.cache_popped = -1
         self.cache_version = -1
         self.head_inst: Optional[Instruction] = None
+        self.head_opx = 0
         self.head_ready_at = 0
         self.head_mem_until = 0
         self.head_unresolved = False
-        self.cand_ready = None
-        self.cand_stalled = None
 
     # ------------------------------------------------------------------
 

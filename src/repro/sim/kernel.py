@@ -2,16 +2,17 @@
 
 :mod:`repro.sim.fastforward` wins when cycles are quiescent; the other
 regime — every cycle issuing or about to — is dominated by the per-warp
-Python dispatch of classification and ordering.  This module runs
-*windows of dense cycles* through the SM's own stages, replacing only
-those two: the kernel keeps the classification up to date by delta
-instead of re-deriving it every cycle, and orders the ready set natively.
+Python dispatch of classification.  This module runs *windows of dense
+cycles* through the SM's own stages, replacing only that one: the kernel
+keeps the classification up to date by delta instead of re-deriving it
+every cycle.
 
 Every other stage is the SM's single copy, called in ``_step``'s order:
 writeback (:meth:`~StreamingMultiprocessor._writeback`, which also
 reports the slots whose load resolved), warp management, fetch, the
 stamp-guarded head refresh (``_refresh_head``), the blackout flags
-(``_blackout_flags``), the issue walk with its stall accounting and
+(``_blackout_flags``), the scheduler's own ``order`` over the same view
+fields ``_classify`` fills, the issue walk with its stall accounting and
 event publishes (``_walk``), and the power update.  A kernel-stepped
 window is therefore bit-identical to the same cycles stepped serially;
 the golden identity harness pins that for every technique.
@@ -25,17 +26,13 @@ What the kernel owns:
   compares.
 * **Per cycle** — each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts, the
-  per-class ACTV counters and sorted ready-slot lists change only when a
-  slot's category does.  Time-driven changes (a pending window expiring
-  at ``mem_until``, a ready flip at ``ready_at``) come from a min-heap
-  of per-slot transition events; state-driven changes come from exactly
-  the events that can invalidate the head cache.
-* **Ordering** — the built-in schedulers declare a ``dense_order_mode``
-  (GATES' rank-bucket rotation, the two-level last-issuer rotation,
-  classic LRR) that the kernel computes from its sorted ready lists,
-  decision-identical to the scheduler's ``order``; any other scheduler
-  gets the candidate list ``_classify`` would build and orders it
-  itself.  ``docs/performance.md`` measures native against generic.
+  per-class ACTV counters and the sorted active, ready and per-class
+  ready slot lists change only when a slot's category does.  Those lists
+  become the scheduler view's ``active``/``ready``/``ready_by_class``.
+  Time-driven changes (a pending window expiring at ``mem_until``, a
+  ready flip at ``ready_at``) come from a min-heap of per-slot
+  transition events; state-driven changes come from exactly the events
+  that can invalidate the head cache.
 
 The synchronisation rules mirror the head cache's invalidation
 conditions, which are complete by construction:
@@ -61,12 +58,11 @@ conditions, which are complete by construction:
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from heapq import heappop, heappush
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.isa.optypes import ALL_OP_CLASSES
-from repro.sim.sched.base import IssueCandidate
 
 #: Per-slot categories of the incremental classification.  Ordered so
 #: ``cat >= CAT_WAIT`` means "in the active set".
@@ -107,32 +103,12 @@ class DenseStepKernel:
         self._n_active = 0
         self._n_pending = 0
         self._actv4: List[int] = [0, 0, 0, 0]
-        #: Ready slots ascending, overall and per op-class index: the
-        #: rotations below slice these instead of sorting per cycle.
+        #: Active slots, ready slots and ready slots per op-class index,
+        #: each ascending: the scheduler view's ``active``, ``ready``
+        #: and ``ready_by_class``.
+        self._active_all: List[int] = []
         self._ready_all: List[int] = []
         self._ready_cls: List[List[int]] = [[], [], [], []]
-        sched = sm.scheduler
-        self._all_cands = sched.needs_all_candidates
-        warps = sm.warps
-        #: Slot -> the warp's memoised ready candidate, the object the
-        #: serial path hands the scheduler (native orders are slots).
-        self._cand_of = lambda slot: warps[slot].cand_ready
-        #: Native ordering mode declared by the scheduler, or None for
-        #: the generic call-order-every-cycle path.
-        self._mode: Optional[str] = getattr(sched, "dense_order_mode",
-                                            None)
-        #: Active slots ascending — maintained only for the generic
-        #: path, which must hand the scheduler the full active set.
-        self._active_all: Optional[List[int]] = \
-            [] if self._mode is None else None
-        self._rank_order = None
-        if self._mode == "gates":
-            # Single source of truth for the priority ladder: the rank
-            # tables are derived from the scheduler's own class order.
-            from repro.core.gates import _CLASS_ORDER
-            self._rank_order = {
-                highest: tuple(int(cls) for cls in order)
-                for highest, order in _CLASS_ORDER.items()}
 
     # ------------------------------------------------------------------
     # window driver
@@ -179,8 +155,7 @@ class DenseStepKernel:
         self._actv4 = [0, 0, 0, 0]
         self._ready_all = []
         self._ready_cls = [[], [], [], []]
-        if self._mode is None:
-            self._active_all = []
+        self._active_all = []
         empty = self._empty
         empty.clear()
         self._dirty.clear()
@@ -210,7 +185,7 @@ class DenseStepKernel:
         slot = warp.slot
         gen = self._gen[slot] + 1
         self._gen[slot] = gen
-        opx = int(warp.head_inst.op_class)
+        opx = warp.head_opx
         self._opx[slot] = opx
         if warp.head_unresolved:
             self._cat[slot] = CAT_UNRES
@@ -224,8 +199,7 @@ class DenseStepKernel:
             return
         self._n_active += 1
         self._actv4[opx] += 1
-        if self._active_all is not None:
-            insort(self._active_all, slot)
+        insort(self._active_all, slot)
         ready_at = warp.head_ready_at
         if cycle >= ready_at:
             self._cat[slot] = CAT_READY
@@ -242,8 +216,7 @@ class DenseStepKernel:
             self._n_active -= 1
             opx = self._opx[slot]
             self._actv4[opx] -= 1
-            if self._active_all is not None:
-                self._active_all.remove(slot)
+            self._active_all.remove(slot)
             if cat == CAT_READY:
                 self._ready_all.remove(slot)
                 self._ready_cls[opx].remove(slot)
@@ -324,9 +297,13 @@ class DenseStepKernel:
         if n_active > stats.active_warp_max:
             stats.active_warp_max = n_active
 
-        # stage 5: schedule-select + the SM's issue walk; an issue pops
-        # the buffer and bumps the version, so issued slots re-sync.
-        issued = sm._walk(cycle, self._order(cycle, view))
+        # stage 5: the scheduler orders the maintained slot lists, then
+        # the SM's issue walk; an issue pops the buffer and bumps the
+        # version, so issued slots re-sync.
+        view.active = self._active_all
+        view.ready = self._ready_all
+        view.ready_by_class = self._ready_cls
+        issued = sm._walk(cycle, sm.scheduler.order(cycle, view))
         if issued:
             warps = sm.warps
             for slot in issued:
@@ -343,76 +320,6 @@ class DenseStepKernel:
         stats.cycles += 1
         for hook in sm.hooks:
             hook.on_cycle(cycle)
-
-    # ------------------------------------------------------------------
-    # issue ordering
-    # ------------------------------------------------------------------
-
-    def _order(self, cycle: int, view):
-        """The scheduler's issue order for this cycle, as candidates.
-
-        Native modes replicate the per-cycle mutations of the
-        scheduler's ``order`` exactly (GATES' priority update, LRR's
-        pointer advance) including on no-ready cycles, because the
-        scalar issue stage calls ``order`` unconditionally; their slot
-        orders map lazily to each warp's memoised ready candidate, so
-        the walk resolves only the slots it reaches.  Returns a falsy
-        value when nothing is ready.
-        """
-        sched = self.sm.scheduler
-        mode = self._mode
-        if mode is None:
-            # Generic path: same candidate list _classify builds, in
-            # ascending slot order, then the scheduler's own order().
-            candidates: List[IssueCandidate] = []
-            active_all = self._active_all
-            if active_all:
-                warps = self.sm.warps
-                cat = self._cat
-                all_cands = self._all_cands
-                append = candidates.append
-                for slot in active_all:
-                    warp = warps[slot]
-                    if cat[slot] == CAT_READY:
-                        append(warp.cand_ready)
-                    elif all_cands:
-                        append(warp.cand_stalled)
-            return sched.order(cycle, candidates, view)
-        if mode == "gates":
-            sched._update_priority(cycle, view)
-            if not self._ready_all:
-                return None
-            start = (sched._last_slot + 1) % sched.n_slots
-            ready_cls = self._ready_cls
-            slots: List[int] = []
-            for opx in self._rank_order[sched._highest]:
-                bucket = ready_cls[opx]
-                if bucket:
-                    slots += self._rotate(bucket, start)
-        elif mode == "rotate_every_cycle":
-            start = sched._pointer
-            sched._pointer = (start + 1) % sched.n_slots
-            if not self._ready_all:
-                return None
-            slots = self._rotate(self._ready_all, start)
-        else:  # "rotate_after_last"
-            if not self._ready_all:
-                return None
-            slots = self._rotate(self._ready_all,
-                                 (sched._last_slot + 1) % sched.n_slots)
-        return map(self._cand_of, slots)
-
-    @staticmethod
-    def _rotate(slots: List[int], start: int) -> List[int]:
-        """Rotate an ascending unique slot list to begin at ``start``.
-
-        Equivalent to ``rotated_ready`` on slot-ascending candidates:
-        slots >= start first, then the wrap-around block.
-        """
-        index = bisect_left(slots, start)
-        if index == 0 or index == len(slots):
-            return slots
-        return slots[index:] + slots[:index]
 
 
 __all__ = ["DenseStepKernel", "CAT_NONE", "CAT_UNRES", "CAT_PEND",

@@ -15,11 +15,10 @@ with GATES: CCWS clusters *cache footprints*, GATES clusters
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.sim.locality import LostLocalityMonitor
-from repro.sim.sched.base import (IssueCandidate, SchedulerView,
-                                  WarpScheduler, rotated_ready)
+from repro.sim.sched.base import SchedulerView, WarpScheduler, rotate
 
 
 class CCWSScheduler(WarpScheduler):
@@ -49,30 +48,29 @@ class CCWSScheduler(WarpScheduler):
         self._last_slot = n_slots - 1
         self.throttled_cycles = 0
 
-    def allowed_warps(self, n_candidates: int) -> int:
+    def allowed_warps(self, n_active: int) -> int:
         """How many (oldest) warps may issue given the current score."""
         excluded = int(self.monitor.total_score()
                        / self.score_per_excluded_warp)
-        return max(self.min_active_warps, n_candidates - excluded)
+        return max(self.min_active_warps, n_active - excluded)
 
-    def order(self, cycle: int, candidates: Sequence[IssueCandidate],
-              view: SchedulerView) -> List[IssueCandidate]:
-        ready = [c for c in candidates if c.ready]
-        allowed = self.allowed_warps(len(candidates))
-        if allowed < len(candidates):
-            # Issue privileges go to the oldest warps (they own the
-            # victim-tagged working sets worth protecting).
-            privileged = {c.slot for c in
-                          sorted(candidates, key=lambda c: c.age)[:allowed]}
-            filtered = [c for c in ready if c.slot in privileged]
+    def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
+        ready = view.ready
+        active = view.active
+        allowed = self.allowed_warps(len(active))
+        if allowed < len(active):
+            # Issue privileges go to the oldest active warps (they own
+            # the victim-tagged working sets worth protecting).
+            privileged = set(sorted(active,
+                                    key=view.ages.__getitem__)[:allowed])
+            filtered = [slot for slot in ready if slot in privileged]
             if len(filtered) < len(ready):
                 self.throttled_cycles += 1
             ready = filtered
-        start = (self._last_slot + 1) % self.n_slots
-        return rotated_ready(ready, start, self.n_slots)
+        return rotate(ready, (self._last_slot + 1) % self.n_slots)
 
-    def on_issue(self, cycle: int, candidate: IssueCandidate) -> None:
-        self._last_slot = candidate.slot
+    def on_issue(self, cycle: int, slot: int) -> None:
+        self._last_slot = slot
 
     def reset(self) -> None:
         self._last_slot = self.n_slots - 1

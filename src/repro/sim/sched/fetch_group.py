@@ -11,10 +11,9 @@ just any clustering.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-from repro.sim.sched.base import (IssueCandidate, SchedulerView,
-                                  WarpScheduler, rotated_ready)
+from repro.sim.sched.base import SchedulerView, WarpScheduler, rotate
 
 
 class FetchGroupScheduler(WarpScheduler):
@@ -24,7 +23,6 @@ class FetchGroupScheduler(WarpScheduler):
     # ``order`` returns before any mutation when the ready set is
     # empty, so no-ready cycles leave the scheduler untouched.
     supports_idle_skip = True
-    needs_all_candidates = False
 
     def __init__(self, n_slots: int = 48, group_size: int = 8) -> None:
         if n_slots < 1:
@@ -38,19 +36,15 @@ class FetchGroupScheduler(WarpScheduler):
         self._last_slot = n_slots - 1
         self.group_rotations = 0
 
-    def _group_of(self, slot: int) -> int:
-        return slot // self.group_size
-
-    def order(self, cycle: int, candidates: Sequence[IssueCandidate],
-              view: SchedulerView) -> List[IssueCandidate]:
-        ready = [c for c in candidates if c.ready]
-        if not ready:
+    def order(self, cycle: int, view: SchedulerView) -> List[int]:
+        if not view.ready:
             return []
         # Rotate away from a drained group: if the current group has no
         # ready warp, move to the next group that does (the Narasiman
         # "fetch group switch on long-latency stall" heuristic, observed
         # through readiness).
-        groups_with_ready = {self._group_of(c.slot) for c in ready}
+        group_size = self.group_size
+        groups_with_ready = {slot // group_size for slot in view.ready}
         if self._current_group not in groups_with_ready:
             for offset in range(1, self.n_groups + 1):
                 group = (self._current_group + offset) % self.n_groups
@@ -58,17 +52,19 @@ class FetchGroupScheduler(WarpScheduler):
                     self._current_group = group
                     self.group_rotations += 1
                     break
-        start = (self._last_slot + 1) % self.n_slots
         current = self._current_group
+        n_groups = self.n_groups
         # Rotated-slot order first, then a stable sort on the group key
-        # alone — equivalent to the old composite (group, slot) key.
-        ready = rotated_ready(ready, start, self.n_slots)
-        ready.sort(key=lambda c: (self._group_of(c.slot) - current)
-                   % self.n_groups)
+        # alone — equivalent to the composite (group, rotated slot) key.
+        # ``rotate`` may return the view's own list: copy before sorting.
+        ready = list(rotate(view.ready,
+                            (self._last_slot + 1) % self.n_slots))
+        ready.sort(key=lambda slot: (slot // group_size - current)
+                   % n_groups)
         return ready
 
-    def on_issue(self, cycle: int, candidate: IssueCandidate) -> None:
-        self._last_slot = candidate.slot
+    def on_issue(self, cycle: int, slot: int) -> None:
+        self._last_slot = slot
 
     def reset(self) -> None:
         self._current_group = 0

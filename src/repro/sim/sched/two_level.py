@@ -2,7 +2,7 @@
 
 :class:`TwoLevelScheduler` is the paper's baseline (Gebhart et al. [12]):
 warps blocked on long-latency events live in a pending set (the SM
-excludes them from the candidates), and the scheduler greedily issues
+excludes them from the active set), and the scheduler greedily issues
 ready warps from the active set *without regard to instruction type* —
 the behaviour section 3.1 blames for interspersing INT and FP
 instructions and chopping idle windows into useless slivers.
@@ -17,10 +17,9 @@ warps, kept as an ablation reference (pre-two-level GPU schedulers).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.sim.sched.base import (IssueCandidate, SchedulerView,
-                                  WarpScheduler, rotated_ready)
+from repro.sim.sched.base import SchedulerView, WarpScheduler, rotate
 
 
 class TwoLevelScheduler(WarpScheduler):
@@ -30,11 +29,6 @@ class TwoLevelScheduler(WarpScheduler):
     # ``order`` mutates nothing (only ``on_issue`` moves the pointer),
     # so skipping no-ready cycles is trivially safe.
     supports_idle_skip = True
-    # ``order`` filters on the ready bit immediately; stalled
-    # candidates never influence the result.
-    needs_all_candidates = False
-    # ``order`` is exactly the rotated ready scan from the last issuer.
-    dense_order_mode = "rotate_after_last"
 
     def __init__(self, n_slots: int = 48) -> None:
         if n_slots < 1:
@@ -42,15 +36,13 @@ class TwoLevelScheduler(WarpScheduler):
         self.n_slots = n_slots
         self._last_slot = n_slots - 1
 
-    def order(self, cycle: int, candidates: Sequence[IssueCandidate],
-              view: SchedulerView) -> List[IssueCandidate]:
+    def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
         # Rotate slot order so the scan begins after the last issuer;
         # type plays no role -- that is precisely the baseline's flaw.
-        start = (self._last_slot + 1) % self.n_slots
-        return rotated_ready(candidates, start, self.n_slots)
+        return rotate(view.ready, (self._last_slot + 1) % self.n_slots)
 
-    def on_issue(self, cycle: int, candidate: IssueCandidate) -> None:
-        self._last_slot = candidate.slot
+    def on_issue(self, cycle: int, slot: int) -> None:
+        self._last_slot = slot
 
     def reset(self) -> None:
         self._last_slot = self.n_slots - 1
@@ -59,7 +51,7 @@ class TwoLevelScheduler(WarpScheduler):
 class LooseRoundRobinScheduler(WarpScheduler):
     """Single-level loose round-robin (ablation baseline).
 
-    Identical candidate treatment to :class:`TwoLevelScheduler` except
+    Identical ready-warp treatment to :class:`TwoLevelScheduler` except
     the rotation pointer advances every cycle rather than following the
     last issuer, approximating classic LRR fairness.
     """
@@ -68,9 +60,6 @@ class LooseRoundRobinScheduler(WarpScheduler):
     # ``order`` advances the rotation pointer every cycle; the skip
     # override below replays exactly that drift.
     supports_idle_skip = True
-    needs_all_candidates = False
-    # The dense kernel replays the same every-cycle pointer advance.
-    dense_order_mode = "rotate_every_cycle"
 
     def __init__(self, n_slots: int = 48) -> None:
         if n_slots < 1:
@@ -81,11 +70,10 @@ class LooseRoundRobinScheduler(WarpScheduler):
     def skip_idle_cycles(self, span: int) -> None:
         self._pointer = (self._pointer + span) % self.n_slots
 
-    def order(self, cycle: int, candidates: Sequence[IssueCandidate],
-              view: SchedulerView) -> List[IssueCandidate]:
+    def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
         start = self._pointer
         self._pointer = (start + 1) % self.n_slots
-        return rotated_ready(candidates, start, self.n_slots)
+        return rotate(view.ready, start)
 
     def reset(self) -> None:
         self._pointer = 0

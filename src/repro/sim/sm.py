@@ -12,9 +12,9 @@ cycle by cycle through the stages of Figure 1a:
    into the pending set (blocked on a long-latency memory event) or the
    active set, with its ready bit and type counters (the two-level
    scheduler's data structures, plus GATES' ACTV counters);
-5. **issue** — the plugged-in scheduler orders ready candidates; the SM
-   walks the order, resolving structural and power-gating hazards, until
-   the dual-issue width is filled;
+5. **issue** — the plugged-in scheduler orders the ready warp slots; the
+   SM walks that order, resolving structural and power-gating hazards,
+   until the dual-issue width is filled;
 6. **power-gating update** — every pipeline reports busy/idle to its
    idle-period tracker and (if gated) its gating domain; epoch hooks
    (Adaptive idle-detect) tick last.
@@ -26,7 +26,7 @@ paper — and every ablation — runs on the identical substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.optypes import (ALL_OP_CLASSES, CUDA_CORE_CLASSES,
@@ -47,7 +47,7 @@ from repro.sim.frontend import (
 )
 from repro.sim.memory import MemoryStats, MemorySubsystem
 from repro.sim.regfile import RegisterFileModel
-from repro.sim.sched.base import IssueCandidate, SchedulerView, WarpScheduler
+from repro.sim.sched.base import SchedulerView, WarpScheduler
 from repro.sim.stats import SMStats
 
 
@@ -266,8 +266,9 @@ class StreamingMultiprocessor:
         #: _manage_warps only scans for finished warps when it is set.
         self._finish_check = False
         #: Persistent per-cycle scheduler view: the counter dicts are
-        #: zeroed in place each cycle rather than reallocated.
-        self._view = SchedulerView()
+        #: zeroed in place each cycle rather than reallocated, and the
+        #: age list is the SM's own.
+        self._view = SchedulerView(ages=self._ages)
         # OpClass -> (pipes, domains, n_pipes, is_ldst) issue dispatch.
         self._unit_table: Dict[OpClass, tuple] = {}
         # (pipe, domain) pairs in pipeline order (gated pipes only).
@@ -419,8 +420,8 @@ class StreamingMultiprocessor:
         self._writeback(cycle)
         self._manage_warps(cycle)
         self.stats.fetched += self.fetch.tick(self.warps)
-        candidates, view = self._classify(cycle)
-        self._walk(cycle, self.scheduler.order(cycle, candidates, view))
+        view = self._classify(cycle)
+        self._walk(cycle, self.scheduler.order(cycle, view))
         self._update_power(cycle)
         self.stats.cycles += 1
         for hook in self.hooks:
@@ -558,27 +559,26 @@ class StreamingMultiprocessor:
     # stage 4: active/pending classification
     # ------------------------------------------------------------------
 
-    def _classify(self, cycle: int) -> Tuple[List[IssueCandidate],
-                                             SchedulerView]:
-        """Build the active set from the per-warp classification caches.
+    def _classify(self, cycle: int) -> SchedulerView:
+        """Fill the scheduler view from the per-warp classification caches.
 
         The readiness summary of each warp's head instruction
         (:meth:`Scoreboard.head_status`) only changes when the head
         itself changes (an issue popped the buffer) or a producer is
         recorded/resolved (the scoreboard version bumps), never with the
         mere passage of time — so the per-cycle work for an unchanged
-        warp is two integer compares against cached absolute cycles,
-        and the IssueCandidate objects are memoised alongside.
+        warp is two integer compares against cached absolute cycles.
+        This full per-cycle pass is the oracle the dense kernel's
+        incremental classification is pinned against.
         """
         view = self._view
         actv = view.actv_counts
         for cls in ALL_OP_CLASSES:
             actv[cls] = 0
-        candidates: List[IssueCandidate] = []
-        append = candidates.append
+        active: List[int] = []
+        ready: List[int] = []
+        ready_by_class: Tuple[List[int], ...] = ([], [], [], [])
         pending = 0
-        active = 0
-        all_cands = self.scheduler.needs_all_candidates
         for warp in self._resident:
             buf = warp.ibuffer
             if not buf:
@@ -590,30 +590,33 @@ class StreamingMultiprocessor:
             if warp.head_unresolved or cycle < warp.head_mem_until:
                 pending += 1
                 continue
-            active += 1
+            slot = warp.slot
+            active.append(slot)
             actv[warp.head_inst.op_class] += 1
             if cycle >= warp.head_ready_at:
-                append(warp.cand_ready)
-            elif all_cands:
-                append(warp.cand_stalled)
+                ready.append(slot)
+                ready_by_class[warp.head_opx].append(slot)
+        view.active = active
+        view.ready = ready
+        view.ready_by_class = ready_by_class
         if self._has_blackout:
             self._blackout_flags(cycle, view.type_in_blackout)
         self.actv_counts = actv
         stats = self.stats
-        stats.active_warp_sum += active
+        n_active = len(active)
+        stats.active_warp_sum += n_active
         stats.pending_warp_sum += pending
-        if active > stats.active_warp_max:
-            stats.active_warp_max = active
-        return candidates, view
+        if n_active > stats.active_warp_max:
+            stats.active_warp_max = n_active
+        return view
 
     def _refresh_head(self, warp: WarpContext, popped: int) -> None:
-        """Recompute one warp's cached head summary and candidates.
+        """Recompute one warp's cached head summary.
 
         Callers compare the ``(popped, scoreboard version)`` stamp
         inline and call this only on a mismatch.  The serial
         classification, the dense kernel and the span planner all share
-        this one cache, so a warp's memoised candidates stay the same
-        objects whichever execution mode reaches it next.
+        this one cache, whichever execution mode reaches a warp next.
         """
         head = warp.ibuffer[0]
         scoreboard = warp.scoreboard
@@ -623,12 +626,7 @@ class StreamingMultiprocessor:
         warp.cache_popped = popped
         warp.cache_version = scoreboard.version
         warp.head_inst = head
-        slot = warp.slot
-        age = self._ages[slot]
-        warp.cand_ready = IssueCandidate(slot, age, head, True)
-        warp.cand_stalled = (
-            IssueCandidate(slot, age, head, False)
-            if self.scheduler.needs_all_candidates else None)
+        warp.head_opx = int(head.op_class)
 
     def _blackout_flags(self, cycle: int,
                         flags: Dict[OpClass, bool]) -> None:
@@ -650,13 +648,13 @@ class StreamingMultiprocessor:
     # stage 5: issue
     # ------------------------------------------------------------------
 
-    def _walk(self, cycle: int, ordered) -> List[int]:
-        """Issue from a priority order of ready candidates.
+    def _walk(self, cycle: int, ordered: Sequence[int]) -> List[int]:
+        """Issue from the scheduler's priority order of ready slots.
 
-        ``ordered`` is the scheduler's order (any iterable of
-        candidates), falsy when nothing is ready — then every issue
-        lane records a no-ready-warp stall.  The walk stops once the
-        issue width is filled and returns the slots that issued.
+        ``ordered`` is empty when nothing is ready — then every issue
+        lane records a no-ready-warp stall.  Each slot's head comes from
+        the warp's cached ``head_inst``.  The walk stops once the issue
+        width is filled and returns the slots that issued.
 
         The unit-acquisition logic (MSHR back-pressure, the warp's home
         SP cluster, power-gating hazards, the structural port check) is
@@ -689,8 +687,9 @@ class StreamingMultiprocessor:
         stalls = stats.stalls
         unit_table = self._unit_table
         warps = self.warps
-        for candidate in ordered:
-            inst = candidate.inst
+        for slot in ordered:
+            warp = warps[slot]
+            inst = warp.head_inst
             pipes, doms, n_pipes, is_ldst = unit_table[inst.op_class]
             if is_ldst and self._retry:
                 # MSHR back-pressure holds the LDST port for retries.
@@ -698,7 +697,6 @@ class StreamingMultiprocessor:
                 if publish_events:
                     bus.publish(IssueStall(cycle, "mshr_full"))
                 continue
-            slot = candidate.slot
             index = slot % n_pipes
             pipe = pipes[index]
             domain = doms[index]
@@ -726,7 +724,6 @@ class StreamingMultiprocessor:
                 if publish_events:
                     bus.publish(IssueStall(cycle, "structural"))
                 continue
-            warp = warps[slot]
             warp.pop_head()
             # Operand-collector bank conflicts delay both the dispatch
             # port and the result; the scoreboard sees the late start.
@@ -749,7 +746,7 @@ class StreamingMultiprocessor:
             warp.outstanding += 1
             stats.instructions_issued += 1
             stats.issued_by_class[inst.op_class] += 1
-            self.scheduler.on_issue(cycle, candidate)
+            self.scheduler.on_issue(cycle, slot)
             issued.append(slot)
             if len(issued) == width:
                 break

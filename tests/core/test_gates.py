@@ -3,101 +3,94 @@
 import pytest
 
 from repro.core.gates import GatesScheduler
-from repro.isa.instructions import fp_op, int_op, load_op, sfu_op
 from repro.isa.optypes import OpClass
-from repro.sim.sched.base import IssueCandidate, SchedulerView
+from tests.sim.views import make_view
+
+INT, FP, SFU, LDST = OpClass.INT, OpClass.FP, OpClass.SFU, OpClass.LDST
+
+#: Six ready warps, one per slot: (slot, head type, ready).
+MIXED = [(0, INT, True), (1, FP, True), (2, LDST, True), (3, SFU, True),
+         (4, INT, True), (5, FP, True)]
+CLASS_OF = {slot: cls for slot, cls, _ in MIXED}
 
 
-def cand(slot, inst, ready=True):
-    return IssueCandidate(slot=slot, age=slot, inst=inst, ready=ready)
-
-
-def view(int_actv=0, fp_actv=0, int_blk=False, fp_blk=False):
-    v = SchedulerView()
-    v.actv_counts[OpClass.INT] = int_actv
-    v.actv_counts[OpClass.FP] = fp_actv
-    v.type_in_blackout[OpClass.INT] = int_blk
-    v.type_in_blackout[OpClass.FP] = fp_blk
+def view(int_actv=0, fp_actv=0, int_blk=False, fp_blk=False, rows=MIXED):
+    v = make_view(rows)
+    v.actv_counts[INT] = int_actv
+    v.actv_counts[FP] = fp_actv
+    v.type_in_blackout[INT] = int_blk
+    v.type_in_blackout[FP] = fp_blk
     return v
-
-
-MIXED = [cand(0, int_op(dest=0)), cand(1, fp_op(dest=0)),
-         cand(2, load_op(dest=0, line_addr=0)), cand(3, sfu_op(dest=0)),
-         cand(4, int_op(dest=0)), cand(5, fp_op(dest=0))]
 
 
 class TestPriorityOrdering:
     def test_int_first_by_default(self):
         sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, MIXED, view(int_actv=2, fp_actv=2))
-        classes = [c.op_class for c in ordered]
-        assert classes == [OpClass.INT, OpClass.INT, OpClass.LDST,
-                           OpClass.SFU, OpClass.FP, OpClass.FP]
+        ordered = sched.order(0, view(int_actv=2, fp_actv=2))
+        assert [CLASS_OF[slot] for slot in ordered] == \
+            [INT, INT, LDST, SFU, FP, FP]
 
     def test_ldst_above_sfu_always(self):
         sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, MIXED, view(int_actv=2, fp_actv=2))
-        ranks = {c.op_class: i for i, c in enumerate(ordered)}
+        ordered = sched.order(0, view(int_actv=2, fp_actv=2))
+        ranks = {CLASS_OF[slot]: i for i, slot in enumerate(ordered)}
         assert ranks[OpClass.LDST] < ranks[OpClass.SFU]
 
     def test_not_ready_filtered(self):
         sched = GatesScheduler(n_slots=8)
-        cands = [cand(0, int_op(dest=0), ready=False),
-                 cand(1, fp_op(dest=0))]
-        ordered = sched.order(0, cands, view(int_actv=1, fp_actv=1))
-        assert [c.slot for c in ordered] == [1]
+        rows = [(0, INT, False), (1, FP, True)]
+        assert sched.order(0, view(int_actv=1, fp_actv=1, rows=rows)) == [1]
 
     def test_round_robin_within_type(self):
         sched = GatesScheduler(n_slots=8)
-        cands = [cand(s, int_op(dest=0)) for s in (1, 3, 6)]
-        first = sched.order(0, cands, view(int_actv=3))
+        rows = [(slot, INT, True) for slot in (1, 3, 6)]
+        first = sched.order(0, view(int_actv=3, rows=rows))
         sched.on_issue(0, first[0])  # issued slot 1
-        second = sched.order(1, cands, view(int_actv=3))
-        assert [c.slot for c in second] == [3, 6, 1]
+        assert sched.order(1, view(int_actv=3, rows=rows)) == [3, 6, 1]
 
 
 class TestDynamicSwitching:
     def test_switches_when_int_drains(self):
         sched = GatesScheduler(n_slots=8)
         assert sched.highest_priority is OpClass.INT
-        sched.order(0, MIXED, view(int_actv=0, fp_actv=3))
+        sched.order(0, view(int_actv=0, fp_actv=3))
         assert sched.highest_priority is OpClass.FP
         assert sched.priority_switches == 1
 
     def test_no_switch_when_both_empty(self):
         sched = GatesScheduler(n_slots=8)
-        sched.order(0, [], view(int_actv=0, fp_actv=0))
+        sched.order(0, view(int_actv=0, fp_actv=0, rows=[]))
         assert sched.highest_priority is OpClass.INT
 
     def test_switches_back_when_fp_drains(self):
         sched = GatesScheduler(n_slots=8)
-        sched.order(0, MIXED, view(int_actv=0, fp_actv=3))
-        sched.order(1, MIXED, view(int_actv=3, fp_actv=0))
+        sched.order(0, view(int_actv=0, fp_actv=3))
+        sched.order(1, view(int_actv=3, fp_actv=0))
         assert sched.highest_priority is OpClass.INT
         assert sched.priority_switches == 2
 
     def test_fp_priority_reorders_issue(self):
         sched = GatesScheduler(n_slots=8)
-        sched.order(0, MIXED, view(int_actv=0, fp_actv=3))  # switch to FP
-        ordered = sched.order(1, MIXED, view(int_actv=2, fp_actv=2))
-        assert ordered[0].op_class is OpClass.FP
-        assert ordered[-1].op_class is OpClass.INT
+        sched.order(0, view(int_actv=0, fp_actv=3))  # switch to FP
+        ordered = sched.order(1, view(int_actv=2, fp_actv=2))
+        assert CLASS_OF[ordered[0]] is FP
+        assert CLASS_OF[ordered[-1]] is INT
 
 
 class TestBlackoutAwareSwitching:
     def test_disabled_by_default(self):
         sched = GatesScheduler(n_slots=8)
-        sched.order(0, MIXED, view(int_actv=2, fp_actv=2, int_blk=True))
+        sched.order(0, view(int_actv=2, fp_actv=2, int_blk=True))
         assert sched.highest_priority is OpClass.INT
 
     def test_switches_away_from_blacked_type(self):
         sched = GatesScheduler(n_slots=8, blackout_aware=True)
-        sched.order(0, MIXED, view(int_actv=2, fp_actv=2, int_blk=True))
+        sched.order(0, view(int_actv=2, fp_actv=2, int_blk=True))
         assert sched.highest_priority is OpClass.FP
 
     def test_no_switch_if_both_blacked(self):
         sched = GatesScheduler(n_slots=8, blackout_aware=True)
-        sched.order(0, MIXED, view(int_actv=2, fp_actv=2,
+        sched.order(0, view(int_actv=2, fp_actv=2,
                                    int_blk=True, fp_blk=True))
         assert sched.highest_priority is OpClass.INT
 
@@ -106,15 +99,15 @@ class TestAntiStarvation:
     def test_forced_switch_after_threshold(self):
         sched = GatesScheduler(n_slots=8, max_priority_cycles=10)
         for cycle in range(10):
-            sched.order(cycle, MIXED, view(int_actv=2, fp_actv=2))
+            sched.order(cycle, view(int_actv=2, fp_actv=2))
             assert sched.highest_priority is OpClass.INT
-        sched.order(10, MIXED, view(int_actv=2, fp_actv=2))
+        sched.order(10, view(int_actv=2, fp_actv=2))
         assert sched.highest_priority is OpClass.FP
 
     def test_no_forced_switch_without_waiters(self):
         sched = GatesScheduler(n_slots=8, max_priority_cycles=5)
         for cycle in range(20):
-            sched.order(cycle, MIXED, view(int_actv=2, fp_actv=0))
+            sched.order(cycle, view(int_actv=2, fp_actv=0))
         assert sched.highest_priority is OpClass.INT
 
     def test_validation(self):
@@ -127,7 +120,7 @@ class TestAntiStarvation:
 class TestReset:
     def test_reset_restores_initial_state(self):
         sched = GatesScheduler(n_slots=8)
-        sched.order(0, MIXED, view(int_actv=0, fp_actv=3))
+        sched.order(0, view(int_actv=0, fp_actv=3))
         sched.reset()
         assert sched.highest_priority is OpClass.INT
         assert sched.priority_switches == 0

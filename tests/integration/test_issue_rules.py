@@ -9,59 +9,43 @@ the real SM under GATES and check who actually issues each cycle.
 
 from repro.core.gates import GatesScheduler
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
-from repro.isa.instructions import fp_op, int_op, load_op, sfu_op
+from repro.isa.instructions import fp_op, int_op
 from repro.isa.optypes import OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
-from repro.sim.sched.base import IssueCandidate, SchedulerView
+from tests.sim.views import make_view
 
 CONFIG = SMConfig(max_resident_warps=8,
                   memory=MemoryConfig(dram_jitter=0.0))
 
 
-def cand(slot, inst):
-    return IssueCandidate(slot=slot, age=slot, inst=inst, ready=True)
-
-
-def view(int_actv=2, fp_actv=2):
-    v = SchedulerView()
-    v.actv_counts[OpClass.INT] = int_actv
-    v.actv_counts[OpClass.FP] = fp_actv
-    return v
+def order_classes(*classes):
+    """GATES' order over one ready warp per slot, as head types."""
+    view = make_view((slot, cls, True) for slot, cls in enumerate(classes))
+    view.actv_counts[OpClass.INT] = 2
+    view.actv_counts[OpClass.FP] = 2
+    ordered = GatesScheduler(n_slots=8).order(0, view)
+    return [classes[slot] for slot in ordered]
 
 
 class TestFillerOrdering:
     """Direct scheduler-order checks for the section 4.1 rule."""
 
     def test_one_int_then_ldst(self):
-        sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, [cand(0, int_op(dest=0)),
-                                  cand(1, load_op(dest=0, line_addr=0)),
-                                  cand(2, fp_op(dest=0))], view())
-        assert [c.op_class for c in ordered[:2]] == \
-            [OpClass.INT, OpClass.LDST]
+        ordered = order_classes(OpClass.INT, OpClass.LDST, OpClass.FP)
+        assert ordered[:2] == [OpClass.INT, OpClass.LDST]
 
     def test_one_int_then_sfu_when_no_ldst(self):
-        sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, [cand(0, int_op(dest=0)),
-                                  cand(1, sfu_op(dest=0)),
-                                  cand(2, fp_op(dest=0))], view())
-        assert [c.op_class for c in ordered[:2]] == \
-            [OpClass.INT, OpClass.SFU]
+        ordered = order_classes(OpClass.INT, OpClass.SFU, OpClass.FP)
+        assert ordered[:2] == [OpClass.INT, OpClass.SFU]
 
     def test_one_int_then_fp_as_last_resort(self):
-        sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, [cand(0, int_op(dest=0)),
-                                  cand(2, fp_op(dest=0))], view())
-        assert [c.op_class for c in ordered] == [OpClass.INT, OpClass.FP]
+        ordered = order_classes(OpClass.INT, OpClass.FP)
+        assert ordered == [OpClass.INT, OpClass.FP]
 
     def test_two_ready_ints_fill_both_slots(self):
-        sched = GatesScheduler(n_slots=8)
-        ordered = sched.order(0, [cand(0, int_op(dest=0)),
-                                  cand(1, fp_op(dest=0)),
-                                  cand(2, int_op(dest=0))], view())
-        assert [c.op_class for c in ordered[:2]] == \
-            [OpClass.INT, OpClass.INT]
+        ordered = order_classes(OpClass.INT, OpClass.FP, OpClass.INT)
+        assert ordered[:2] == [OpClass.INT, OpClass.INT]
 
 
 class TestDualIssueInTheSM:

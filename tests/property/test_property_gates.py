@@ -1,57 +1,87 @@
-"""Property tests: the GATES issue-priority ordering."""
+"""Property tests: scheduler issue orderings, GATES' ladder above all."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.gates import GatesScheduler
-from repro.isa.instructions import fp_op, int_op, load_op, sfu_op
 from repro.isa.optypes import OpClass
-from repro.sim.sched.base import IssueCandidate, SchedulerView
+from repro.sim.locality import LostLocalityMonitor
+from repro.sim.sched.ccws import CCWSScheduler
+from repro.sim.sched.fetch_group import FetchGroupScheduler
+from repro.sim.sched.two_level import (LooseRoundRobinScheduler,
+                                       TwoLevelScheduler)
+from tests.sim.views import make_view
 
-_BUILDERS = {
-    OpClass.INT: lambda: int_op(dest=0),
-    OpClass.FP: lambda: fp_op(dest=0),
-    OpClass.SFU: lambda: sfu_op(dest=0),
-    OpClass.LDST: lambda: load_op(dest=0, line_addr=0),
-}
-
+#: Active warps as (slot, head type, ready, age) rows, unique slots.
 candidate_lists = st.lists(
     st.tuples(st.integers(min_value=0, max_value=15),
               st.sampled_from(sorted(OpClass, key=lambda c: c.value)),
-              st.booleans()),
+              st.booleans(),
+              st.integers(min_value=0, max_value=63)),
     min_size=0, max_size=24, unique_by=lambda t: t[0])
 
 
-def build_candidates(raw):
-    return [IssueCandidate(slot=slot, age=slot,
-                           inst=_BUILDERS[cls](), ready=ready)
-            for slot, cls, ready in raw]
+def _throttled_ccws():
+    """CCWS whose lost-locality score excludes three warps."""
+    monitor = LostLocalityMonitor(score_per_event=192.0,
+                                  decay_per_cycle=0.0)
+    monitor.record_eviction(0, 1)
+    monitor.record_miss(0, 1)
+    return CCWSScheduler(n_slots=16, monitor=monitor, min_active_warps=1)
 
 
-def build_view(candidates):
-    view = SchedulerView()
-    for candidate in candidates:
-        view.actv_counts[candidate.op_class] += 1
-    return view
+#: Every built-in scheduler over 16 slots.  Only the throttled CCWS may
+#: drop ready warps (the ones outside its oldest-warp window).
+SCHEDULERS = {
+    "two_level": lambda: TwoLevelScheduler(n_slots=16),
+    "lrr": lambda: LooseRoundRobinScheduler(n_slots=16),
+    "fetch_group": lambda: FetchGroupScheduler(n_slots=16, group_size=4),
+    "ccws": lambda: CCWSScheduler(n_slots=16),
+    "ccws_throttled": _throttled_ccws,
+    "gates": lambda: GatesScheduler(n_slots=16),
+}
 
 
-@given(raw=candidate_lists, cycle=st.integers(min_value=0, max_value=100))
-@settings(max_examples=200, deadline=None)
-def test_order_is_a_permutation_of_ready_candidates(raw, cycle):
-    sched = GatesScheduler(n_slots=16)
-    candidates = build_candidates(raw)
-    ordered = sched.order(cycle, candidates, build_view(candidates))
-    ready = [c for c in candidates if c.ready]
-    assert sorted(c.slot for c in ordered) == sorted(c.slot for c in ready)
+def _lists(view):
+    return (list(view.ready), [list(b) for b in view.ready_by_class],
+            list(view.active))
+
+
+@given(name=st.sampled_from(sorted(SCHEDULERS)),
+       views=st.lists(candidate_lists, min_size=1, max_size=4),
+       issued=st.lists(st.integers(min_value=0, max_value=15), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_order_is_a_permutation_of_ready_candidates(name, views, issued):
+    """Over a run of cycles, each scheduler's order is a permutation of
+    ``view.ready`` (a subset under CCWS throttling) and leaves the
+    view's lists intact — the dense kernel hands a scheduler its live
+    lists."""
+    sched = SCHEDULERS[name]()
+    for cycle, raw in enumerate(views):
+        view = make_view(raw)
+        before = _lists(view)
+        ordered = list(sched.order(cycle, view))
+        assert _lists(view) == before, f"{name} mutated the view"
+        assert len(set(ordered)) == len(ordered)
+        if name == "ccws_throttled":
+            assert set(ordered) <= set(view.ready)
+        else:
+            assert sorted(ordered) == before[0]
+        for slot in issued[cycle:cycle + 1]:
+            sched.on_issue(cycle, slot)
+
+
+def _gates_order(raw, cycle=0):
+    view = make_view(raw)
+    classes = {row[0]: row[1] for row in raw}
+    ordered = GatesScheduler(n_slots=16).order(cycle, view)
+    return [classes[slot] for slot in ordered]
 
 
 @given(raw=candidate_lists)
 @settings(max_examples=200, deadline=None)
 def test_int_and_fp_always_at_opposite_ends(raw):
     """The ordering [hi, LDST, SFU, lo] never interleaves INT and FP."""
-    sched = GatesScheduler(n_slots=16)
-    candidates = build_candidates(raw)
-    ordered = sched.order(0, candidates, build_view(candidates))
-    classes = [c.op_class for c in ordered]
+    classes = _gates_order(raw)
     if OpClass.INT in classes and OpClass.FP in classes:
         # Whichever CUDA-core type appears first, every one of its
         # instructions precedes every instruction of the other type.
@@ -66,10 +96,7 @@ def test_int_and_fp_always_at_opposite_ends(raw):
 @given(raw=candidate_lists)
 @settings(max_examples=200, deadline=None)
 def test_ldst_precedes_sfu_within_the_middle(raw):
-    sched = GatesScheduler(n_slots=16)
-    candidates = build_candidates(raw)
-    ordered = sched.order(0, candidates, build_view(candidates))
-    classes = [c.op_class for c in ordered]
+    classes = _gates_order(raw)
     if OpClass.LDST in classes and OpClass.SFU in classes:
         assert max(i for i, c in enumerate(classes)
                    if c is OpClass.LDST) < \
@@ -80,10 +107,9 @@ def test_ldst_precedes_sfu_within_the_middle(raw):
 @settings(max_examples=100, deadline=None)
 def test_priority_is_always_a_cuda_core_type(raw, steps):
     sched = GatesScheduler(n_slots=16)
-    candidates = build_candidates(raw)
-    view = build_view(candidates)
+    view = make_view(raw)
     for cycle in range(steps):
-        sched.order(cycle, candidates, view)
+        sched.order(cycle, view)
         assert sched.highest_priority in (OpClass.INT, OpClass.FP)
 
 
@@ -92,10 +118,9 @@ def test_priority_is_always_a_cuda_core_type(raw, steps):
 def test_switch_only_when_high_subset_empty(raw):
     """With both ACTV counters non-zero, the priority must not move."""
     sched = GatesScheduler(n_slots=16)
-    candidates = build_candidates(raw)
-    view = build_view(candidates)
+    view = make_view(raw)
     if view.actv_counts[OpClass.INT] > 0 and \
             view.actv_counts[OpClass.FP] > 0:
         before = sched.highest_priority
-        sched.order(0, candidates, view)
+        sched.order(0, view)
         assert sched.highest_priority is before

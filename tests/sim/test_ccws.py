@@ -3,16 +3,11 @@
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
-from repro.isa.instructions import int_op
+from repro.isa.optypes import OpClass
 from repro.sim.locality import LostLocalityMonitor
 from repro.sim.memory import L1Cache
-from repro.sim.sched.base import IssueCandidate, SchedulerView
 from repro.sim.sched.ccws import CCWSScheduler, MonitorDecayHook
-
-
-def cand(slot, age=None, ready=True):
-    return IssueCandidate(slot=slot, age=age if age is not None else slot,
-                          inst=int_op(dest=0), ready=ready)
+from tests.sim.views import make_view, ready_ints
 
 
 class TestMonitor:
@@ -94,8 +89,7 @@ class TestCacheEvictionReporting:
 class TestScheduler:
     def test_no_throttle_without_score(self):
         sched = CCWSScheduler(n_slots=8)
-        candidates = [cand(s) for s in range(4)]
-        ordered = sched.order(0, candidates, SchedulerView())
+        ordered = sched.order(0, ready_ints(range(4)))
         assert len(ordered) == 4
         assert sched.throttled_cycles == 0
 
@@ -107,11 +101,35 @@ class TestScheduler:
                               min_active_warps=2)
         monitor.record_eviction(0, 1)
         monitor.record_miss(0, 1)  # score 100 -> exclude 1 warp
-        candidates = [cand(0, age=0), cand(1, age=1), cand(2, age=2)]
-        ordered = sched.order(0, candidates, SchedulerView())
-        slots = {c.slot for c in ordered}
-        assert slots == {0, 1}  # youngest (age 2) loses privileges
+        ordered = sched.order(0, ready_ints(range(3)))
+        assert set(ordered) == {0, 1}  # youngest (age 2) loses privileges
         assert sched.throttled_cycles == 1
+
+    def test_privilege_follows_age_not_slot(self):
+        monitor = LostLocalityMonitor(score_per_event=100.0,
+                                      decay_per_cycle=0.0)
+        sched = CCWSScheduler(n_slots=8, monitor=monitor,
+                              score_per_excluded_warp=64.0,
+                              min_active_warps=1)
+        monitor.record_eviction(0, 1)
+        monitor.record_miss(0, 1)  # score 100 -> exclude 1 warp
+        # Slot 0 was relaunched last, so it is the youngest.
+        view = make_view([(0, OpClass.INT, True, 9),
+                          (1, OpClass.INT, True, 1),
+                          (2, OpClass.INT, True, 2)])
+        assert set(sched.order(0, view)) == {1, 2}
+
+    def test_stalled_active_warps_count_toward_the_window(self):
+        monitor = LostLocalityMonitor(score_per_event=100.0,
+                                      decay_per_cycle=0.0)
+        sched = CCWSScheduler(n_slots=8, monitor=monitor,
+                              score_per_excluded_warp=64.0,
+                              min_active_warps=1)
+        monitor.record_eviction(0, 1)
+        monitor.record_miss(0, 1)  # score 100 -> exclude 1 of 3 warps
+        view = make_view([(0, OpClass.INT, False), (1, OpClass.INT, True),
+                          (2, OpClass.INT, True)])
+        assert list(sched.order(0, view)) == [1]
 
     def test_min_active_warps_floor(self):
         monitor = LostLocalityMonitor(score_per_event=1e6,
@@ -120,9 +138,8 @@ class TestScheduler:
                               min_active_warps=2)
         monitor.record_eviction(0, 1)
         monitor.record_miss(0, 1)
-        candidates = [cand(s, age=s) for s in range(6)]
-        ordered = sched.order(0, candidates, SchedulerView())
-        assert {c.slot for c in ordered} == {0, 1}
+        ordered = sched.order(0, ready_ints(range(6)))
+        assert set(ordered) == {0, 1}
 
     def test_validation(self):
         with pytest.raises(ValueError):

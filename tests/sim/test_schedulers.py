@@ -2,50 +2,53 @@
 
 import pytest
 
-from repro.isa.instructions import fp_op, int_op, load_op
-from repro.sim.sched.base import IssueCandidate, SchedulerView
+from repro.isa.optypes import OpClass
+from repro.sim.sched.base import rotate
 from repro.sim.sched.two_level import (
     LooseRoundRobinScheduler,
     TwoLevelScheduler,
 )
+from tests.sim.views import make_view, ready_ints
 
 
-def cand(slot: int, inst, ready: bool = True) -> IssueCandidate:
-    return IssueCandidate(slot=slot, age=slot, inst=inst, ready=ready)
+class TestRotate:
+    def test_starts_at_first_slot_at_or_after_start(self):
+        assert rotate([1, 3, 6], 4) == [6, 1, 3]
+        assert rotate([1, 3, 6], 3) == [3, 6, 1]
+
+    def test_returns_input_when_no_rotation_needed(self):
+        slots = [1, 3, 6]
+        assert rotate(slots, 0) is slots
+        assert rotate(slots, 7) is slots
+        assert rotate((), 5) == ()
 
 
 class TestTwoLevelScheduler:
     def test_filters_not_ready(self):
         sched = TwoLevelScheduler(n_slots=8)
-        candidates = [cand(0, int_op(dest=0), ready=False),
-                      cand(1, fp_op(dest=0), ready=True)]
-        ordered = sched.order(0, candidates, SchedulerView())
-        assert [c.slot for c in ordered] == [1]
+        view = make_view([(0, OpClass.INT, False), (1, OpClass.FP, True)])
+        assert list(sched.order(0, view)) == [1]
 
     def test_rotates_after_last_issuer(self):
         sched = TwoLevelScheduler(n_slots=8)
-        candidates = [cand(s, int_op(dest=0)) for s in (0, 3, 6)]
-        first = sched.order(0, candidates, SchedulerView())
-        assert [c.slot for c in first] == [0, 3, 6]
+        view = ready_ints((0, 3, 6))
+        first = sched.order(0, view)
+        assert list(first) == [0, 3, 6]
         sched.on_issue(0, first[0])     # last slot = 0
-        second = sched.order(1, candidates, SchedulerView())
-        assert [c.slot for c in second] == [3, 6, 0]
+        assert list(sched.order(1, view)) == [3, 6, 0]
 
     def test_type_blind(self):
         # The baseline's defining flaw: types intersperse freely.
         sched = TwoLevelScheduler(n_slots=4)
-        candidates = [cand(0, int_op(dest=0)), cand(1, fp_op(dest=0)),
-                      cand(2, int_op(dest=0)), cand(3, fp_op(dest=0))]
-        ordered = sched.order(0, candidates, SchedulerView())
-        assert [c.slot for c in ordered] == [0, 1, 2, 3]
+        view = make_view([(0, OpClass.INT, True), (1, OpClass.FP, True),
+                          (2, OpClass.INT, True), (3, OpClass.FP, True)])
+        assert list(sched.order(0, view)) == [0, 1, 2, 3]
 
     def test_reset_restores_pointer(self):
         sched = TwoLevelScheduler(n_slots=4)
-        sched.on_issue(0, cand(2, int_op(dest=0)))
+        sched.on_issue(0, 2)
         sched.reset()
-        ordered = sched.order(0, [cand(s, int_op(dest=0))
-                                  for s in range(4)], SchedulerView())
-        assert [c.slot for c in ordered] == [0, 1, 2, 3]
+        assert list(sched.order(0, ready_ints(range(4)))) == [0, 1, 2, 3]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,27 +58,16 @@ class TestTwoLevelScheduler:
 class TestLooseRoundRobin:
     def test_pointer_advances_every_cycle(self):
         sched = LooseRoundRobinScheduler(n_slots=4)
-        candidates = [cand(s, int_op(dest=0)) for s in range(4)]
-        first = sched.order(0, candidates, SchedulerView())
-        second = sched.order(1, candidates, SchedulerView())
-        assert [c.slot for c in first] == [0, 1, 2, 3]
-        assert [c.slot for c in second] == [1, 2, 3, 0]
+        view = ready_ints(range(4))
+        assert list(sched.order(0, view)) == [0, 1, 2, 3]
+        assert list(sched.order(1, view)) == [1, 2, 3, 0]
 
     def test_reset(self):
         sched = LooseRoundRobinScheduler(n_slots=4)
-        sched.order(0, [], SchedulerView())
+        sched.order(0, make_view())
         sched.reset()
-        ordered = sched.order(0, [cand(s, int_op(dest=0))
-                                  for s in range(2)], SchedulerView())
-        assert [c.slot for c in ordered] == [0, 1]
+        assert list(sched.order(0, ready_ints(range(2)))) == [0, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LooseRoundRobinScheduler(n_slots=-1)
-
-
-class TestIssueCandidate:
-    def test_op_class_passthrough(self):
-        c = cand(0, load_op(dest=0, line_addr=0))
-        from repro.isa.optypes import OpClass
-        assert c.op_class is OpClass.LDST
