@@ -8,7 +8,8 @@ Layout::
 
 The human-readable filename prefix is cosmetic; the trailing
 ``config_hash`` carries the full identity (every config object, the
-seed, the scale, the DRAM latency and a cache-format version salt), so
+seed, the scale, the DRAM latency and a format version salt:
+:data:`RESULT_SCHEMA` or :data:`TRACE_SCHEMA`), so
 any config change — including editing a default inside a dataclass —
 produces a different key and old entries simply stop being hit.
 Invalidation is therefore "delete the directory whenever you feel like
@@ -75,11 +76,19 @@ _log = logging.getLogger("repro.engine.cache")
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Bump to orphan every existing entry (cache format change, simulator
-#: semantics change that config hashes cannot see, ...).  2: entries
-#: gained the checksummed header.  3: result keys switched from
-#: ``TechniqueConfig`` reprs to canonical ``TechniqueSpec`` hashes.
-CACHE_VERSION = 3
+#: Salt of every result key.  Bump to orphan every cached result
+#: (result format change, simulator semantics change that config hashes
+#: cannot see, ...).  2: entries gained the checksummed header.  3:
+#: result keys switched from ``TechniqueConfig`` reprs to canonical
+#: ``TechniqueSpec`` hashes.  4: ``SimResult`` stores warp lifetimes as
+#: int rows and no longer stores ``metrics``.
+RESULT_SCHEMA = 4
+
+#: Salt of every trace key, bumped only when the stored
+#: :class:`~repro.isa.trace.KernelTrace` format changes, so a result
+#: format change keeps every cached trace.  Versions 2 and 3 were
+#: shared with the results.
+TRACE_SCHEMA = 3
 
 #: Entry header: magic tag + SHA-256 digest of the pickled payload.
 MAGIC = b"RPC2"
@@ -196,8 +205,9 @@ class RunCache:
         try:
             value = _decode(blob)
         except (ValueError, pickle.PickleError, EOFError,
-                AttributeError, ImportError):
-            # Present but unusable: damaged, legacy or foreign entry.
+                AttributeError, ImportError, TypeError):
+            # Present but unusable: damaged, legacy or foreign entry
+            # (a class whose constructor changed raises TypeError).
             self.misses += 1
             self.corrupt_misses += 1
             self._emit(CacheMiss, group=group, key=key, corrupt=True)

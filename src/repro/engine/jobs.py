@@ -20,7 +20,7 @@ from typing import Optional
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.spec import TechniqueSpec, as_spec
 from repro.core.techniques import build_sm
-from repro.engine.cache import CACHE_VERSION, RunCache
+from repro.engine.cache import RESULT_SCHEMA, TRACE_SCHEMA, RunCache
 from repro.engine.faults import JobReport, JobStatus
 from repro.isa.trace import KernelTrace
 from repro.isa.tracegen import TraceGenerator
@@ -50,7 +50,7 @@ def trace_cache_key(benchmark: str, seed: int, scale: float) -> str:
     scale = float(scale)
     spec = scaled_spec(get_profile(benchmark).spec, scale)
     return (f"{benchmark}-s{seed}-"
-            f"{config_hash(spec, seed, scale, CACHE_VERSION)}")
+            f"{config_hash(spec, seed, scale, TRACE_SCHEMA)}")
 
 
 def load_or_build_kernel(benchmark: str, seed: int, scale: float,
@@ -130,7 +130,7 @@ class SimJob:
             digest = config_hash(
                 scaled_spec(profile.spec, self.scale), spec.spec_hash(),
                 self.sm_config, self.seed, self.scale,
-                profile.dram_latency, self.fast_forward, CACHE_VERSION)
+                profile.dram_latency, self.fast_forward, RESULT_SCHEMA)
             key = f"{self.benchmark}-{spec.name}-s{self.seed}-{digest}"
             object.__setattr__(self, "_cache_key", key)
         return key

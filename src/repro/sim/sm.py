@@ -25,7 +25,8 @@ paper — and every ablation — runs on the identical substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.isa.instructions import Instruction
@@ -73,9 +74,22 @@ class WarpRecord:
         return self.finish_cycle - self.launch_cycle
 
 
+#: One launched warp's lifetime as stored in :attr:`SimResult.warp_rows`:
+#: ``(warp_id, launch_cycle, finish_cycle, instructions)``, the field
+#: order of :class:`WarpRecord`.
+WarpRow = Tuple[int, int, int, int]
+
+
 @dataclass
 class SimResult:
-    """Everything a finished SM run exposes to analysis and harness."""
+    """Everything a finished SM run exposes to analysis and harness.
+
+    The fields are the run's one stored form: they are what a cache
+    entry or a pool payload carries.  :attr:`metrics` and
+    :attr:`warp_records` are views derived from them, memoised on first
+    access and left out of the pickled state, so reading them changes
+    neither the size nor the bytes of a pickled result.
+    """
 
     kernel_name: str
     technique: str
@@ -87,10 +101,31 @@ class SimResult:
     pipeline_issues: Dict[str, int]
     pipeline_lane_work: Dict[str, float]
     pipelines_by_kind: Dict[ExecUnitKind, Tuple[str, ...]]
-    warp_records: Tuple[WarpRecord, ...] = ()
-    #: Unified flat metrics view: every legacy counter re-expressed as
-    #: ``name{label="value"}`` keys (see :mod:`repro.obs.metrics`).
-    metrics: Dict[str, object] = field(default_factory=dict)
+    warp_rows: Tuple[WarpRow, ...] = ()
+
+    @cached_property
+    def warp_records(self) -> Tuple[WarpRecord, ...]:
+        """Per-warp lifetimes, one :class:`WarpRecord` per stored row."""
+        return tuple(WarpRecord(*row) for row in self.warp_rows)
+
+    @cached_property
+    def metrics(self) -> Dict[str, object]:
+        """Unified flat metrics view: every counter of the run
+        re-expressed as ``name{label="value"}`` keys (see
+        :mod:`repro.obs.metrics`)."""
+        registry = MetricsRegistry()
+        self.stats.export_metrics(registry)
+        for name, stats in self.domain_stats.items():
+            stats.export_metrics(registry, domain=name)
+            registry.gauge("idle_detect",
+                           domain=name).set(self.idle_detect_final[name])
+        for name, issued in self.pipeline_issues.items():
+            registry.counter("pipeline_issues", unit=name).inc(issued)
+        return registry.as_flat_dict()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("metrics", "warp_records")}
 
     def pipeline_names(self, kind: ExecUnitKind) -> Tuple[str, ...]:
         """Names of the pipelines of one unit kind."""
@@ -208,7 +243,7 @@ class StreamingMultiprocessor:
         self._ages: List[int] = [0] * n_slots
         self._age_counter = 0
         self._launch_cycles: List[int] = [0] * n_slots
-        self._warp_records: List[WarpRecord] = []
+        self._warp_rows: List[WarpRow] = []
 
         self.pipelines: List[ExecPipeline] = []
         self._by_kind: Dict[ExecUnitKind, List[ExecPipeline]] = {
@@ -518,11 +553,9 @@ class StreamingMultiprocessor:
                 if warp.outstanding == 0 and not warp.ibuffer \
                         and warp.fetch_pc >= warp.trace_len:
                     assert warp.trace is not None
-                    self._warp_records.append(WarpRecord(
-                        warp_id=warp.trace.warp_id,
-                        launch_cycle=self._launch_cycles[warp.slot],
-                        finish_cycle=cycle,
-                        instructions=warp.retired))
+                    self._warp_rows.append((
+                        warp.trace.warp_id, self._launch_cycles[warp.slot],
+                        cycle, warp.retired))
                     warp.release()
                     released += 1
         launched = 0
@@ -807,15 +840,6 @@ class StreamingMultiprocessor:
             domain.finalize(cycles)
         name = "+".join(k.name for k in self.kernels) \
             if len(self.kernels) > 1 else self.kernel.name
-        registry = MetricsRegistry()
-        self.stats.export_metrics(registry)
-        for domain_name, domain in self.domains.items():
-            domain.stats.export_metrics(registry, domain=domain_name)
-            registry.gauge("idle_detect",
-                           domain=domain_name).set(domain.idle_detect)
-        for pipe in self.pipelines:
-            registry.counter("pipeline_issues",
-                             unit=pipe.name).inc(pipe.issued_count)
         return SimResult(
             kernel_name=name,
             technique=self.technique,
@@ -828,9 +852,8 @@ class StreamingMultiprocessor:
             pipeline_issues={p.name: p.issued_count for p in self.pipelines},
             pipeline_lane_work={p.name: p.lane_work
                                 for p in self.pipelines},
-            warp_records=tuple(self._warp_records),
+            warp_rows=tuple(self._warp_rows),
             pipelines_by_kind={
                 kind: tuple(p.name for p in pipes)
                 for kind, pipes in self._by_kind.items()},
-            metrics=registry.as_flat_dict(),
         )

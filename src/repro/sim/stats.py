@@ -174,8 +174,8 @@ class SMStats:
     #: NOT exported to the metrics registry: a fast-forwarded run's
     #: metrics must stay byte-identical to the serial run's (the golden
     #: identity harness digests ``result.metrics`` wholesale), and
-    #: serial runs never plan.  Surfaced through the bench rows instead
-    #: (``benchmarks/bench_core.py``).
+    #: serial runs never plan.  Surfaced instead as the traced
+    #: perfbench metric ``sim.planner_overhead_cycles``.
     planner_overhead_cycles: int = 0
 
     # name -> tracker for every pipeline in the SM.

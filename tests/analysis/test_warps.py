@@ -68,13 +68,9 @@ class TestSummary:
         from dataclasses import replace
         _, result = hotspot_result
         with pytest.raises(ValueError, match="no warps"):
-            summarize_warps(replace(result, warp_records=()))
+            summarize_warps(replace(result, warp_rows=()))
 
     def test_hand_built_records(self):
-        from dataclasses import replace
-        _, result = None, None
-        records = (WarpRecord(0, 0, 100, 10),
-                   WarpRecord(1, 0, 300, 10))
         from repro.sim.sm import SimResult
         from repro.sim.stats import SMStats
         from repro.sim.memory import MemoryStats
@@ -83,7 +79,9 @@ class TestSummary:
             stats=SMStats(), memory=MemoryStats(), domain_stats={},
             idle_detect_final={}, pipeline_issues={},
             pipeline_lane_work={}, pipelines_by_kind={},
-            warp_records=records)
+            warp_rows=((0, 0, 100, 10), (1, 0, 300, 10)))
+        assert result.warp_records == (WarpRecord(0, 0, 100, 10),
+                                       WarpRecord(1, 0, 300, 10))
         summary = summarize_warps(result)
         assert summary.mean_lifetime == pytest.approx(200.0)
         assert summary.imbalance == pytest.approx(1.5)

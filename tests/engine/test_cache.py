@@ -1,12 +1,14 @@
 """Persistent run-cache behaviour: round trips, corruption, atomicity."""
 
+import hashlib
 import logging
 import os
 import pickle
 
+import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine.cache import RunCache
+from repro.engine.cache import MAGIC, RunCache
 from repro.obs.telemetry import (
     CacheEvicted,
     CacheHit,
@@ -78,6 +80,20 @@ class TestChecksums:
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"cycles": 42}))
         assert cache.get("results", "legacy") is None
+
+    def test_checksummed_payload_raising_type_error_is_miss(self, tmp_path):
+        # A class whose constructor signature changed fails to unpickle
+        # with TypeError; the entry reads as a corrupt miss, not a crash.
+        cache = RunCache(tmp_path)
+        payload = b"cbuiltins\nint\n(K\x01K\x02K\x03tR."  # int(1, 2, 3)
+        with pytest.raises(TypeError):
+            pickle.loads(payload)
+        path = cache.path("results", "changed")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(MAGIC + hashlib.sha256(payload).digest() + payload)
+        assert cache.get("results", "changed") is None
+        assert cache.corrupt_misses == 1
+        assert cache.misses == 1
 
     def test_hit_survives_verification(self, tmp_path):
         cache = RunCache(tmp_path)
