@@ -116,14 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--progress", action="store_true",
                         help="live engine-batch progress on stderr "
                              "(single redrawn line on a TTY, heartbeat "
-                             "lines otherwise)")
+                             "lines otherwise); does not change how "
+                             "jobs run")
     parser.add_argument("--engine-events", metavar="PATH", default=None,
                         help="write the engine event stream (jobs, "
                              "retries, cache, worker summaries) as "
-                             "JSONL")
+                             "JSONL; does not change how jobs run")
     parser.add_argument("--engine-trace", metavar="PATH", default=None,
                         help="write the whole batch as one Chrome "
-                             "trace with a lane per worker process")
+                             "trace with a lane per worker process; "
+                             "does not change how jobs run")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list benchmarks and techniques")
@@ -144,11 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "memory-side contention; 15 = the "
                               "gtx480 preset's chip)")
     run_cmd.add_argument("--emit-events", metavar="PATH", default=None,
-                         help="write the run's event stream as JSONL")
+                         help="write the run's event stream as JSONL; "
+                              "steps every cycle (no span skipping), "
+                              "so the run is slower but gives the "
+                              "same result")
     run_cmd.add_argument("--emit-chrome-trace", metavar="PATH",
                          default=None,
                          help="write a Chrome trace-event JSON of the "
-                              "run (load in Perfetto / chrome://tracing)")
+                              "run (load in Perfetto / chrome://tracing); "
+                              "steps every cycle (no span skipping), "
+                              "so the run is slower but gives the "
+                              "same result")
     run_cmd.add_argument("--profile", action="store_true",
                          help="print per-run provenance manifests and "
                               "cProfile the command — per-worker dumps "

@@ -206,11 +206,11 @@ def execute_job(job: SimJob,
     When the process carries worker telemetry (installed by the pool
     initializer, or the engine's inline path), the job runs inside a
     telemetry session: :class:`~repro.obs.telemetry.JobStarted` goes
-    out immediately, cache hits/misses stream as they happen, sim
-    events are digested by a bounded sampler, and a compact
-    :class:`~repro.obs.telemetry.WorkerEventSummary` ships when the
-    job completes.  Without telemetry (the default) this function is
-    byte-for-byte the old path: one ``None`` check, disabled sim bus.
+    out immediately, cache hits/misses stream as they happen, and a
+    compact :class:`~repro.obs.telemetry.WorkerEventSummary`, built
+    from the finished result, ships when the job completes.  The SM
+    runs on a disabled bus either way, so observing a job never
+    changes how it executes.
 
     The cache is opened with the janitor off: sweeping orphaned temp
     files is the engine's once-per-batch job
@@ -252,23 +252,21 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
                 cache_hit=True,
                 spec=spec.to_dict())
             if session is not None:
-                session.finish(cycles=result.cycles, cache_hit=True)
+                session.finish(result, cache_hit=True)
             return JobOutcome(result=result, manifest=manifest)
 
     t0 = time.perf_counter()
     kernel = load_or_build_kernel(job.benchmark, job.seed, job.scale,
                                   cache=cache)
     t1 = time.perf_counter()
-    sm = build_sm(kernel, spec, sm_config=job.sm_config,
-                  dram_latency=get_profile(job.benchmark).dram_latency,
-                  bus=session.sim_bus() if session is not None else None,
-                  fast_forward=job.fast_forward)
-    result = sm.run()
+    result = build_sm(kernel, spec, sm_config=job.sm_config,
+                      dram_latency=get_profile(job.benchmark).dram_latency,
+                      fast_forward=job.fast_forward).run()
     t2 = time.perf_counter()
     if cache is not None:
         cache.put("results", key, result)
     if session is not None:
-        session.finish(cycles=result.cycles)
+        session.finish(result)
     manifest = RunManifest(
         benchmark=job.benchmark,
         technique=spec.name,
@@ -278,7 +276,6 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
         cycles=result.cycles,
         instructions=result.stats.instructions_retired,
         wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},
-        events_published=sm.bus.events_published,
         worker=_worker_name(),
         spec=spec.to_dict())
     return JobOutcome(result=result, manifest=manifest)
@@ -322,10 +319,10 @@ def execute_sm_part(job: SMPartJob) -> SimResult:
     Mirrors :func:`execute_job`'s telemetry contract: with worker
     telemetry installed, the part runs inside a job session —
     :class:`~repro.obs.telemetry.JobStarted` on entry, a
-    :class:`~repro.obs.telemetry.WorkerEventSummary` on completion —
-    so device-scale fan-outs appear in live progress and the run
-    ledger like any other batch.  Without telemetry it is exactly the
-    bare simulation.
+    :class:`~repro.obs.telemetry.WorkerEventSummary` built from the
+    part's result on completion — so device-scale fan-outs appear in
+    live progress and the run ledger like any other batch.  The
+    simulation itself is the same bare run either way.
     """
     telemetry = current_worker()
     if telemetry is None:
@@ -336,13 +333,11 @@ def execute_sm_part(job: SMPartJob) -> SimResult:
 
 def _run_sm_part(job: SMPartJob,
                  session: Optional[JobTelemetry]) -> SimResult:
-    sm = build_sm(job.part, job.config, sm_config=job.sm_config,
-                  dram_latency=job.dram_latency,
-                  bus=session.sim_bus() if session is not None else None,
-                  fast_forward=job.fast_forward)
-    result = sm.run()
+    result = build_sm(job.part, job.config, sm_config=job.sm_config,
+                      dram_latency=job.dram_latency,
+                      fast_forward=job.fast_forward).run()
     if session is not None:
-        session.finish(cycles=result.cycles)
+        session.finish(result)
     return result
 
 

@@ -16,9 +16,9 @@ The subsystem has four pieces, all usable independently:
 * :mod:`repro.obs.manifest` — per-run provenance records (config hash,
   wall-clock per phase, cycles/sec).
 * :mod:`repro.obs.telemetry` — the cross-process relay: engine events,
-  bounded worker-side sim digests, and :class:`EngineTelemetry`, the
-  parent facade the :class:`~repro.engine.pool.ParallelEngine` streams
-  through.
+  per-job worker summaries built from finished results, and
+  :class:`EngineTelemetry`, the parent facade the
+  :class:`~repro.engine.pool.ParallelEngine` streams through.
 * :mod:`repro.obs.ledger` — the per-batch run-ledger JSONL flight
   recorder behind ``repro runs list|show``.
 * :mod:`repro.obs.progress` — the TTY-aware live progress renderer
@@ -91,7 +91,6 @@ from repro.obs.telemetry import (
     PoolRebuilt,
     ServiceJobAccepted,
     ServiceJobStateChanged,
-    TelemetrySettings,
     WorkerEventSummary,
 )
 
@@ -104,7 +103,7 @@ __all__ = [
     "load_jsonl_events", "validate_chrome_trace",
     "RunManifest", "config_hash", "write_manifests", "load_manifests",
     "ENGINE_EVENT_TYPES", "EngineEvent", "EngineTelemetry",
-    "TelemetrySettings", "JobQueued", "JobStarted", "JobRetry",
+    "JobQueued", "JobStarted", "JobRetry",
     "JobFinished", "PoolRebuilt", "CacheHit", "CacheMiss",
     "CacheEvicted", "CacheSwept", "WorkerEventSummary",
     "ServiceJobAccepted", "ServiceJobStateChanged",

@@ -263,8 +263,8 @@ class EngineTraceExporter:
     :class:`~repro.obs.telemetry.EngineTelemetry` bus): every worker
     process gets its own lane, where each
     :class:`~repro.obs.telemetry.WorkerEventSummary` becomes a complete
-    ("X") span — one box per job, carrying its digested sim-event
-    counts — and cache hits/misses render as instant markers.  Retries,
+    ("X") span — one box per job, carrying the sim-event counts read
+    from its result — and cache hits/misses render as instant markers.  Retries,
     pool rebuilds and non-ok terminal outcomes land in a separate
     "engine" control lane.
 

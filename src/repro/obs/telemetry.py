@@ -12,12 +12,13 @@ bus's zero-cost-when-disabled contract:
   :class:`~repro.obs.events.Event` subclasses, so every existing
   subscriber — the JSONL log, progress renderers, test sinks — consumes
   them unchanged.
-* **Workers digest, the parent streams.**  Forwarding every simulator
-  event over a pipe would cost more than the simulation; instead each
-  worker runs a bounded, sampling :class:`EventDigest` on its job's sim
-  bus and ships one compact :class:`WorkerEventSummary` (per-type counts
-  plus the first few sampled records) when the job ends.  Engine-level
-  events (job started, cache hit/miss) forward immediately.
+* **Summaries come from results, never from the simulation.**  A job's
+  SM always runs on a disabled bus, exactly as an unobserved job does,
+  so observing cannot change its execution mode mix or its result.
+  When the job ends, its worker ships one compact
+  :class:`WorkerEventSummary` whose sim-event counts are read off the
+  finished :class:`~repro.sim.sm.SimResult` (:func:`result_event_counts`).
+  Engine-level events (job started, cache hit/miss) forward immediately.
 * **The relay is a ``multiprocessing`` queue.**  The parent's
   :class:`EngineTelemetry` owns a ``SimpleQueue`` handed to workers via
   the pool initializer (``initargs`` travel through process creation,
@@ -33,8 +34,7 @@ Zero cost when disabled
 
 An engine without telemetry (the default) takes exactly one
 ``is None`` check per would-be hook; workers are started without the
-initializer, the sim bus inside :func:`~repro.engine.jobs.execute_job`
-stays disabled, and no queue or thread exists.
+initializer and no queue or thread exists.
 """
 
 from __future__ import annotations
@@ -45,12 +45,18 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs.bus import EventBus
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.sim.sm import SimResult
+
+#: Seconds the parent drain thread sleeps when the relay queue is empty.
+DRAIN_POLL = 0.005
 
 
 def _process_name() -> str:
@@ -174,12 +180,11 @@ class CacheSwept(EngineEvent):
 
 @dataclass(slots=True)
 class WorkerEventSummary(EngineEvent):
-    """One job's digested sim-event stream, shipped by its worker.
+    """One job's summary, shipped by its worker when the job ends.
 
-    ``counts`` maps event type names to publication counts;
-    ``sampled`` carries the first few records of each type (bounded by
-    :attr:`TelemetrySettings.sample_limit`), enough to interrogate
-    gating behaviour without shipping the full stream.
+    ``counts`` maps sim-event type names to the number of events an
+    enabled bus would have published, read from the finished result by
+    :func:`result_event_counts` (empty for a cache hit).
     """
 
     label: str = ""
@@ -189,7 +194,6 @@ class WorkerEventSummary(EngineEvent):
     cycles: int = 0
     cache_hit: bool = False
     counts: Dict[str, int] = field(default_factory=dict)
-    sampled: Tuple = ()
 
 
 @dataclass(slots=True)
@@ -250,86 +254,43 @@ def job_label(item: object, index: Optional[int] = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# settings
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TelemetrySettings:
-    """Relay knobs (all bounded — the relay must never grow unbounded).
-
-    Attributes:
-        sample_limit: Sim-event records kept per event type per job in a
-            :class:`WorkerEventSummary` (counts are always complete).
-        drain_poll: Seconds the parent drain thread sleeps when the
-            relay queue is empty.
-    """
-
-    sample_limit: int = 8
-    drain_poll: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.sample_limit < 0:
-            raise ValueError("sample_limit must be >= 0")
-        if self.drain_poll <= 0:
-            raise ValueError("drain_poll must be positive")
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 
-class EventDigest:
-    """Bounded, sampling subscriber for one job's sim-event stream.
+def result_event_counts(result: "SimResult") -> Dict[str, int]:
+    """Sim-event counts of a finished run, read from its stored counters.
 
-    Counts every publication per event type and keeps the first
-    ``sample_limit`` records of each — O(1) per event, O(types) memory,
-    no matter how long the simulation runs.
+    Each count equals what an enabled bus publishes over the same run:
+    one ``GateOn`` per gating event and one ``GateOff`` closing it (at
+    wakeup or at the end of the run), one ``Wakeup`` per wakeup, one
+    ``BlackoutBlocked`` per denied wakeup and one ``IssueStall`` per
+    lost issue slot.  Types with no events are left out, as a bus
+    subscriber would never have seen them.
     """
-
-    __slots__ = ("counts", "sample_limit", "_samples")
-
-    def __init__(self, sample_limit: int = 8) -> None:
-        self.counts: Dict[str, int] = {}
-        self.sample_limit = sample_limit
-        self._samples: Dict[str, list] = {}
-
-    def __call__(self, event: Event) -> None:
-        name = type(event).__name__
-        self.counts[name] = self.counts.get(name, 0) + 1
-        bucket = self._samples.get(name)
-        if bucket is None:
-            bucket = self._samples[name] = []
-        if len(bucket) < self.sample_limit:
-            bucket.append(event.to_record())
-
-    @property
-    def total(self) -> int:
-        """Total sim events digested."""
-        return sum(self.counts.values())
-
-    def sampled_records(self) -> Tuple[dict, ...]:
-        """The kept sample records, grouped by type in name order."""
-        out = []
-        for name in sorted(self._samples):
-            out.extend(self._samples[name])
-        return tuple(out)
+    domains = result.domain_stats.values()
+    gating = sum(stats.gating_events for stats in domains)
+    counts = {
+        "GateOn": gating,
+        "GateOff": gating,
+        "Wakeup": sum(stats.wakeups for stats in domains),
+        "BlackoutBlocked": sum(stats.denied_wakeups for stats in domains),
+        "IssueStall": sum(astuple(result.stats.stalls)),
+    }
+    return {name: count for name, count in counts.items() if count}
 
 
 class JobTelemetry:
-    """One job's worker-side session: sim bus, cache events, summary.
+    """One job's worker-side session: cache events and the summary.
 
     Created by :meth:`WorkerTelemetry.job_session`; emits
     :class:`JobStarted` on construction and a
     :class:`WorkerEventSummary` from :meth:`finish`.
     """
 
-    __slots__ = ("label", "digest", "started_at", "_send", "_worker",
-                 "_finished")
+    __slots__ = ("label", "started_at", "_send", "_worker", "_finished")
 
-    def __init__(self, send: Callable[[Event], None], label: str,
-                 sample_limit: int) -> None:
+    def __init__(self, send: Callable[[Event], None], label: str) -> None:
         self.label = label
-        self.digest = EventDigest(sample_limit)
         self.started_at = time.time()
         self._send = send
         self._worker = _process_name()
@@ -340,24 +301,20 @@ class JobTelemetry:
         """Forward one engine/cache event to the parent immediately."""
         self._send(event)
 
-    def sim_bus(self) -> EventBus:
-        """An enabled bus wired to this session's digest (for build_sm)."""
-        bus = EventBus(enabled=True)
-        bus.subscribe(self.digest)
-        return bus
+    def finish(self, result: "SimResult", cache_hit: bool = False) -> None:
+        """Ship the job's summary, built from its result (idempotent;
+        crash-safe by omission: a killed worker simply never sends one).
 
-    def finish(self, cycles: int = 0, cache_hit: bool = False) -> None:
-        """Ship the job's summary (idempotent; crash-safe by omission:
-        a killed worker simply never sends one)."""
+        A cache hit simulated nothing, so its summary carries no counts.
+        """
         if self._finished:
             return
         self._finished = True
         self._send(WorkerEventSummary.now(
             label=self.label, worker=self._worker,
             started_at=self.started_at, finished_at=time.time(),
-            cycles=cycles, cache_hit=cache_hit,
-            counts=dict(self.digest.counts),
-            sampled=self.digest.sampled_records()))
+            cycles=result.cycles, cache_hit=cache_hit,
+            counts={} if cache_hit else result_event_counts(result)))
 
 
 class _JobProfile:
@@ -406,7 +363,7 @@ _NULL_CONTEXT = _NullContext()
 
 
 class WorkerTelemetry:
-    """Per-process worker state: where to send records, how to sample.
+    """Per-process worker state: where to send records, where to profile.
 
     One instance lives in each worker process (installed by the pool
     initializer) or in the parent for the inline ``jobs == 1`` path.
@@ -414,20 +371,18 @@ class WorkerTelemetry:
     inline, or None when only profiling is wanted.
     """
 
-    __slots__ = ("send", "settings", "profile_dir")
+    __slots__ = ("send", "profile_dir")
 
     def __init__(self, send: Optional[Callable[[Event], None]],
-                 settings: TelemetrySettings,
                  profile_dir: Optional[str] = None) -> None:
         self.send = send
-        self.settings = settings
         self.profile_dir = profile_dir
 
     def job_session(self, label: str) -> Optional[JobTelemetry]:
         """A telemetry session for one job (None when events are off)."""
         if self.send is None:
             return None
-        return JobTelemetry(self.send, label, self.settings.sample_limit)
+        return JobTelemetry(self.send, label)
 
     def profile_job(self):
         """Context manager profiling one job (no-op without a dir)."""
@@ -440,8 +395,7 @@ class WorkerTelemetry:
 _WORKER: Optional[WorkerTelemetry] = None
 
 
-def init_worker_telemetry(queue, settings: TelemetrySettings,
-                          profile_dir: Optional[str] = None) -> None:
+def init_worker_telemetry(queue, profile_dir: Optional[str] = None) -> None:
     """``ProcessPoolExecutor`` initializer: install worker telemetry.
 
     Top-level (hence picklable); ``queue`` travels through process
@@ -449,7 +403,7 @@ def init_worker_telemetry(queue, settings: TelemetrySettings,
     """
     global _WORKER
     send = queue.put if queue is not None else None
-    _WORKER = WorkerTelemetry(send, settings, profile_dir)
+    _WORKER = WorkerTelemetry(send, profile_dir)
 
 
 def current_worker() -> Optional[WorkerTelemetry]:
@@ -468,7 +422,7 @@ def inline_worker(telemetry: "EngineTelemetry") -> Iterator[None]:
     global _WORKER
     previous = _WORKER
     send = telemetry.emit if telemetry.enabled else None
-    _WORKER = WorkerTelemetry(send, telemetry.settings, None)
+    _WORKER = WorkerTelemetry(send)
     try:
         yield
     finally:
@@ -498,12 +452,9 @@ class EngineTelemetry:
     """
 
     def __init__(self, bus: Optional[EventBus] = None,
-                 settings: Optional[TelemetrySettings] = None,
                  profile_dir: Optional[str] = None,
                  enabled: bool = True) -> None:
         self.bus = bus if bus is not None else EventBus(enabled=enabled)
-        self.settings = settings if settings is not None \
-            else TelemetrySettings()
         self.profile_dir = profile_dir
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
@@ -555,14 +506,14 @@ class EngineTelemetry:
             return None
         queue = self.ensure_relay() if self.enabled else None
         return (init_worker_telemetry,
-                (queue, self.settings, self.profile_dir))
+                (queue, self.profile_dir))
 
     def _drain_loop(self) -> None:
         while True:
             if self._queue.empty():
                 if self._stop:
                     return
-                time.sleep(self.settings.drain_poll)
+                time.sleep(DRAIN_POLL)
                 continue
             with self._lock:
                 self._busy = True
@@ -589,7 +540,7 @@ class EngineTelemetry:
             with self._lock:
                 if self._queue.empty() and not self._busy:
                     return True
-            time.sleep(self.settings.drain_poll)
+            time.sleep(DRAIN_POLL)
         return False
 
     def close(self) -> None:
@@ -678,7 +629,6 @@ __all__ = [
     "CacheSwept",
     "EngineEvent",
     "EngineTelemetry",
-    "EventDigest",
     "JobFinished",
     "JobQueued",
     "JobRetry",
@@ -687,11 +637,11 @@ __all__ = [
     "PoolRebuilt",
     "ServiceJobAccepted",
     "ServiceJobStateChanged",
-    "TelemetrySettings",
     "WorkerEventSummary",
     "WorkerTelemetry",
     "current_worker",
     "init_worker_telemetry",
     "inline_worker",
     "job_label",
+    "result_event_counts",
 ]

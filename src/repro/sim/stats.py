@@ -169,8 +169,11 @@ class SMStats:
     active_warp_max: int = 0
     pending_warp_sum: int = 0
 
-    #: Cycles on which the span fast-forward planner ran a full plan
-    #: and failed (pure overhead — nothing was skipped).  Deliberately
+    #: Cycles on which the span fast-forward planner was asked for a
+    #: span and skipped nothing (pure overhead).  That covers a full
+    #: plan that found no span and also ``_plan``'s early return on an
+    #: enabled bus or a pending MSHR retry, so a run on an enabled bus
+    #: counts one per planner attempt.  Deliberately
     #: NOT exported to the metrics registry: a fast-forwarded run's
     #: metrics must stay byte-identical to the serial run's (the golden
     #: identity harness digests ``result.metrics`` wholesale), and

@@ -1,4 +1,4 @@
-"""Engine telemetry: events, worker digests, and the cross-process relay."""
+"""Engine telemetry: events, worker summaries, and the cross-process relay."""
 
 from collections import Counter
 
@@ -6,26 +6,24 @@ import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
 from repro.engine import ParallelEngine, SimJob
+from repro.engine.jobs import execute_job
 from tests.engine.faults import square
-from repro.obs.bus import EventBus
-from repro.obs.events import GateOn, IssueStall
 from repro.obs.telemetry import (
     ENGINE_EVENT_TYPES,
     CacheHit,
     CacheMiss,
     EngineTelemetry,
-    EventDigest,
     JobFinished,
     JobQueued,
     JobRetry,
     JobStarted,
     JobTelemetry,
-    TelemetrySettings,
     WorkerEventSummary,
     WorkerTelemetry,
     current_worker,
     inline_worker,
     job_label,
+    result_event_counts,
 )
 
 
@@ -65,68 +63,47 @@ class TestEngineEvents:
         assert job_label(object()) == "object"
 
 
-class TestSettings:
-    def test_defaults_are_bounded(self):
-        settings = TelemetrySettings()
-        assert settings.sample_limit > 0
-        assert settings.drain_poll > 0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TelemetrySettings(sample_limit=-1)
-        with pytest.raises(ValueError):
-            TelemetrySettings(drain_poll=0.0)
-
-
-class TestEventDigest:
-    def test_counts_are_complete_samples_bounded(self):
-        digest = EventDigest(sample_limit=3)
-        for cycle in range(10):
-            digest(GateOn(cycle=cycle, domain="INT0"))
-        digest(IssueStall(cycle=5, reason="gated"))
-        assert digest.counts == {"GateOn": 10, "IssueStall": 1}
-        assert digest.total == 11
-        sampled = digest.sampled_records()
-        assert len(sampled) == 4  # 3 GateOn + 1 IssueStall
-        assert sampled[0]["event"] == "GateOn"
-
-    def test_zero_sample_limit_keeps_counts_only(self):
-        digest = EventDigest(sample_limit=0)
-        digest(GateOn(cycle=1, domain="INT0"))
-        assert digest.counts["GateOn"] == 1
-        assert digest.sampled_records() == ()
+@pytest.fixture(scope="module")
+def gated_result():
+    """One small warped_gates run, simulated without any telemetry."""
+    return execute_job(_job(technique=Technique.WARPED_GATES)).result
 
 
 class TestJobTelemetry:
-    def test_emits_started_then_summary(self):
+    def test_emits_started_then_summary(self, gated_result):
         sent = []
-        session = JobTelemetry(sent.append, "hotspot/baseline/s0",
-                               sample_limit=4)
+        session = JobTelemetry(sent.append, "hotspot/warped_gates/s0")
         assert isinstance(sent[0], JobStarted)
-        assert sent[0].label == "hotspot/baseline/s0"
+        assert sent[0].label == "hotspot/warped_gates/s0"
 
-        bus = session.sim_bus()
-        assert bus.enabled
-        bus.publish(GateOn(cycle=7, domain="INT0"))
-        session.finish(cycles=123, cache_hit=False)
+        session.finish(gated_result)
         summary = sent[-1]
         assert isinstance(summary, WorkerEventSummary)
-        assert summary.cycles == 123
-        assert summary.counts == {"GateOn": 1}
+        assert summary.cycles == gated_result.cycles
+        assert not summary.cache_hit
+        assert summary.counts == result_event_counts(gated_result)
+        assert summary.counts["GateOn"] > 0
         assert summary.finished_at >= summary.started_at
 
-    def test_finish_is_idempotent(self):
+    def test_cache_hit_summary_has_no_counts(self, gated_result):
         sent = []
-        session = JobTelemetry(sent.append, "x", sample_limit=1)
-        session.finish(cycles=1)
-        session.finish(cycles=2)
+        JobTelemetry(sent.append, "x").finish(gated_result, cache_hit=True)
+        assert sent[-1].cache_hit
+        assert sent[-1].cycles == gated_result.cycles
+        assert sent[-1].counts == {}
+
+    def test_finish_is_idempotent(self, gated_result):
+        sent = []
+        session = JobTelemetry(sent.append, "x")
+        session.finish(gated_result)
+        session.finish(gated_result, cache_hit=True)
         summaries = [e for e in sent
                      if isinstance(e, WorkerEventSummary)]
         assert len(summaries) == 1
-        assert summaries[0].cycles == 1
+        assert not summaries[0].cache_hit
 
     def test_worker_without_send_has_no_session(self):
-        worker = WorkerTelemetry(None, TelemetrySettings())
+        worker = WorkerTelemetry(None)
         assert worker.job_session("anything") is None
 
 
@@ -301,7 +278,6 @@ class TestZeroCost:
         # execute_job without an installed worker builds the SM on a
         # disabled bus: publications must cost one flag check, not a
         # dispatch (the overhead budget is pinned in benchmarks).
-        from repro.engine.jobs import execute_job
         outcome = execute_job(_job(), cache_dir=None)
         assert outcome.result.cycles > 0
 
