@@ -97,8 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bypass the persistent .repro-cache/ "
                              "result/trace cache")
     parser.add_argument("--no-fast-forward", action="store_true",
-                        help="disable the idle-cycle fast-forward "
-                             "(results are bit-identical either way)")
+                        help="step every cycle serially instead of "
+                             "skipping quiet spans and stepping the rest "
+                             "in the dense kernel (results are "
+                             "bit-identical either way)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first job failure (exit 2) "
                              "instead of completing the grid (exit 3)")

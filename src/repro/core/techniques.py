@@ -204,8 +204,7 @@ def build_sm(kernel, config,
              dram_latency: Optional[int] = None,
              kernel_gap_cycles: int = 0,
              bus: Optional["EventBus"] = None,
-             fast_forward: bool = False,
-             dense_kernel: Optional[bool] = None) -> StreamingMultiprocessor:
+             fast_forward: bool = False) -> StreamingMultiprocessor:
     """Assemble an SM wired for one technique.
 
     ``config`` is anything :func:`repro.core.spec.as_spec` resolves: a
@@ -221,17 +220,12 @@ def build_sm(kernel, config,
     gating domains, the scheduler and the epoch hooks; omitted, the SM
     creates its own disabled one (reachable as ``sm.bus``).
 
-    ``fast_forward`` enables the idle-cycle fast-forward
-    (:mod:`repro.sim.fastforward`) — bit-identical results, skipping
-    provably-quiet idle spans.  Off by default so direct ``build_sm``
-    users (golden tests, examples) exercise the plain cycle loop; the
-    parallel engine turns it on.
-
-    ``dense_kernel`` selects the dense-step kernel policy
-    (:mod:`repro.sim.kernel`): True forces the whole run through the
-    SoA kernel (bit-identical; the kernel golden digests pin it), False
-    forbids the fast-forward planner from handing over dense windows,
-    None (default) leaves the hand-over adaptive.
+    ``fast_forward`` runs the SM's stepping engine: every cycle is
+    either skipped as part of a provably-quiet span
+    (:mod:`repro.sim.fastforward`) or stepped by the dense kernel
+    (:mod:`repro.sim.kernel`) — bit-identical results.  Off by default
+    so direct ``build_sm`` users (golden tests, examples) exercise the
+    serial ``_step`` loop, the oracle; the parallel engine turns it on.
     """
     spec = as_spec(config)
     sm_config = spec.apply_sm_overrides(sm_config or SMConfig())
@@ -247,8 +241,7 @@ def build_sm(kernel, config,
                                  dram_latency=dram_latency,
                                  technique=spec.name,
                                  kernel_gap_cycles=kernel_gap_cycles,
-                                 bus=bus, fast_forward=fast_forward,
-                                 dense_kernel=dense_kernel)
+                                 bus=bus, fast_forward=fast_forward)
     if sched_plugin.attach is not None:
         sched_plugin.attach(sm, scheduler)
     if not spec.gated:
@@ -289,17 +282,17 @@ def run_benchmark(name: str, config,
                   sm_config: Optional[SMConfig] = None,
                   seed: int = 0, scale: float = 1.0,
                   bus: Optional["EventBus"] = None,
-                  fast_forward: bool = False,
-                  dense_kernel: Optional[bool] = None) -> SimResult:
+                  fast_forward: bool = False) -> SimResult:
     """Build, wire and run one benchmark under one technique.
 
     Uses the benchmark profile's DRAM latency; the trace for a given
     ``(name, seed, scale)`` is identical across techniques, which is what
     makes the paper's normalised comparisons meaningful.
+    ``fast_forward`` selects the stepping engine as in :func:`build_sm`.
     """
     kernel = build_kernel(name, seed=seed, scale=scale)
     profile = get_profile(name)
     sm = build_sm(kernel, config, sm_config=sm_config,
                   dram_latency=profile.dram_latency, bus=bus,
-                  fast_forward=fast_forward, dense_kernel=dense_kernel)
+                  fast_forward=fast_forward)
     return sm.run()

@@ -18,11 +18,11 @@ qualify:
 
 :class:`SpanFastForwarder` detects both and jumps the clock over them.
 The design rule that makes bit-identity easy to argue is that **every
-cycle on which anything interesting can happen is real-stepped**
-through the ordinary ``_step`` path; only provably-quiet maximal
-sub-spans are skipped.  "Interesting" cycles are collected as a lower
-bound from every stateful component, each reporting its next
-*state-changing* cycle:
+cycle on which anything interesting can happen is stepped** by the
+run's dense kernel (:mod:`repro.sim.kernel`), which calls the SM's own
+stages; only provably-quiet maximal sub-spans are skipped.
+"Interesting" cycles are collected as a lower bound from every
+stateful component, each reporting its next *state-changing* cycle:
 
 * execution pipelines — the oldest in-flight completion
   (:meth:`ExecPipeline.next_state_change`); a drain triggers retires,
@@ -34,7 +34,7 @@ bound from every stateful component, each reporting its next
   the pending-set exit at ``mem_until`` are the only cycles its
   classification can change.  A head blocked on an *unresolved* load
   pends until an LDST completion resolves it, so the LDST pipe's drain
-  bound covers it (no LDST work in flight forces a real step);
+  bound covers it (no LDST work in flight forces a stepped cycle);
 * gating domains — while the attached pipeline is idle, gate taking
   effect, blackout expiry, wakeup completion and the policy's
   predicted gate-fire cycle (:meth:`GatingDomain.next_idle_event`);
@@ -46,8 +46,8 @@ bound from every stateful component, each reporting its next
 * the launcher — the earliest cycle a queued warp could launch
   (``launch_blocked_until``);
 * the scheduler — a pending GATES priority flip under the frozen view
-  (``idle_flip_pending``) forces a real step so the flip happens inside
-  an ordinary ``order`` call;
+  (``idle_flip_pending``) forces a stepped cycle so the flip happens
+  inside an ordinary ``order`` call;
 * the run cap — ``config.max_cycles``, so an over-long run raises at
   exactly the serial cycle.
 
@@ -55,15 +55,15 @@ When the minimum of those bounds lies beyond the current cycle, the
 span up to (but excluding) the bound is applied in bulk: gating-domain
 idle/waking/busy counters, warp-population samples, no-ready-warp stall
 counters, the fetch and scheduler round-robin pointers, and the cycle
-count all advance by exactly what ``span`` individual ``_step`` calls
-would have produced.  (The per-pipeline idle trackers need no bulk
-update at all: they accumulate busy/idle *spans* between absolute
-cycle marks, so a skipped stretch lands in the right period when the
-next issue — or the end-of-run flush — integrates it.)  The only
-serial/fast-forward divergence is *internal* scoreboard garbage
-(completed producers are dropped at the next real writeback instead of
-every cycle), which is unobservable: a producer whose ready cycle has
-passed blocks nothing and classifies as nothing.
+count all advance by exactly what ``span`` stepped cycles would have
+produced.  (The per-pipeline idle trackers need no bulk update at all:
+they accumulate busy/idle *spans* between absolute cycle marks, so a
+skipped stretch lands in the right period when the next issue — or the
+end-of-run flush — integrates it.)  The only serial/fast-forward
+divergence is *internal* scoreboard garbage (completed producers are
+dropped at the next stepped writeback instead of every cycle), which
+is unobservable: a producer whose ready cycle has passed blocks nothing
+and classifies as nothing.
 
 Two cost controls keep the planner cheap on cycles it cannot skip:
 
@@ -108,25 +108,11 @@ PLAN_BACKOFF_CAP = 4
 ADAPTIVE_BACKOFF_CAP = 64
 
 #: Observation window (cycles) over which the skip fraction is measured
-#: before the cap escalates or a dense window is entered.
+#: before the cap escalates.
 ADAPT_WINDOW = 256
 
-#: Consecutive failed plans required (on top of a low skip fraction at
-#: the fully escalated cap) before a window is handed to the dense-step
-#: kernel — the hysteresis that prevents mode thrash on the boundary.
-DENSE_ENTER_STREAK = 8
-
-#: Length of one dense-kernel window.  During the window no spans are
-#: skipped (the kernel real-steps every cycle, batched), so the window
-#: is sized to amortise the planner's re-probe between windows without
-#: committing a skippable regime for long.
-DENSE_WINDOW = 8192
-
-#: Skip-fraction threshold: below this, span-skipping saves less than
-#: batched dense stepping, so the planner escalates its backoff and
-#: eventually hands over to the kernel.  (The kernel's measured win on
-#: the dense single-SM bench is ~1.5-1.8x, which breaks even with
-#: span-skipping at roughly a third of cycles skipped.)
+#: Skip-fraction threshold: below this, failed plans cost more than the
+#: few spans they find, so the backoff cap escalates.
 DENSE_SKIP_FRACTION = 0.25
 
 
@@ -134,7 +120,8 @@ class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
 
     Built by :meth:`StreamingMultiprocessor.run` when fast-forwarding
-    is requested, after all domains and hooks are attached.
+    is requested, after all domains and hooks are attached; the dense
+    kernel's loop asks :meth:`advance` about every cycle.
     """
 
     def __init__(self, sm) -> None:
@@ -149,24 +136,12 @@ class SpanFastForwarder:
         self._view: Optional[SchedulerView] = None
         self._next_plan = 0
         self._backoff = 0
-        #: Adaptive ceiling of the failed-plan backoff (satellite of the
-        #: dense-kernel work): grows toward ADAPTIVE_BACKOFF_CAP while
-        #: the observed skip fraction stays low, shrinks on success.
+        #: Adaptive ceiling of the failed-plan backoff: grows toward
+        #: ADAPTIVE_BACKOFF_CAP while the observed skip fraction stays
+        #: low, shrinks on success.
         self._backoff_cap = PLAN_BACKOFF_CAP
-        self._fail_streak = 0
         self._window_mark = 0
         self._window_skipped = 0
-        #: End of the current dense-kernel window (exclusive); the SM
-        #: main loop hands [cycle, dense_until) to :attr:`kernel` when
-        #: this lies ahead.
-        self.dense_until = 0
-        #: Lazily built DenseStepKernel (mode 3); None until the first
-        #: dense window is entered.
-        self.kernel = None
-        #: Dense windows entered (diagnostics only).
-        self.dense_windows = 0
-        self._dense_enabled = getattr(sm, "dense_kernel", None) \
-            is not False
         self.supported = self._check_supported()
 
     # ------------------------------------------------------------------
@@ -205,7 +180,7 @@ class SpanFastForwarder:
     def advance(self, cycle: int) -> int:
         """Skip ahead from ``cycle`` if a quiet span starts here.
 
-        Returns the first cycle that must be real-stepped (== ``cycle``
+        Returns the first cycle that must be stepped (== ``cycle``
         when no skip is possible).  On a skip, all bulk accounting for
         the span [cycle, returned) has been applied.
         """
@@ -215,7 +190,6 @@ class SpanFastForwarder:
         if target > cycle:
             self._apply(cycle, target)
             self._backoff = 0
-            self._fail_streak = 0
             self._window_skipped += target - cycle
             cap = self._backoff_cap
             if cap > PLAN_BACKOFF_CAP:
@@ -227,7 +201,6 @@ class SpanFastForwarder:
         # *starts* (a span begun mid-backoff is picked up at the next
         # attempt), never what a skipped span replays.
         self.sm.stats.planner_overhead_cycles += 1
-        self._fail_streak += 1
         backoff = self._backoff
         self._next_plan = cycle + 1 + backoff
         if backoff < self._backoff_cap:
@@ -239,13 +212,11 @@ class SpanFastForwarder:
     def _adapt(self, cycle: int) -> None:
         """Adapt to a persistently unskippable stretch (backoff at cap).
 
-        Measures the skip fraction over the trailing observation window;
-        while it stays under :data:`DENSE_SKIP_FRACTION`, first the
-        backoff cap escalates (cheaper probing), then — with the cap
-        fully escalated and a long uninterrupted fail streak — the next
-        :data:`DENSE_WINDOW` cycles are handed to the dense-step kernel.
-        Adaptation timing, like backoff timing, can only move span
-        starts and hand-over points, never what any cycle computes.
+        Measures the skip fraction over the trailing observation window
+        and, while it stays under :data:`DENSE_SKIP_FRACTION`, doubles
+        the backoff cap up to :data:`ADAPTIVE_BACKOFF_CAP` (cheaper
+        probing).  Adaptation timing, like backoff timing, can only move
+        span starts, never what any cycle computes.
         """
         elapsed = cycle - self._window_mark
         if elapsed < ADAPT_WINDOW:
@@ -253,20 +224,9 @@ class SpanFastForwarder:
         fraction = self._window_skipped / elapsed
         self._window_mark = cycle
         self._window_skipped = 0
-        if fraction >= DENSE_SKIP_FRACTION:
-            return
-        if self._backoff_cap < ADAPTIVE_BACKOFF_CAP:
+        if fraction < DENSE_SKIP_FRACTION \
+                and self._backoff_cap < ADAPTIVE_BACKOFF_CAP:
             self._backoff_cap <<= 1
-        elif self._dense_enabled \
-                and self._fail_streak >= DENSE_ENTER_STREAK:
-            if self.kernel is None:
-                from repro.sim.kernel import DenseStepKernel
-                self.kernel = DenseStepKernel(self.sm)
-            self.dense_until = cycle + DENSE_WINDOW
-            # Measure the next skip fraction from the window's end, so
-            # re-entry needs only one ADAPT_WINDOW of fresh evidence.
-            self._window_mark = self.dense_until
-            self.dense_windows += 1
 
     # ------------------------------------------------------------------
     # planning
@@ -287,8 +247,8 @@ class SpanFastForwarder:
         bound: float = sm.config.max_cycles
 
         # Pipeline completions: a drain due this cycle (retire, memory
-        # access, scoreboard resolution) forces a real step; later ones
-        # bound the span.  Port-release times need no bound — with no
+        # access, scoreboard resolution) forces a stepped cycle; later
+        # ones bound the span.  Port-release times need no bound — with no
         # ready warp there are no issue attempts, and the structural
         # check at the span-ending cycle derives from timestamps.
         ldst_flight = False
@@ -410,9 +370,9 @@ class SpanFastForwarder:
     def _apply(self, cycle: int, target: int) -> None:
         """Account the quiet span [cycle, target) in bulk.
 
-        Mirrors exactly what ``span`` ordinary ``_step`` calls would do
-        on a no-issue cycle; see the module docstring for the argument
-        that each per-cycle stage reduces to these updates.
+        Mirrors exactly what ``span`` stepped no-issue cycles would do;
+        see the module docstring for the argument that each per-cycle
+        stage reduces to these updates.
         """
         sm = self.sm
         span = target - cycle

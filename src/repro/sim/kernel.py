@@ -1,11 +1,14 @@
-"""Dense-regime step kernel for the SM cycle loop.
+"""The SM's stepping engine for fast-forward runs.
 
-:mod:`repro.sim.fastforward` wins when cycles are quiescent; the other
-regime — every cycle issuing or about to — is dominated by the per-warp
-Python dispatch of classification.  This module runs *windows of dense
-cycles* through the SM's own stages, replacing only that one: the kernel
-keeps the classification up to date by delta instead of re-deriving it
-every cycle.
+A fast-forward run (``fast_forward=True``) is one loop in
+:meth:`DenseStepKernel.run`: each cycle the span planner
+(:mod:`repro.sim.fastforward`) is asked for a quiet span; if it finds
+one the clock jumps over it, otherwise the kernel steps the cycle.
+Stepping a cycle is dominated by the per-warp Python dispatch of
+classification, so the kernel runs the SM's own stages and replaces
+only that one: it keeps the classification up to date by delta instead
+of re-deriving it every cycle.  The serial ``_step`` path stays the
+oracle it is pinned against.
 
 Every other stage is the SM's single copy, called in ``_step``'s order:
 writeback (:meth:`~StreamingMultiprocessor._writeback`, which also
@@ -14,12 +17,13 @@ stamp-guarded head refresh (``_refresh_head``), the blackout flags
 (``_blackout_flags``), the scheduler's own ``order`` over the same view
 fields ``_classify`` fills, the issue walk with its stall accounting and
 event publishes (``_walk``), and the power update.  A kernel-stepped
-window is therefore bit-identical to the same cycles stepped serially;
+cycle is therefore bit-identical to the same cycle stepped serially;
 the golden identity harness pins that for every technique.
 
 What the kernel owns:
 
-* **Window entry** — every resident slot's cached head summary (the
+* **Sync** — at the first stepped cycle, and again after any residency
+  change, every resident slot's cached head summary (the
   ``(popped, scoreboard version)``-stamped scalars that ``_classify``
   and the span planner share) is classified once, seeding the
   incremental state below.  An unchanged warp costs two integer
@@ -33,6 +37,12 @@ What the kernel owns:
   ready flip at ``ready_at``) come from a min-heap of per-slot
   transition events; state-driven changes come from exactly the events
   that can invalidate the head cache.
+
+A skipped span needs no resync.  The planner ends every span at the
+next pipeline completion, memory event, launch and head
+``mem_until``/``ready_at`` threshold, so no warp's state changes inside
+it; a transition event due at the span's end fires in stage 4 of the
+cycle that ends it, exactly as it would after stepping the span.
 
 The synchronisation rules mirror the head cache's invalidation
 conditions, which are complete by construction:
@@ -70,23 +80,22 @@ CAT_NONE, CAT_UNRES, CAT_PEND, CAT_WAIT, CAT_READY = range(5)
 
 
 class DenseStepKernel:
-    """Batched executor for windows of dense (issue-bound) cycles.
+    """Steps the cycles of a fast-forward run the planner cannot skip.
 
-    Built lazily — by the fast-forward planner when it decides a window
-    is dense, or by :meth:`StreamingMultiprocessor.run` when the run is
-    forced through the kernel (``dense_kernel=True``).  One instance
-    serves one SM run; :meth:`run_window` may be called any number of
-    times and resynchronises its state block on entry.
+    Built by :meth:`StreamingMultiprocessor.run` when ``fast_forward``
+    is set; one instance serves one SM run.
     """
 
     def __init__(self, sm) -> None:
         self.sm = sm
-        #: Cycles executed through the kernel (diagnostics only — never
+        #: Cycles stepped through the kernel (diagnostics only — never
         #: part of a run's metrics, like the forwarder's skip counters).
         self.cycles = 0
-        #: Windows executed (diagnostics only).
-        self.windows = 0
         n_slots = len(sm.warps)
+        #: The ``sm._resident`` list the state below was synced against;
+        #: residency changes always replace that list object, so one
+        #: identity check per cycle detects them (None: never synced).
+        self._synced_resident = None
         #: Resident slots whose I-buffer is empty with trace left to
         #: fetch: the only slots a fetch tick can flip NO_HEAD → KNOWN.
         self._empty: Set[int] = set()
@@ -111,27 +120,30 @@ class DenseStepKernel:
         self._ready_cls: List[List[int]] = [[], [], [], []]
 
     # ------------------------------------------------------------------
-    # window driver
+    # driver
     # ------------------------------------------------------------------
 
-    def run_window(self, start: int, end: int) -> int:
-        """Execute cycles ``[start, end)`` (stopping early on drain).
+    def run(self, start: int, end: int, forwarder) -> int:
+        """Advance the SM from ``start`` until it drains or hits ``end``.
 
-        Returns the first cycle *not* executed; always > ``start`` when
-        the SM is not drained, so the caller's main loop makes progress.
+        Each cycle ``forwarder.advance`` either skips a quiet span or
+        hands the cycle back to be stepped here.  Returns the first
+        cycle not yet executed.
         """
-        sm = self.sm
-        self.windows += 1
-        if sm._sm_tracker is None:
-            sm._bind_trackers()
-        self._sync_all(start)
-        cycle = start
-        drained = sm._drained
+        drained = self.sm._drained
+        advance = forwarder.advance
         step = self._cycle
+        cycle = start
+        stepped = 0
         while cycle < end and not drained():
+            target = advance(cycle)
+            if target != cycle:
+                cycle = target
+                continue
             step(cycle)
+            stepped += 1
             cycle += 1
-        self.cycles += cycle - start
+        self.cycles += stepped
         return cycle
 
     # ------------------------------------------------------------------
@@ -141,11 +153,12 @@ class DenseStepKernel:
     def _sync_all(self, cycle: int) -> None:
         """Rebuild the whole classification state at ``cycle``.
 
-        Called at window entry and after any residency change.  Warp
-        caches whose ``(popped, version)`` stamp is unchanged cost two
-        integer compares each.
+        Called at the first stepped cycle and after any residency
+        change.  Warp caches whose ``(popped, version)`` stamp is
+        unchanged cost two integer compares each.
         """
         sm = self.sm
+        self._synced_resident = sm._resident
         n_slots = len(sm.warps)
         self._cat = [CAT_NONE] * n_slots
         self._gen = [0] * n_slots
@@ -251,9 +264,8 @@ class DenseStepKernel:
 
         # stage 2: warp management; any residency change replaces the
         # _resident list object, which forces a full resync.
-        resident_before = sm._resident
         sm._manage_warps(cycle)
-        if sm._resident is not resident_before:
+        if sm._resident is not self._synced_resident:
             self._sync_all(cycle)
         elif self._dirty:
             warps = sm.warps

@@ -40,12 +40,14 @@ from repro.power.energy import DomainEnergy
 from repro.power.gating import DomainState, GatingDomain, GatingStats
 from repro.sim.config import SMConfig
 from repro.sim.exec_units import ExecPipeline
+from repro.sim.fastforward import SpanFastForwarder
 from repro.sim.frontend import (
     FetchEngine,
     MultiKernelLauncher,
     WarpContext,
     WarpLauncher,
 )
+from repro.sim.kernel import DenseStepKernel
 from repro.sim.memory import MemoryStats, MemorySubsystem
 from repro.sim.regfile import RegisterFileModel
 from repro.sim.sched.base import SchedulerView, WarpScheduler
@@ -212,8 +214,7 @@ class StreamingMultiprocessor:
                  technique: str = "baseline",
                  kernel_gap_cycles: int = 0,
                  bus: Optional[EventBus] = None,
-                 fast_forward: bool = False,
-                 dense_kernel: Optional[bool] = None) -> None:
+                 fast_forward: bool = False) -> None:
         if isinstance(kernel, KernelTrace):
             self.kernels: List[KernelTrace] = [kernel]
         else:
@@ -270,20 +271,16 @@ class StreamingMultiprocessor:
         self._retry: List[Tuple[int, Instruction]] = []
         self._ran = False
         self._kernel_index_seen = 0
-        #: When True, run() installs a SpanFastForwarder that jumps
-        #: over provably-quiescent idle *and* busy spans (bit-identical
-        #: results; see repro.sim.fastforward).  The forwarder is built
-        #: lazily at run time so domains and hooks attached after
-        #: construction count.
+        #: When True, run() steps cycles through a DenseStepKernel and
+        #: lets a SpanFastForwarder jump over provably-quiescent idle
+        #: *and* busy spans (bit-identical results; see
+        #: repro.sim.kernel and repro.sim.fastforward); when False,
+        #: _step runs every cycle as the serial oracle.  Both are built
+        #: at run time so domains and hooks attached after construction
+        #: count.
         self.fast_forward = fast_forward
-        self._forwarder = None
-        #: Dense-step kernel policy (:mod:`repro.sim.kernel`): True
-        #: forces the whole run through the kernel (the identity tests'
-        #: mode), False forbids it, None (default) lets the fast-forward
-        #: planner hand over dense windows when the observed skip
-        #: fraction is low.  Results are bit-identical either way.
-        self.dense_kernel = dense_kernel
-        self._kernel_core = None
+        self._forwarder: Optional[SpanFastForwarder] = None
+        self._kernel_core: Optional[DenseStepKernel] = None
         # --- hot-loop state (frozen by _prepare at run start) ---------
         self._pending_threshold = config.memory.pending_threshold
         self._issue_width = config.issue_width
@@ -353,47 +350,24 @@ class StreamingMultiprocessor:
         self._ran = True
         self.scheduler.reset()
         self._prepare()
-        kernel_core = None
-        if self.dense_kernel is True:
-            # Forced mode: the entire run executes through the dense
-            # kernel (bit-identical by construction; the golden tests
-            # pin it).  Takes precedence over fast-forwarding.
-            from repro.sim.kernel import DenseStepKernel
-            kernel_core = self._kernel_core = DenseStepKernel(self)
-        elif self.fast_forward:
-            from repro.sim.fastforward import SpanFastForwarder
-            self._forwarder = SpanFastForwarder(self)
         if self.bus.enabled:
             self.bus.publish(KernelBoundary(0, self.kernel.name, 0))
-        cycle = 0
-        forwarder = self._forwarder
         max_cycles = self.config.max_cycles
-        step = self._step
-        drained = self._drained
-        while not drained():
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"{self.kernel.name}: no drain after "
-                    f"{max_cycles} cycles (deadlock?)")
-            if kernel_core is not None:
-                cycle = kernel_core.run_window(cycle, max_cycles)
-                continue
-            if forwarder is not None:
-                skipped_to = forwarder.advance(cycle)
-                if skipped_to != cycle:
-                    cycle = skipped_to
-                    continue
-                dense_until = forwarder.dense_until
-                if dense_until > cycle:
-                    # Mode 3: the planner judged this window dense —
-                    # hand it to the batched kernel instead of paying
-                    # per-cycle planning with nothing to skip.
-                    end = dense_until if dense_until < max_cycles \
-                        else max_cycles
-                    cycle = forwarder.kernel.run_window(cycle, end)
-                    continue
-            step(cycle)
-            cycle += 1
+        if self.fast_forward:
+            self._forwarder = SpanFastForwarder(self)
+            self._kernel_core = DenseStepKernel(self)
+            cycle = self._kernel_core.run(0, max_cycles, self._forwarder)
+        else:
+            cycle = 0
+            step = self._step
+            drained = self._drained
+            while cycle < max_cycles and not drained():
+                step(cycle)
+                cycle += 1
+        if not self._drained():
+            raise RuntimeError(
+                f"{self.kernel.name}: no drain after "
+                f"{max_cycles} cycles (deadlock?)")
         return self._collect(cycle)
 
     def _prepare(self) -> None:
@@ -403,8 +377,8 @@ class StreamingMultiprocessor:
         attached: precomputes the OpClass -> (pipes, domains) issue
         table, the gated-pipe list the power update walks, and the
         per-type blackout domain tuples, so the cycle loop never
-        re-derives them.  Idle trackers are bound lazily at the first
-        real step (see :meth:`_bind_trackers`) to keep a zero-cycle run
+        re-derives them.  Idle trackers are bound only when the run has
+        work (see :meth:`_bind_trackers`), to keep a zero-cycle run
         indistinguishable from the legacy per-cycle path, which never
         created them.
         """
@@ -432,9 +406,11 @@ class StreamingMultiprocessor:
         # Per-cycle config reads resolved once.
         self._pending_threshold = self.config.memory.pending_threshold
         self._issue_width = self.config.issue_width
+        if not self._drained():
+            self._bind_trackers()
 
     def _bind_trackers(self) -> None:
-        """Create and bind the idle trackers (first real step only).
+        """Create and bind the idle trackers (once, at run start).
 
         Creation order — pipelines in construction order, then SM_WIDE —
         matches the legacy per-cycle path's first _update_power, so the
@@ -450,8 +426,6 @@ class StreamingMultiprocessor:
                 and self.launcher.remaining == 0)
 
     def _step(self, cycle: int) -> None:
-        if self._sm_tracker is None:
-            self._bind_trackers()
         self._writeback(cycle)
         self._manage_warps(cycle)
         self.stats.fetched += self.fetch.tick(self.warps)

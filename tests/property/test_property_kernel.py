@@ -1,12 +1,13 @@
-"""Property tests: the dense-step kernel is decision-identical.
+"""Property tests: the stepping engine is decision-identical.
 
 Each example builds a random small workload, runs it serially and
-through the forced dense kernel (``dense_kernel=True``), and requires
-the canonical result form — every stats counter, gating counter, idle
-histogram, warp record and flat metric — to match exactly.  The golden
-identity suite pins the real benchmarks; this sweeps the odd corners
-random traces reach (single warps, tiny traces, degenerate mixes, tiny
-MSHR files) where window-resync and event-heap edge cases live.
+through the stepping engine (``fast_forward=True``: the dense kernel
+plus span skip), and requires the canonical result form — every stats
+counter, gating counter, idle histogram, warp record and flat metric —
+to match exactly.  The golden identity suite pins the real benchmarks;
+this sweeps the odd corners random traces reach (single warps, tiny
+traces, degenerate mixes, tiny MSHR files) where skip/kernel
+transitions, resync and event-heap edge cases live.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -58,9 +59,9 @@ def run_one(spec, technique, seed, **kwargs):
        seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=50, deadline=None)
 def test_dense_kernel_equals_serial(spec, technique, seed):
-    """Forced-kernel runs produce the identical canonical result."""
+    """Fast-forward runs produce the identical canonical result."""
     serial = canonical_result(run_one(spec, technique, seed))
-    forced = canonical_result(
-        run_one(spec, technique, seed, dense_kernel=True))
-    assert forced == serial
+    forwarded = canonical_result(
+        run_one(spec, technique, seed, fast_forward=True))
+    assert forwarded == serial
 

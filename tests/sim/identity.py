@@ -58,21 +58,28 @@ GOLDEN_DEVICE_PRESET = "gtx480"
 
 def run_golden_cell(benchmark: str, technique_value: str,
                     fast_forward: bool = False,
-                    dense_kernel: "bool | None" = None):
+                    bus: "object | None" = None):
     """One single-SM golden run (serial by default).
 
-    ``fast_forward=True`` runs the same cell through the event-driven
-    span core; ``dense_kernel=True`` forces it through the dense-step
-    kernel (:mod:`repro.sim.kernel`).  Either flavour's digest must
-    equal the serial one — those equalities are what pin the alternate
-    execution paths bit-identical.
+    ``fast_forward=True`` runs the same cell through the stepping
+    engine: quiet spans skipped, every other cycle stepped by the dense
+    kernel (:mod:`repro.sim.kernel`).  An enabled ``bus`` keeps the
+    planner from skipping, so the kernel steps every cycle.  Every
+    flavour's digest must equal the serial one — those equalities are
+    what pin the engine bit-identical to the serial oracle.
     """
     from repro.core.techniques import (Technique, TechniqueConfig,
                                        run_benchmark)
     return run_benchmark(benchmark, TechniqueConfig(Technique(technique_value)),
                          seed=0, scale=GOLDEN_SCALE,
-                         fast_forward=fast_forward,
-                         dense_kernel=dense_kernel)
+                         fast_forward=fast_forward, bus=bus)
+
+
+def run_kernel_cell(benchmark: str, technique_value: str):
+    """One golden cell with the dense kernel stepping every cycle."""
+    from repro.obs.bus import EventBus
+    return run_golden_cell(benchmark, technique_value, fast_forward=True,
+                           bus=EventBus(enabled=True))
 
 
 def run_golden_device(benchmark: str, technique_value: str,
@@ -105,8 +112,9 @@ def run_instrumented_golden(benchmark: str = "hotspot",
     """One bus-enabled golden run; returns (result, events).
 
     ``kwargs`` reach :func:`~repro.core.techniques.build_sm`, so
-    ``dense_kernel=True`` or ``fast_forward=True`` selects another
-    execution mode; every mode must publish the serial event stream.
+    ``fast_forward=True`` selects the stepping engine (with the bus on,
+    the kernel steps every cycle); both paths must publish the serial
+    event stream.
     """
     from repro.core.techniques import Technique, TechniqueConfig, build_sm
     from repro.obs.bus import EventBus
@@ -142,13 +150,14 @@ def compute_goldens() -> dict:
             device = run_golden_device(benchmark, technique)
             digests[f"device/{benchmark}/{technique}"] = \
                 device_result_digest(device)
-            # The dense-step kernel must reproduce the serial digest
-            # exactly; the entry is recorded under its own key so a
-            # kernel-only drift is named by the failing key.
-            forced = run_golden_cell(benchmark, technique,
-                                     dense_kernel=True)
+            # The stepping engine (dense kernel plus span skip) must
+            # reproduce the serial digest exactly; the entry is recorded
+            # under its own key so an engine-only drift is named by the
+            # failing key.
+            forwarded = run_golden_cell(benchmark, technique,
+                                        fast_forward=True)
             digests[f"kernel/{benchmark}/{technique}"] = \
-                result_digest(forced)
+                result_digest(forwarded)
     for benchmark in GOLDEN_BENCHMARKS:
         for technique in GOLDEN_ABLATIONS:
             result = run_golden_cell(benchmark, technique)

@@ -1,7 +1,7 @@
 """Span fast-forward: bit-identical to the cycle-by-cycle loop.
 
 The forwarder's design rule is that every cycle on which anything
-interesting can happen is real-stepped — idle *and* busy quiescent
+interesting can happen is stepped — idle *and* busy quiescent
 spans alike are jumped; these tests pin the observable contract —
 identical cycles, identical flat metrics, identical gating counters —
 across every technique, and check the forwarder actually skips where
@@ -66,8 +66,8 @@ def test_ccws_disables_forwarding():
 
 
 def test_enabled_bus_suppresses_skipping():
-    """Event subscribers see every cycle, so an enabled bus forces the
-    cycle-by-cycle path (identical results, no skips)."""
+    """Event subscribers see every cycle, so an enabled bus makes the
+    dense kernel step every cycle (identical results, no skips)."""
     from repro.obs.bus import EventBus
 
     kernel = build_kernel("hotspot", seed=0, scale=SCALE)
@@ -79,6 +79,7 @@ def test_enabled_bus_suppresses_skipping():
     bus.subscribe(events.append)
     result = sm.run()
     assert sm._forwarder.skipped_cycles == 0
+    assert sm._kernel_core.cycles == result.cycles
     _, serial = _run("hotspot", Technique.CONV_PG, fast_forward=False)
     assert result.metrics == serial.metrics
 

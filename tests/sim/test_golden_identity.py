@@ -23,7 +23,7 @@ from tests.sim.identity import (GOLDEN_ABLATIONS, GOLDEN_BENCHMARKS,
                                 device_result_digest, event_stream_digest,
                                 load_goldens, result_digest,
                                 run_golden_cell, run_golden_device,
-                                run_instrumented_golden)
+                                run_instrumented_golden, run_kernel_cell)
 
 GOLDENS = load_goldens()
 
@@ -41,31 +41,36 @@ def test_result_digest_matches_golden(bench_name, technique):
 
 @pytest.mark.parametrize("bench_name,technique", _CELLS)
 def test_fast_forward_digest_matches_golden(bench_name, technique):
-    """The event-driven span core reproduces the serial digest.
+    """The stepping engine reproduces the serial digest.
 
-    The committed references were computed from the serial (no
-    fast-forward) cycle loop, so this equality is the proof that idle
-    *and* busy span skipping changes nothing observable — stats,
-    gating counters, idle histograms, warp records, metrics.
+    A fast-forward run skips quiet spans and steps every other cycle
+    through the dense kernel.  The committed references were computed
+    from the serial cycle loop, so this equality is the proof that span
+    skipping and batched stepping change nothing observable — stats,
+    gating counters, idle histograms, warp records, metrics.  The
+    ``kernel/...`` entry is this run's own digest.
     """
     result = run_golden_cell(bench_name, technique, fast_forward=True)
-    assert result_digest(result) == GOLDENS[f"{bench_name}/{technique}"], (
+    digest = result_digest(result)
+    assert digest == GOLDENS[f"kernel/{bench_name}/{technique}"], (
+        f"fast-forward {technique} on {bench_name} drifted from its "
+        "committed digest")
+    assert digest == GOLDENS[f"{bench_name}/{technique}"], (
         f"fast-forward {technique} on {bench_name} diverged from the "
         "serial core — a span was skipped across a state change")
 
 
 @pytest.mark.parametrize("bench_name,technique", _CELLS)
 def test_dense_kernel_digest_matches_golden(bench_name, technique):
-    """The dense-step kernel reproduces the serial digest.
+    """The dense kernel stepping every cycle reproduces the digest.
 
-    ``dense_kernel=True`` forces every cycle of the run through
-    :class:`repro.sim.kernel.DenseStepKernel` — the committed
-    ``kernel/...`` references equal the serial cell digests by
-    construction, so this pins batched classify/issue/writeback
-    bit-identical to ``SM._step`` for every golden technique.
+    An enabled bus keeps the span planner from skipping, so every cycle
+    of the fast-forward run goes through
+    :class:`repro.sim.kernel.DenseStepKernel` — this pins batched
+    classify/issue/writeback bit-identical to ``SM._step`` on every
+    cycle, including the ones a skip would otherwise hide.
     """
-    result = run_golden_cell(bench_name, technique, dense_kernel=True)
-    digest = result_digest(result)
+    digest = result_digest(run_kernel_cell(bench_name, technique))
     assert digest == GOLDENS[f"kernel/{bench_name}/{technique}"], (
         f"dense-kernel {technique} on {bench_name} drifted from its "
         "committed digest")
@@ -108,9 +113,15 @@ def test_device_fast_forward_matches_golden(bench_name, technique):
 _ABLATION_CELLS = [(b, t) for b in GOLDEN_BENCHMARKS
                    for t in GOLDEN_ABLATIONS]
 
-#: Single-SM execution modes each ablation cell is pinned under.
-_CELL_MODES = {"serial": {}, "fast_forward": {"fast_forward": True},
-               "kernel": {"dense_kernel": True}}
+#: Single-SM runs each ablation cell is pinned under: the serial
+#: oracle, the stepping engine, and the engine with the dense kernel
+#: stepping every cycle.
+_CELL_MODES = {
+    "serial": run_golden_cell,
+    "fast_forward": lambda bench, tech: run_golden_cell(
+        bench, tech, fast_forward=True),
+    "kernel": run_kernel_cell,
+}
 
 
 @pytest.mark.parametrize("mode", list(_CELL_MODES))
@@ -119,26 +130,26 @@ def test_ablation_digest_matches_golden(bench_name, technique, mode):
     """The LRR, fetch-group and CCWS orderings reproduce their digests.
 
     The committed ``ablation/...`` references were computed serially;
-    every execution mode must match them, so a change to one of these
+    each run below must match them, so a change to one of these
     schedulers' ``order`` fails here even when it moves the serial and
     kernel paths together.
     """
-    result = run_golden_cell(bench_name, technique, **_CELL_MODES[mode])
+    result = _CELL_MODES[mode](bench_name, technique)
     assert (result_digest(result)
             == GOLDENS[f"ablation/{bench_name}/{technique}"]), (
         f"{mode} {technique} on {bench_name} drifted from the golden "
         "digest")
 
 
-#: Execution modes the instrumented golden run is pinned under: the
-#: serial oracle, the forced dense kernel, and the span planner.
-_MODES = {"serial": {}, "kernel": {"dense_kernel": True},
-          "fast_forward": {"fast_forward": True}}
+#: Execution paths the instrumented golden run is pinned under: the
+#: serial oracle and the stepping engine, whose planner never skips
+#: with the bus on — the dense kernel steps every cycle.
+_MODES = {"serial": {}, "fast_forward": {"fast_forward": True}}
 
 
 @pytest.mark.parametrize("mode", list(_MODES))
 def test_event_stream_matches_golden(mode):
-    """Every execution mode publishes the identical ordered event stream."""
+    """Both execution paths publish the identical ordered event stream."""
     _, events = run_instrumented_golden(**_MODES[mode])
     assert events, "instrumented golden run published no events"
     assert (event_stream_digest(events)
@@ -154,7 +165,7 @@ def test_instrumented_result_equals_serial(mode):
     The instrumented run's result digest is committed twice on purpose:
     ``events/hotspot/warped_gates/result`` must equal the serial
     ``hotspot/warped_gates`` digest, proving observability is read-only
-    in every execution mode.
+    on both execution paths.
     """
     result, _ = run_instrumented_golden(**_MODES[mode])
     digest = result_digest(result)

@@ -1,16 +1,16 @@
-"""Dense-step kernel: windowing, resync and equality unit tests.
+"""Dense-step kernel: the stepping engine's loop, sync and equality.
 
-The golden identity suite pins whole forced-kernel runs bit-identical;
-these tests exercise the kernel's moving parts directly — window
-boundaries, drain inside a window, interleaving kernel windows with
-serial stepping — and the fast-forward planner's adaptive handoff into
-dense mode.
+The golden identity suite pins whole fast-forward runs bit-identical;
+these tests exercise the engine's moving parts directly — a fast-forward
+run never reaching ``_step``, chopping the loop at arbitrary cycles, a
+drain inside a call, and kernel cycles interleaved with serial steps.
 """
 
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
-from repro.sim.fastforward import PLAN_BACKOFF_CAP
+from repro.obs.bus import EventBus
+from repro.sim.fastforward import SpanFastForwarder
 from repro.sim.kernel import DenseStepKernel
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -44,8 +44,14 @@ def _prepared(benchmark: str, technique: Technique):
                          ids=lambda t: t.value)
 @pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
 def test_forced_kernel_bit_identical(bench_name, technique):
+    """An enabled bus keeps the planner from skipping, so every cycle
+    of the fast-forward run goes through the kernel."""
     serial = _serial_result(bench_name, technique)
-    forced = _build(bench_name, technique, dense_kernel=True).run()
+    sm = _build(bench_name, technique, fast_forward=True,
+                bus=EventBus(enabled=True))
+    forced = sm.run()
+    assert sm._kernel_core.cycles == forced.cycles
+    assert sm._forwarder.skipped_cycles == 0
     assert forced.cycles == serial.cycles
     assert forced.metrics == serial.metrics
     assert forced.domain_stats == serial.domain_stats
@@ -53,38 +59,67 @@ def test_forced_kernel_bit_identical(bench_name, technique):
     assert canonical_result(forced) == canonical_result(serial)
 
 
-def test_window_boundaries_are_invisible():
-    """Many short windows equal one long window equal the serial run.
+@pytest.mark.parametrize("bench_name", ("hotspot", "bfs", "gaussian"))
+def test_fast_forward_never_calls_step(bench_name, monkeypatch):
+    """Every cycle of a fast-forward run is either skipped or stepped by
+    the kernel; the serial ``_step`` is the oracle only."""
+    sm = _build(bench_name, Technique.WARPED_GATES, fast_forward=True)
 
-    Every window entry does a full resync from the live SM state, so
-    chopping the run into arbitrary windows must not change anything.
+    def forbidden(cycle):
+        raise AssertionError(f"_step called at cycle {cycle}")
+
+    monkeypatch.setattr(sm, "_step", forbidden)
+    result = sm.run()
+    assert (sm._kernel_core.cycles + sm._forwarder.skipped_cycles
+            == result.cycles)
+    assert sm._kernel_core.cycles > 0
+    assert sm._forwarder.skipped_cycles > 0
+    assert canonical_result(result) == canonical_result(
+        _serial_result(bench_name, Technique.WARPED_GATES))
+
+
+def test_window_boundaries_are_invisible():
+    """Many short ``run`` calls equal one long one equal the serial run.
+
+    The kernel's state persists between calls and a skip may overshoot
+    a call's end, so chopping the loop at arbitrary cycles must not
+    change anything.
     """
     serial = canonical_result(_serial_result("bfs", Technique.GATES))
     sm = _prepared("bfs", Technique.GATES)
     core = DenseStepKernel(sm)
+    forwarder = SpanFastForwarder(sm)
     cycle = 0
+    calls = 0
     while not sm._drained():
-        cycle = core.run_window(cycle, cycle + 97)
-    assert core.windows > 1
+        cycle = core.run(cycle, cycle + 97, forwarder)
+        calls += 1
+    assert calls > 1
+    assert forwarder.skipped_cycles > 0
+    assert core.cycles + forwarder.skipped_cycles == cycle
     assert canonical_result(sm._collect(cycle)) == serial
 
 
 def test_drain_stops_window_early():
-    """A window past the drain point returns at the drain cycle."""
+    """A call whose end lies past the drain point returns at the drain
+    cycle."""
     expected = _serial_result("hotspot", Technique.BASELINE).cycles
     sm = _prepared("hotspot", Technique.BASELINE)
     core = DenseStepKernel(sm)
-    end = core.run_window(0, expected + 10_000)
+    forwarder = SpanFastForwarder(sm)
+    end = core.run(0, expected + 10_000, forwarder)
     assert sm._drained()
     assert end == expected
-    assert core.cycles == expected
+    assert core.cycles + forwarder.skipped_cycles == expected
 
 
 def test_kernel_windows_interleave_with_serial_stepping():
-    """Kernel windows and serial steps compose to the same run.
+    """Kernel cycles and serial ``_step`` calls compose to the same run.
 
-    This is the fast-forward handoff shape: some cycles stepped by the
-    serial loop, some handed to the kernel, resyncing each time.
+    A serial step moves heads behind the kernel's back, so each kernel
+    stretch starts unsynced; the kernel's full resync (the one a
+    residency change triggers) must rebuild its state from any mid-run
+    cycle.
     """
     serial = canonical_result(_serial_result("bfs", Technique.CONV_PG))
     sm = _prepared("bfs", Technique.CONV_PG)
@@ -92,50 +127,18 @@ def test_kernel_windows_interleave_with_serial_stepping():
     cycle = 0
     turn = 0
     while not sm._drained():
-        if turn % 2:
-            cycle = core.run_window(cycle, cycle + 64)
-        else:
-            for _ in range(64):
-                if sm._drained():
-                    break
+        core._synced_resident = None
+        for _ in range(64):
+            if sm._drained():
+                break
+            if turn % 2:
+                core._cycle(cycle)
+            else:
                 sm._step(cycle)
-                cycle += 1
+            cycle += 1
         turn += 1
+    assert turn > 2
     assert canonical_result(sm._collect(cycle)) == serial
-
-
-def test_dense_kernel_false_forbids_handoff():
-    """``dense_kernel=False`` keeps the forwarder out of dense mode."""
-    sm = _build("bfs", Technique.WARPED_GATES, fast_forward=True,
-                dense_kernel=False)
-    result = sm.run()
-    assert sm._forwarder is not None
-    assert sm._forwarder.kernel is None
-    assert sm._forwarder.dense_windows == 0
-    assert canonical_result(result) == canonical_result(
-        _serial_result("bfs", Technique.WARPED_GATES))
-
-
-def test_forwarder_hands_dense_regime_to_kernel():
-    """On a dense workload the planner escalates backoff, then hands
-    whole windows to the kernel, and still matches the serial run."""
-    kernel = build_kernel("bfs", seed=0, scale=1.0)
-    serial_sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                         dram_latency=get_profile("bfs").dram_latency)
-    serial = canonical_result(serial_sm.run())
-    ff_sm = build_sm(build_kernel("bfs", seed=0, scale=1.0),
-                     TechniqueConfig(Technique.WARPED_GATES),
-                     dram_latency=get_profile("bfs").dram_latency,
-                     fast_forward=True)
-    result = ff_sm.run()
-    forwarder = ff_sm._forwarder
-    assert canonical_result(result) == serial
-    assert forwarder.dense_windows > 0
-    assert forwarder.kernel is not None
-    assert forwarder.kernel.cycles > 0
-    assert result.stats.planner_overhead_cycles > 0
-    # The adaptive cap escalated beyond the floor on the way there.
-    assert forwarder._backoff_cap > PLAN_BACKOFF_CAP
 
 
 def test_planner_overhead_not_in_metrics():
