@@ -58,6 +58,7 @@ from repro.harness.experiment import (
     ExperimentRunner,
     ExperimentSettings,
     normalized_performance,
+    static_savings,
 )
 from repro.harness.export import rows_to_csv, rows_to_json
 from repro.harness.sweeps import (
@@ -149,16 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "gtx480 preset's chip)")
     run_cmd.add_argument("--emit-events", metavar="PATH", default=None,
                          help="write the run's event stream as JSONL; "
-                              "steps every cycle (no span skipping), "
-                              "so the run is slower but gives the "
-                              "same result")
+                              "the run takes the same execution path, "
+                              "only the export costs time")
     run_cmd.add_argument("--emit-chrome-trace", metavar="PATH",
                          default=None,
                          help="write a Chrome trace-event JSON of the "
                               "run (load in Perfetto / chrome://tracing); "
-                              "steps every cycle (no span skipping), "
-                              "so the run is slower but gives the "
-                              "same result")
+                              "the run takes the same execution path, "
+                              "only the export costs time")
     run_cmd.add_argument("--profile", action="store_true",
                          help="print per-run provenance manifests and "
                               "cProfile the command — per-worker dumps "
@@ -551,13 +550,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     The technique is either a registered name or, via ``--spec``, a
     JSON spec file — any scheduler × gating-policy × adaptive
     composition runs through the exact same path as the paper's named
-    techniques.  ``--emit-events`` / ``--emit-chrome-trace`` instrument
-    *the requested run only* (the baseline/savings companion runs are
-    simulated with the bus disabled); ``--profile`` prints the
-    provenance manifest of every simulation the command performed.
+    techniques.  ``--emit-events`` / ``--emit-chrome-trace`` watch *the
+    requested run only*: it runs in-process on an enabled bus, on the
+    same execution path as an unwatched run, so only the exporters
+    cost time; the baseline companion goes through the engine and its
+    cache as usual.  ``--profile`` prints the provenance manifest of
+    every simulation the command performed; the watched run's
+    ``simulate`` phase includes its trace build and event export.
     """
-    from repro.obs import ChromeTraceExporter, EventBus, JsonlEventLog
-
     if (args.technique is None) == (args.spec_file is None):
         raise SystemExit(
             "error: give exactly one of a technique name or --spec FILE")
@@ -566,36 +566,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.n_sms > 1:
         return _run_device(args, spec)
 
-    instrument = bool(args.emit_events or args.emit_chrome_trace)
-    bus = EventBus(enabled=instrument) if instrument else None
-    event_log = chrome_trace = None
-    if args.emit_events:
-        event_log = JsonlEventLog(args.emit_events).attach(bus)
-    if args.emit_chrome_trace:
-        chrome_trace = ChromeTraceExporter().attach(bus)
-
-    runner = ExperimentRunner(ExperimentSettings(
-        seed=args.seed, scale=args.scale,
-        benchmarks=_parse_benchmarks(args.benchmarks)), bus=bus,
-        engine=None if instrument else _engine(args))
-    result = runner.run(args.benchmark, spec)
-    if bus is not None:
-        bus.disable()  # companion runs below stay uninstrumented
-    if event_log is not None:
-        event_log.close()
-        print(f"wrote {args.emit_events} "
-              f"({event_log.events_written} events)")
-    if chrome_trace is not None:
-        chrome_trace.write(args.emit_chrome_trace,
-                           end_cycle=result.cycles)
-        print(f"wrote {args.emit_chrome_trace}")
+    runner = _runner(args)
+    manifests: List = []  # the watched run's, ahead of the runner's
+    if args.emit_events or args.emit_chrome_trace:
+        from repro.core.techniques import run_benchmark
+        from repro.obs import (ChromeTraceExporter, EventBus,
+                               JsonlEventLog, RunManifest, config_hash)
+        bus = EventBus(enabled=True)
+        event_log = (JsonlEventLog(args.emit_events).attach(bus)
+                     if args.emit_events else None)
+        chrome_trace = (ChromeTraceExporter().attach(bus)
+                        if args.emit_chrome_trace else None)
+        sm_config = runner.settings.sm_config
+        t0 = _time.perf_counter()
+        result = run_benchmark(args.benchmark, spec, sm_config=sm_config,
+                               seed=args.seed, scale=args.scale, bus=bus,
+                               fast_forward=not args.no_fast_forward)
+        manifests.append(RunManifest(
+            benchmark=args.benchmark, technique=spec.name, seed=args.seed,
+            scale=args.scale, cycles=result.cycles,
+            config_hash=config_hash(spec.spec_hash(), sm_config),
+            instructions=result.stats.instructions_retired,
+            wall_seconds={"simulate": _time.perf_counter() - t0},
+            spec=spec.to_dict()))
+        if event_log is not None:
+            event_log.close()
+            print(f"wrote {args.emit_events} "
+                  f"({event_log.events_written} events)")
+        if chrome_trace is not None:
+            chrome_trace.write(args.emit_chrome_trace,
+                               end_cycle=result.cycles)
+            print(f"wrote {args.emit_chrome_trace}")
+    else:
+        result = runner.run(args.benchmark, spec)
     base = runner.baseline(args.benchmark)
-    int_savings = runner.static_savings(args.benchmark, spec,
-                                        ExecUnitKind.INT,
-                                        gating=spec.gating)
-    fp_savings = runner.static_savings(args.benchmark, spec,
-                                       ExecUnitKind.FP,
-                                       gating=spec.gating)
+    int_savings = static_savings(result, ExecUnitKind.INT, spec.gating)
+    fp_savings = static_savings(result, ExecUnitKind.FP, spec.gating)
     rows = [
         ("cycles", result.cycles),
         ("ipc", round(result.stats.ipc, 3)),
@@ -618,7 +624,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               round(m.wall_seconds.get("build_trace", 0.0), 3),
               round(m.wall_seconds.get("simulate", 0.0), 3),
               f"{m.cycles_per_sec:,.0f}"]
-             for m in runner.manifests],
+             for m in manifests + runner.manifests],
             title="Run manifests"))
     return 0
 

@@ -22,7 +22,6 @@ from repro.core.techniques import (
     Technique,
 )
 from repro.isa.optypes import ExecUnitKind
-from repro.obs.bus import EventBus
 from repro.obs.manifest import RunManifest
 from repro.power.energy import domain_energy, EnergyBreakdown
 from repro.power.params import (
@@ -68,6 +67,16 @@ class ExperimentSettings:
         return EnergyParams.for_unit(dyn_per_issue=dyn, bet=self.gating.bet)
 
 
+def static_savings(result: SimResult, kind: ExecUnitKind,
+                   gating: GatingParams) -> float:
+    """Figure 9 metric of one finished run: net static energy saved."""
+    params = EnergyParams.for_unit(
+        dyn_per_issue=(INT_DYN_PER_ISSUE if kind is ExecUnitKind.INT
+                       else FP_DYN_PER_ISSUE),
+        bet=gating.bet)
+    return domain_energy(result.unit_activity(kind), params).static_savings
+
+
 class ExperimentRunner:
     """Runs and caches (benchmark, technique) simulations.
 
@@ -77,25 +86,22 @@ class ExperimentRunner:
     builds :class:`~repro.service.core.JobRequest`\\ s, and lets the
     service dedupe, execute and memoise.  ``settings`` defaults to a
     fresh :class:`ExperimentSettings` built *per runner* (never a
-    shared module-level instance).  ``bus``, when given, is wired into
-    every SM the service builds inline — enable it and attach exporters
-    to stream events from the runs.
+    shared module-level instance).
 
     ``engine``, when given, routes uncached simulations through the
     parallel engine (:class:`repro.engine.pool.ParallelEngine`): they
     gain the persistent result cache, the idle fast-forward, and —
     via :meth:`prefetch` — process-pool fan-out.  Results are
-    bit-identical to the in-process path.  A runner with a ``bus``
-    ignores the engine: event streams are inherently in-process.
-    (Engine batches *are* observable the cross-process way — give the
-    engine an :class:`~repro.obs.telemetry.EngineTelemetry` and its
-    workers relay digested events to the parent bus; each
-    :meth:`prefetch` grid also lands in the run ledger.)
+    bit-identical to the in-process path.  (Engine batches are
+    observable the cross-process way — give the engine an
+    :class:`~repro.obs.telemetry.EngineTelemetry` and its workers relay
+    digested events to the parent bus; each :meth:`prefetch` grid also
+    lands in the run ledger.)
 
     ``service``, when given, shares an existing
     :class:`SimulationService` (and its single-flight memo) with other
     runners — the replication harness hands one service to every
-    per-seed runner; ``bus``/``engine`` are then taken from it.
+    per-seed runner; ``engine`` is then taken from it.
 
     Every simulation appends a :class:`RunManifest` to
     ``self.manifests``: the run's exact configuration (hashed), its
@@ -106,14 +112,12 @@ class ExperimentRunner:
     """
 
     def __init__(self, settings: Optional[ExperimentSettings] = None,
-                 bus: Optional[EventBus] = None,
                  engine=None,
                  service: Optional[SimulationService] = None):
         self.settings = settings if settings is not None \
             else ExperimentSettings()
         self.service = service if service is not None \
-            else SimulationService(engine=engine, bus=bus)
-        self.bus = self.service.bus
+            else SimulationService(engine=engine)
         self.engine = self.service.engine
         #: Tickets whose manifests this runner has recorded already.
         self._recorded: Set[str] = set()
@@ -244,13 +248,8 @@ class ExperimentRunner:
                        gating: Optional[GatingParams] = None) -> float:
         """Figure 9 metric: net static energy saved vs no gating."""
         gating = gating or self.settings.gating
-        result = self.run(benchmark, technique, gating=gating)
-        params = EnergyParams.for_unit(
-            dyn_per_issue=(INT_DYN_PER_ISSUE if kind is ExecUnitKind.INT
-                           else FP_DYN_PER_ISSUE),
-            bet=gating.bet)
-        return domain_energy(result.unit_activity(kind),
-                             params).static_savings
+        return static_savings(self.run(benchmark, technique, gating=gating),
+                              kind, gating)
 
     def energy_breakdown(self, benchmark: str, technique: Technique,
                          kind: ExecUnitKind) -> EnergyBreakdown:

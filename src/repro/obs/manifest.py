@@ -68,7 +68,6 @@ class RunManifest:
     instructions: int
     #: Wall-clock seconds per phase, e.g. {"build_trace": .., "simulate": ..}.
     wall_seconds: Dict[str, float] = field(default_factory=dict)
-    events_published: int = 0
     created_at: float = field(default_factory=time.time)
     #: Name of the process that executed the run ("" for legacy/in-process
     #: records; worker process names under the parallel engine).
@@ -113,7 +112,6 @@ class RunManifest:
             "wall_seconds": dict(self.wall_seconds),
             "total_seconds": self.total_seconds,
             "cycles_per_sec": self.cycles_per_sec,
-            "events_published": self.events_published,
             "created_at": self.created_at,
             "worker": self.worker,
             "cache_hit": self.cache_hit,

@@ -20,7 +20,7 @@ replication harness and the CLI:
 * **both execution paths**: with an engine, jobs go through
   :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` (persistent
   cache, retries, ledger); without one, the inline path reproduces the
-  classic serial runner byte-for-byte, including event-bus wiring.
+  classic serial runner byte-for-byte.
 
 The service is synchronous and thread-safe; the asyncio front end in
 :mod:`repro.service.api` is a thin shell over it.  The engine itself is
@@ -320,10 +320,6 @@ class SimulationService:
         engine: Optional :class:`~repro.engine.pool.ParallelEngine`.
             With one, jobs gain the persistent cache, retries and the
             run ledger; without one, the inline serial path runs.
-        bus: Optional :class:`~repro.obs.bus.EventBus` wired into every
-            inline-built SM.  A service with a bus ignores the engine —
-            event streams are inherently in-process — preserving the
-            runner's long-standing rule.
         worker: Optional override for the engine-side executing
             callable, passed through to
             :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` —
@@ -332,14 +328,12 @@ class SimulationService:
     Thread-safety: the ticket table has its own lock; all engine access
     is serialised behind ``_exec_lock`` (the engine keeps per-batch
     telemetry state and must never see two batches at once).  Inline
-    execution is serialised the same way — the bus, when present, is a
-    single in-process stream.
+    execution is serialised the same way.
     """
 
-    def __init__(self, engine=None, bus: Optional[EventBus] = None,
+    def __init__(self, engine=None,
                  worker: Optional[Callable[[SimJob], JobOutcome]] = None):
-        self.bus = bus
-        self.engine = engine if bus is None else None
+        self.engine = engine
         self.worker = worker
         self._lock = threading.Lock()
         self._exec_lock = threading.Lock()
@@ -512,10 +506,8 @@ class SimulationService:
         """The classic serial path, byte-for-byte, as a JobOutcome.
 
         Mirrors the pre-service ``ExperimentRunner._run_uncached``: the
-        service bus is wired into the SM, the manifest carries the
-        ``build_trace`` / ``simulate`` wall phases and the SM bus's
-        publication count.  Serialised behind ``_exec_lock`` so a
-        shared bus only ever sees one run at a time.
+        manifest carries the ``build_trace`` / ``simulate`` wall phases.
+        Serialised behind ``_exec_lock``, like the engine path.
         """
         request = ticket.request
         spec = request.spec
@@ -524,12 +516,10 @@ class SimulationService:
             kernel = build_kernel(request.benchmark, seed=request.seed,
                                   scale=request.scale)
             t1 = time.perf_counter()
-            sm = build_sm(kernel, spec, sm_config=request.sm_config,
-                          dram_latency=get_profile(
-                              request.benchmark).dram_latency,
-                          bus=self.bus,
-                          fast_forward=ticket.fast_forward)
-            result = sm.run()
+            result = build_sm(kernel, spec, sm_config=request.sm_config,
+                              dram_latency=get_profile(
+                                  request.benchmark).dram_latency,
+                              fast_forward=ticket.fast_forward).run()
             t2 = time.perf_counter()
         manifest = RunManifest(
             benchmark=request.benchmark,
@@ -540,7 +530,6 @@ class SimulationService:
             cycles=result.cycles,
             instructions=result.stats.instructions_retired,
             wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},
-            events_published=sm.bus.events_published,
             spec=spec.to_dict())
         return JobOutcome(result=result, manifest=manifest)
 

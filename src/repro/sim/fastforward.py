@@ -81,7 +81,9 @@ Two cost controls keep the planner cheap on cycles it cannot skip:
 
 Skipping statistics (``skipped_cycles``, ``skips``, ``plans``) live on
 the forwarder, *not* in the run's metrics — results stay byte-identical
-to serial runs by construction.
+to serial runs by construction.  An enabled event bus does not change
+the plan: every event but the no-ready-warp stall ends a span, and
+``_apply`` publishes those stalls.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.isa.optypes import ExecUnitKind
+from repro.obs.events import IssueStall
 from repro.power.gating import GatingPolicy
 from repro.sim.sched.base import SchedulerView
 
@@ -241,7 +244,7 @@ class SpanFastForwarder:
         """
         sm = self.sm
         self.plans += 1
-        if sm.bus.enabled or sm._retry:
+        if sm._retry:
             return cycle
 
         bound: float = sm.config.max_cycles
@@ -394,6 +397,12 @@ class SpanFastForwarder:
         # stage 5: empty issue slots + scheduler pointer drift
         stats.stalls.no_ready_warp += span * sm.config.issue_width
         sm.scheduler.skip_idle_cycles(span)
+        if sm.bus.enabled:
+            # The span's only events, in serial order.
+            for c in range(cycle, target):
+                stall = IssueStall(c, "no_ready_warp")
+                for _ in range(sm.config.issue_width):
+                    sm.bus.publish(stall)
 
         # stage 6: gating domains.  Busy pipelines pin the idle counter
         # at zero for the whole span (the span never crosses their

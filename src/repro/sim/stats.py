@@ -170,15 +170,14 @@ class SMStats:
     pending_warp_sum: int = 0
 
     #: Cycles on which the span fast-forward planner was asked for a
-    #: span and skipped nothing (pure overhead).  That covers a full
-    #: plan that found no span and also ``_plan``'s early return on an
-    #: enabled bus or a pending MSHR retry, so a run on an enabled bus
-    #: counts one per planner attempt.  Deliberately
-    #: NOT exported to the metrics registry: a fast-forwarded run's
-    #: metrics must stay byte-identical to the serial run's (the golden
-    #: identity harness digests ``result.metrics`` wholesale), and
-    #: serial runs never plan.  Surfaced instead as the traced
-    #: perfbench metric ``sim.planner_overhead_cycles``.
+    #: span and skipped nothing (pure overhead): a full plan that found
+    #: no span, or ``_plan``'s early return on a pending MSHR retry (an
+    #: enabled bus changes neither).  Deliberately NOT exported to the
+    #: metrics registry: a fast-forwarded run's metrics must stay
+    #: byte-identical to the serial run's (the golden identity harness
+    #: digests ``result.metrics`` wholesale), and serial runs never
+    #: plan.  Surfaced instead as the traced perfbench metric
+    #: ``sim.planner_overhead_cycles``.
     planner_overhead_cycles: int = 0
 
     # name -> tracker for every pipeline in the SM.

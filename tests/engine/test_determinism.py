@@ -78,10 +78,3 @@ class TestRunnerEngineEquivalence:
             runner.prefetch([("hotspot", Technique.BASELINE),
                              ("hotspot", Technique.BASELINE)])
             assert len(runner.manifests) == 1
-
-    def test_bus_runner_ignores_engine(self):
-        from repro.obs.bus import EventBus
-        with ParallelEngine(jobs=2, cache_dir=None) as engine:
-            runner = ExperimentRunner(SETTINGS, bus=EventBus(),
-                                      engine=engine)
-            assert runner.engine is None

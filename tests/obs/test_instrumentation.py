@@ -217,14 +217,3 @@ class TestRunnerProvenance:
         # Regression for the mutable-default constructor bug.
         a, b = ExperimentRunner(), ExperimentRunner()
         assert a.settings is not b.settings
-
-    def test_runner_bus_reaches_the_sm(self):
-        bus = EventBus(enabled=True)
-        events = []
-        bus.subscribe(events.append)
-        settings = ExperimentSettings(scale=TEST_SCALE,
-                                      benchmarks=("hotspot",))
-        runner = ExperimentRunner(settings, bus=bus)
-        runner.run("hotspot", Technique.WARPED_GATES)
-        assert events
-        assert runner.manifests[0].events_published == len(events)

@@ -57,8 +57,7 @@ def _manifest(**overrides):
     base = dict(benchmark="hotspot", technique="warped_gates", seed=0,
                 scale=0.5, config_hash="abc123def456", cycles=10_000,
                 instructions=4_000,
-                wall_seconds={"build_trace": 0.5, "simulate": 2.0},
-                events_published=17)
+                wall_seconds={"build_trace": 0.5, "simulate": 2.0})
     base.update(overrides)
     return RunManifest(**base)
 
@@ -103,4 +102,4 @@ class TestRunManifest:
         write_manifests(manifests, path)
         loaded = load_manifests(path)
         assert [m["benchmark"] for m in loaded] == ["hotspot", "bfs"]
-        assert loaded[0]["events_published"] == 17
+        assert loaded == [m.to_dict() for m in manifests]

@@ -1,11 +1,18 @@
-"""Observing a job never steers it.
+"""Observing a run never steers it.
 
-An engine job runs the same simulation whether or not an
-:class:`~repro.obs.telemetry.EngineTelemetry` watches it: the same
-execution mode mix (pinned by the planner's overhead counter), the same
-result digest and the same manifest.  The worker summary's sim-event
-counts come from the finished result and must equal what an explicit
-enabled bus publishes over the same run.
+Three observers, one rule — the watched run takes the path the
+unwatched one takes:
+
+* an enabled SM event bus: a fast-forward SM plans, skips and steps
+  exactly the same cycles with the bus on as with it off;
+* ``repro run --emit-events``: the watched run never reaches the serial
+  ``_step`` unless ``--no-fast-forward`` asks for it, and ``--profile``
+  still lists it;
+* an :class:`~repro.obs.telemetry.EngineTelemetry` on an engine job:
+  the same execution mode mix (pinned by the planner's overhead
+  counter), the same result digest and the same manifest.  The worker
+  summary's sim-event counts come from the finished result and must
+  equal what an explicit enabled bus publishes over the same run.
 """
 
 import dataclasses
@@ -15,6 +22,7 @@ import pytest
 
 from repro.core.device import device_preset
 from repro.core.digest import result_digest
+from repro.cli import main
 from repro.core.techniques import build_sm
 from repro.engine import ParallelEngine, SimJob
 from repro.engine.jobs import SMPartJob, execute_sm_part, load_or_build_kernel
@@ -26,6 +34,7 @@ from repro.obs.telemetry import (
     result_event_counts,
 )
 from repro.sim.gpu import split_kernel
+from repro.sim.sm import StreamingMultiprocessor
 from repro.workloads.specs import get_profile
 
 TECHNIQUE = "warped_gates"
@@ -44,6 +53,66 @@ SUMMARY_TYPES = ("GateOn", "GateOff", "Wakeup", "BlackoutBlocked",
 #: What an enabled bus publishes over bfs at scale 1.0.
 BFS_BUS_COUNTS = {"GateOn": 863, "GateOff": 863, "Wakeup": 859,
                   "BlackoutBlocked": 2795, "IssueStall": 403_685}
+
+
+def _forwarded_sm(benchmark: str, bus=None):
+    """A finished fast-forward SM run at scale 0.5."""
+    sm = build_sm(load_or_build_kernel(benchmark, 0, 0.5), TECHNIQUE,
+                  dram_latency=get_profile(benchmark).dram_latency,
+                  bus=bus, fast_forward=True)
+    sm.run()
+    return sm
+
+
+def _mode_mix(sm) -> dict:
+    forwarder = sm._forwarder
+    return {"skipped_cycles": forwarder.skipped_cycles,
+            "skips": forwarder.skips, "plans": forwarder.plans,
+            "kernel_cycles": sm._kernel_core.cycles,
+            "planner_overhead_cycles": sm.stats.planner_overhead_cycles}
+
+
+@pytest.mark.parametrize("bench_name", ("hotspot", "bfs", "gaussian"))
+def test_enabled_bus_keeps_the_mode_mix(bench_name):
+    bare = _mode_mix(_forwarded_sm(bench_name))
+    assert bare["skipped_cycles"] > 0
+    assert _mode_mix(_forwarded_sm(bench_name, EventBus(enabled=True))) \
+        == bare
+
+
+class _StepCalled(Exception):
+    pass
+
+
+def _forbidden_step(self, cycle):
+    raise _StepCalled(f"_step called at cycle {cycle}")
+
+
+class TestCliEmitEvents:
+    @staticmethod
+    def _run(tmp_path, *global_flags, profile=False):
+        return main(["--no-cache", "--scale", "0.2", *global_flags,
+                     "run", "gaussian", TECHNIQUE, "--emit-events",
+                     str(tmp_path / "events.jsonl")]
+                    + (["--profile"] if profile else []))
+
+    def test_never_calls_step(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # any cache lands outside the repo
+        monkeypatch.setattr(StreamingMultiprocessor, "_step",
+                            _forbidden_step)
+        assert self._run(tmp_path, profile=True) == 0
+        out = capsys.readouterr().out
+        rows = out[out.index("Run manifests"):].splitlines()
+        techniques = [line.split()[1] for line in rows
+                      if line.startswith("gaussian ")]
+        assert techniques == [TECHNIQUE, "baseline"]
+
+    def test_no_fast_forward_steps_serially(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(StreamingMultiprocessor, "_step",
+                            _forbidden_step)
+        with pytest.raises(_StepCalled):
+            self._run(tmp_path, "--no-fast-forward")
 
 
 def _run_grid(jobs: int, observed: bool):

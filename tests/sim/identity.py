@@ -63,10 +63,10 @@ def run_golden_cell(benchmark: str, technique_value: str,
 
     ``fast_forward=True`` runs the same cell through the stepping
     engine: quiet spans skipped, every other cycle stepped by the dense
-    kernel (:mod:`repro.sim.kernel`).  An enabled ``bus`` keeps the
-    planner from skipping, so the kernel steps every cycle.  Every
-    flavour's digest must equal the serial one — those equalities are
-    what pin the engine bit-identical to the serial oracle.
+    kernel (:mod:`repro.sim.kernel`).  An enabled ``bus`` records the
+    events and changes neither path.  Every flavour's digest must
+    equal the serial one — those equalities are what pin the engine
+    bit-identical to the serial oracle.
     """
     from repro.core.techniques import (Technique, TechniqueConfig,
                                        run_benchmark)
@@ -76,10 +76,18 @@ def run_golden_cell(benchmark: str, technique_value: str,
 
 
 def run_kernel_cell(benchmark: str, technique_value: str):
-    """One golden cell with the dense kernel stepping every cycle."""
-    from repro.obs.bus import EventBus
-    return run_golden_cell(benchmark, technique_value, fast_forward=True,
-                           bus=EventBus(enabled=True))
+    """One golden cell with the dense kernel stepping every cycle.
+
+    The span planner is switched off for the run (its capability check
+    reports unsupported), so no cycle is skipped.
+    """
+    from unittest import mock
+
+    from repro.sim.fastforward import SpanFastForwarder
+    with mock.patch.object(SpanFastForwarder, "_check_supported",
+                           return_value=False):
+        return run_golden_cell(benchmark, technique_value,
+                               fast_forward=True)
 
 
 def run_golden_device(benchmark: str, technique_value: str,
@@ -112,9 +120,9 @@ def run_instrumented_golden(benchmark: str = "hotspot",
     """One bus-enabled golden run; returns (result, events).
 
     ``kwargs`` reach :func:`~repro.core.techniques.build_sm`, so
-    ``fast_forward=True`` selects the stepping engine (with the bus on,
-    the kernel steps every cycle); both paths must publish the serial
-    event stream.
+    ``fast_forward=True`` selects the stepping engine (span skips
+    included: a skipped span publishes its no-ready-warp stalls); both
+    paths must publish the serial event stream.
     """
     from repro.core.techniques import Technique, TechniqueConfig, build_sm
     from repro.obs.bus import EventBus

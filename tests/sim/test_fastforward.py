@@ -65,23 +65,37 @@ def test_ccws_disables_forwarding():
     assert sm._forwarder.skipped_cycles == 0
 
 
-def test_enabled_bus_suppresses_skipping():
-    """Event subscribers see every cycle, so an enabled bus makes the
-    dense kernel step every cycle (identical results, no skips)."""
+def _run_observed(benchmark: str, technique: Technique,
+                  fast_forward: bool):
+    """One run on an enabled bus; (sm, result, events)."""
     from repro.obs.bus import EventBus
 
-    kernel = build_kernel("hotspot", seed=0, scale=SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(Technique.CONV_PG),
-                  dram_latency=get_profile("hotspot").dram_latency,
-                  bus=bus, fast_forward=True)
     events = []
     bus.subscribe(events.append)
-    result = sm.run()
-    assert sm._forwarder.skipped_cycles == 0
-    assert sm._kernel_core.cycles == result.cycles
-    _, serial = _run("hotspot", Technique.CONV_PG, fast_forward=False)
-    assert result.metrics == serial.metrics
+    sm = build_sm(build_kernel(benchmark, seed=0, scale=SCALE),
+                  TechniqueConfig(technique),
+                  dram_latency=get_profile(benchmark).dram_latency,
+                  bus=bus, fast_forward=fast_forward)
+    return sm, sm.run(), events
+
+
+@pytest.mark.parametrize("technique",
+                         (Technique.WARPED_GATES, Technique.CONV_PG),
+                         ids=lambda t: t.value)
+@pytest.mark.parametrize("bench_name", ("gaussian", "NN", "nw", "bfs"))
+def test_enabled_bus_skips_with_serial_events(bench_name, technique):
+    """An enabled bus does not stop span skipping: a skipped span
+    publishes its no-ready-warp stalls, so the bus-on fast-forward run
+    publishes the serial event stream and returns the serial result."""
+    from repro.core.digest import canonical_result, event_stream_digest
+
+    _, serial, serial_events = _run_observed(bench_name, technique, False)
+    sm, forwarded, events = _run_observed(bench_name, technique, True)
+    assert sm._forwarder.skipped_cycles > 0
+    assert event_stream_digest(events) \
+        == event_stream_digest(serial_events)
+    assert canonical_result(forwarded) == canonical_result(serial)
 
 
 def test_max_cycles_overrun_raises_identically():

@@ -64,8 +64,8 @@ def test_fast_forward_digest_matches_golden(bench_name, technique):
 def test_dense_kernel_digest_matches_golden(bench_name, technique):
     """The dense kernel stepping every cycle reproduces the digest.
 
-    An enabled bus keeps the span planner from skipping, so every cycle
-    of the fast-forward run goes through
+    The span planner is switched off for the run, so every cycle of the
+    fast-forward run goes through
     :class:`repro.sim.kernel.DenseStepKernel` — this pins batched
     classify/issue/writeback bit-identical to ``SM._step`` on every
     cycle, including the ones a skip would otherwise hide.
@@ -142,8 +142,8 @@ def test_ablation_digest_matches_golden(bench_name, technique, mode):
 
 
 #: Execution paths the instrumented golden run is pinned under: the
-#: serial oracle and the stepping engine, whose planner never skips
-#: with the bus on — the dense kernel steps every cycle.
+#: serial oracle and the stepping engine, which skips spans with the
+#: bus on exactly as with it off.
 _MODES = {"serial": {}, "fast_forward": {"fast_forward": True}}
 
 

@@ -6,10 +6,11 @@ run never reaching ``_step``, chopping the loop at arbitrary cycles, a
 drain inside a call, and kernel cycles interleaved with serial steps.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
-from repro.obs.bus import EventBus
 from repro.sim.fastforward import SpanFastForwarder
 from repro.sim.kernel import DenseStepKernel
 from repro.workloads.registry import build_kernel
@@ -44,12 +45,13 @@ def _prepared(benchmark: str, technique: Technique):
                          ids=lambda t: t.value)
 @pytest.mark.parametrize("bench_name", ("hotspot", "bfs"))
 def test_forced_kernel_bit_identical(bench_name, technique):
-    """An enabled bus keeps the planner from skipping, so every cycle
-    of the fast-forward run goes through the kernel."""
+    """With the span planner reporting itself unsupported, every
+    cycle of the fast-forward run goes through the kernel."""
     serial = _serial_result(bench_name, technique)
-    sm = _build(bench_name, technique, fast_forward=True,
-                bus=EventBus(enabled=True))
-    forced = sm.run()
+    sm = _build(bench_name, technique, fast_forward=True)
+    with mock.patch.object(SpanFastForwarder, "_check_supported",
+                           return_value=False):
+        forced = sm.run()
     assert sm._kernel_core.cycles == forced.cycles
     assert sm._forwarder.skipped_cycles == 0
     assert forced.cycles == serial.cycles
