@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 
 import history
 from conftest import print_figure
@@ -47,8 +47,8 @@ SERIAL_BASELINE_CYCLES_PER_SEC = 5_000.0
 
 
 def _jobs(fast_forward: bool):
-    return [SimJob(benchmark=name, config=TechniqueConfig(technique),
-                   scale=SCALE, fast_forward=fast_forward)
+    return [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
+                       scale=SCALE, fast_forward=fast_forward)
             for name, technique in GRID]
 
 

@@ -7,10 +7,15 @@ Gates) configurations, with real multi-round statistics (this is the
 one bench where pytest-benchmark's repetition machinery earns its keep,
 since the measured function is fast and deterministic).
 
-The observability layer adds two more rows: the same Warped Gates run
-with an *enabled* event bus feeding a subscriber (what ``--emit-events``
-costs) — the default rows run with the bus disabled, so comparing them
-against historical numbers checks the no-op fast path stays free.
+The two default rows step every cycle through the serial ``_step``
+oracle (the library default, ``fast_forward=False``) on a disabled
+bus, so comparing them against historical numbers checks the no-op
+fast path stays free.  The observability row is the path
+``repro run --emit-events`` takes: the same Warped Gates run on the
+fast-forward engine (``fast_forward=True``, as ``cmd_run`` builds it)
+with an *enabled* event bus feeding a subscriber.  It is therefore not
+comparable with the serial rows, nor with its own entries recorded
+before it switched to the fast-forward engine.
 
 Each measured rate is also appended to ``BENCH_obs.json`` at the repo
 root, giving CI and future performance PRs a machine-readable
@@ -37,7 +42,8 @@ def run_once(technique: Technique, instrumented: bool = False) -> int:
     kernel = build_kernel(BENCH, scale=SCALE)
     bus = EventBus(enabled=True) if instrumented else None
     sm = build_sm(kernel, TechniqueConfig(technique),
-                  dram_latency=get_profile(BENCH).dram_latency, bus=bus)
+                  dram_latency=get_profile(BENCH).dram_latency, bus=bus,
+                  fast_forward=instrumented)
     if instrumented:
         events = []
         sm.bus.subscribe(events.append)
@@ -82,6 +88,7 @@ def test_speed_warped_gates(benchmark):
 
 
 def test_speed_warped_gates_instrumented(benchmark):
-    """Warped Gates with the event bus enabled and one subscriber."""
+    """Warped Gates as ``run --emit-events`` runs it: fast-forward, with
+    the event bus enabled and one subscriber."""
     _measure(benchmark, "warped_gates_instrumented",
              Technique.WARPED_GATES, instrumented=True)

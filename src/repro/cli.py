@@ -570,25 +570,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifests: List = []  # the watched run's, ahead of the runner's
     if args.emit_events or args.emit_chrome_trace:
         from repro.core.techniques import run_benchmark
-        from repro.obs import (ChromeTraceExporter, EventBus,
-                               JsonlEventLog, RunManifest, config_hash)
+        from repro.engine.jobs import JobRequest, job_manifest
+        from repro.obs import ChromeTraceExporter, EventBus, JsonlEventLog
         bus = EventBus(enabled=True)
         event_log = (JsonlEventLog(args.emit_events).attach(bus)
                      if args.emit_events else None)
         chrome_trace = (ChromeTraceExporter().attach(bus)
                         if args.emit_chrome_trace else None)
-        sm_config = runner.settings.sm_config
+        job = JobRequest(args.benchmark, spec,
+                         sm_config=runner.settings.sm_config,
+                         seed=args.seed, scale=args.scale,
+                         fast_forward=not args.no_fast_forward)
         t0 = _time.perf_counter()
-        result = run_benchmark(args.benchmark, spec, sm_config=sm_config,
-                               seed=args.seed, scale=args.scale, bus=bus,
-                               fast_forward=not args.no_fast_forward)
-        manifests.append(RunManifest(
-            benchmark=args.benchmark, technique=spec.name, seed=args.seed,
-            scale=args.scale, cycles=result.cycles,
-            config_hash=config_hash(spec.spec_hash(), sm_config),
-            instructions=result.stats.instructions_retired,
-            wall_seconds={"simulate": _time.perf_counter() - t0},
-            spec=spec.to_dict()))
+        result = run_benchmark(job.benchmark, spec,
+                               sm_config=job.sm_config, seed=job.seed,
+                               scale=job.scale, bus=bus,
+                               fast_forward=job.fast_forward)
+        manifests.append(job_manifest(
+            job, result,
+            wall_seconds={"simulate": _time.perf_counter() - t0}))
         if event_log is not None:
             event_log.close()
             print(f"wrote {args.emit_events} "
@@ -617,9 +617,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         print()
         print(format_table(
-            ("benchmark", "technique", "config", "cycles", "cache",
+            ("benchmark", "technique", "run_key", "cycles", "cache",
              "build_s", "simulate_s", "cycles/s"),
-            [[m.benchmark, m.technique, m.config_hash, m.cycles,
+            [[m.benchmark, m.technique, m.run_key, m.cycles,
               "hit" if m.cache_hit else "miss",
               round(m.wall_seconds.get("build_trace", 0.0), 3),
               round(m.wall_seconds.get("simulate", 0.0), 3),

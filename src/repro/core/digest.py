@@ -9,7 +9,10 @@ two runs are the same run":
 * the simulation service (:mod:`repro.service`) stamps every completed
   job with its result digest, so a client can compare a served result
   against a local ``repro run`` without shipping the whole pickle;
-* the CI service smoke test asserts served == direct digests.
+* the CI service smoke test asserts served == direct digests;
+* run keys (:func:`repro.obs.manifest.config_hash`) hash the same
+  canonical JSON of their config inputs, so they follow values, not
+  ``repr`` or dict order.
 
 The canonical form flattens a :class:`~repro.sim.sm.SimResult` (or a
 multi-SM :class:`~repro.sim.gpu.GPUResult`) into JSON-stable primitives
@@ -45,10 +48,17 @@ def _canon(value):
     return str(value)
 
 
+#: Sorted-key, whitespace-free JSON; one encoder, built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_json(value) -> str:
+    """``value`` in canonical form, as sorted-key compact JSON."""
+    return _encode(_canon(value))
+
+
 def _digest(payload_obj) -> str:
-    payload = json.dumps(payload_obj, sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode(payload_obj).encode("utf-8")).hexdigest()
 
 
 def canonical_result(result) -> dict:
@@ -125,6 +135,7 @@ def device_result_digest(result) -> str:
 
 __all__ = [
     "canonical_device_result",
+    "canonical_json",
     "canonical_events",
     "canonical_result",
     "device_result_digest",

@@ -8,11 +8,12 @@ job spec.  This package exploits that structure:
 * :mod:`repro.engine.faults` — structured job outcomes
   (:class:`JobReport`, :class:`JobStatus`) and the retry/timeout
   :class:`FaultPolicy` that keeps one bad cell from killing a sweep;
-* :mod:`repro.engine.jobs` — frozen job specs (:class:`SimJob`,
-  :class:`SMPartJob`) and the top-level worker functions that execute
-  them, including the on-disk kernel-trace memoisation;
+* :mod:`repro.engine.jobs` — frozen job specs (:class:`JobRequest`,
+  whose run key names a run everywhere, and :class:`SMPartJob`) and
+  the top-level worker functions that execute them, including the
+  on-disk kernel-trace memoisation;
 * :mod:`repro.engine.cache` — the persistent ``.repro-cache/`` store,
-  keyed by the :func:`repro.obs.manifest.config_hash` machinery;
+  addressed by run keys;
 * :mod:`repro.engine.pool` — :class:`ParallelEngine`, the
   ``ProcessPoolExecutor`` wrapper that fans jobs out and collects
   results in submission order, so aggregated output is bit-identical
@@ -34,7 +35,7 @@ from repro.engine.faults import (
 )
 from repro.engine.jobs import (
     JobOutcome,
-    SimJob,
+    JobRequest,
     SMPartJob,
     execute_job,
     execute_sm_part,
@@ -49,10 +50,10 @@ __all__ = [
     "JobFailedError",
     "JobOutcome",
     "JobReport",
+    "JobRequest",
     "JobStatus",
     "ParallelEngine",
     "RunCache",
-    "SimJob",
     "SMPartJob",
     "execute_job",
     "execute_sm_part",

@@ -6,10 +6,12 @@ Layout::
         results/<benchmark>-<technique>-s<seed>-<hash>.pkl
         traces/<benchmark>-s<seed>-<hash>.pkl
 
-The human-readable filename prefix is cosmetic; the trailing
-``config_hash`` carries the full identity (every config object, the
-seed, the scale, the DRAM latency and a format version salt:
-:data:`RESULT_SCHEMA` or :data:`TRACE_SCHEMA`), so
+A result filename is the run key
+(:meth:`repro.engine.jobs.JobRequest.key`).  The human-readable prefix
+is cosmetic; the trailing hash over canonical JSON carries the full
+identity (every config object, the seed, the scale, the DRAM latency
+and a format version salt: :data:`RESULT_SCHEMA` or
+:data:`TRACE_SCHEMA`), so
 any config change — including editing a default inside a dataclass —
 produces a different key and old entries simply stop being hit.
 Invalidation is therefore "delete the directory whenever you feel like

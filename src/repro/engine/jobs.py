@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.adaptive import AdaptiveConfig
-from repro.core.spec import TechniqueSpec, as_spec
+from repro.core.spec import TechniqueSpec, as_spec, unknown_name_error
 from repro.core.techniques import build_sm
 from repro.engine.cache import RESULT_SCHEMA, TRACE_SCHEMA, RunCache
 from repro.engine.faults import JobReport, JobStatus
@@ -29,7 +29,7 @@ from repro.obs.telemetry import JobTelemetry, current_worker, job_label
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
 from repro.workloads.registry import scaled_spec
-from repro.workloads.specs import get_profile
+from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
 
 def _worker_name() -> str:
@@ -50,7 +50,7 @@ def trace_cache_key(benchmark: str, seed: int, scale: float) -> str:
     scale = float(scale)
     spec = scaled_spec(get_profile(benchmark).spec, scale)
     return (f"{benchmark}-s{seed}-"
-            f"{config_hash(spec, seed, scale, TRACE_SCHEMA)}")
+            f"{config_hash(spec, [seed, scale, TRACE_SCHEMA])}")
 
 
 def load_or_build_kernel(benchmark: str, seed: int, scale: float,
@@ -77,68 +77,161 @@ def load_or_build_kernel(benchmark: str, seed: int, scale: float,
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimJob:
-    """One (benchmark × technique) simulation, fully specified.
+class JobRequest:
+    """One (benchmark × technique) simulation: the frozen run identity.
 
-    ``config`` is anything :func:`repro.core.spec.as_spec` resolves —
+    ``technique`` is anything :func:`repro.core.spec.as_spec` resolves —
     a :class:`~repro.core.spec.TechniqueSpec`, a registered technique
     name, a :class:`~repro.core.techniques.Technique` member or a
     legacy :class:`~repro.core.techniques.TechniqueConfig`.  It is kept
     exactly as given (callers may inspect what they submitted); the
-    :attr:`spec` property is the resolved identity every derived key
-    and manifest uses.
+    :attr:`spec` property is the resolved spec every key uses, so an
+    enum member, its name string and an equal hand-built spec are one
+    run.
 
-    The job is frozen, so its identity — :attr:`spec`,
-    :meth:`cache_key` and :attr:`manifest_hash` — is derived once per
-    instance and travels with it (into pool workers too).  ``scale``
+    ``fast_forward=None`` (the default) defers to the executing path:
+    the engine's configured default, or plain serial simulation on the
+    service's inline path.
+
+    An unknown ``benchmark`` raises ValueError (with a did-you-mean
+    hint) when the request is built: a run key needs its profile.
+
+    The request is frozen, so its spec and :meth:`key` are derived once
+    per instance and travel with it (into pool workers too).  ``scale``
     is stored as a float: ``scale=1`` and ``scale=1.0`` are one run.
     """
 
     benchmark: str
-    config: object
-    sm_config: SMConfig = field(default_factory=SMConfig)
+    technique: object
+    #: One shared default instance, so its canonical encoding is memoised
+    #: across requests.
+    sm_config: SMConfig = SMConfig()
     seed: int = 0
     scale: float = 1.0
-    fast_forward: bool = True
+    fast_forward: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        if self.benchmark not in BENCHMARK_NAMES:
+            raise unknown_name_error("benchmark", self.benchmark,
+                                     BENCHMARK_NAMES)
         object.__setattr__(self, "scale", float(self.scale))
 
     @cached_property
     def spec(self) -> TechniqueSpec:
-        """The resolved technique spec this job runs."""
-        return as_spec(self.config)
+        """The resolved technique spec this request runs."""
+        return as_spec(self.technique)
 
-    @cached_property
-    def manifest_hash(self) -> str:
-        """The ``config_hash`` this job's manifests carry."""
-        return config_hash(self.spec.spec_hash(), self.sm_config)
+    def label(self) -> str:
+        """Display label, ``benchmark/technique/sSEED``."""
+        return job_label(self)
 
-    def cache_key(self) -> str:
-        """Result-cache key: human-readable prefix + full config hash.
+    def resolve(self, fast_forward: bool) -> "JobRequest":
+        """This request, with ``fast_forward=None`` resolved.
 
-        Keyed on the spec's canonical hash, so an enum member, its name
-        string and an equal hand-built spec share cache entries.
+        The copy shares the derived spec and run keys, so resolving
+        never re-derives the identity.
+        """
+        if self.fast_forward is not None:
+            return self
+        job = JobRequest(self.benchmark, self.technique, self.sm_config,
+                         self.seed, self.scale, fast_forward)
+        for memo in ("spec", "_run_keys"):
+            if memo in self.__dict__:
+                job.__dict__[memo] = self.__dict__[memo]
+        return job
+
+    def key(self, fast_forward: bool) -> str:
+        """The run key, with fast-forward resolved.
+
+        ``<benchmark>-<technique>-s<seed>-<hash>``: one string names the
+        run as the result-cache filename, the manifest's ``run_key``,
+        the service's job id and dedupe key, and the ledger job line.
+        The hash covers every input through canonical JSON: the scaled
+        workload spec, the spec's canonical hash, the ``SMConfig``,
+        seed, scale, DRAM latency, fast-forward and the result schema.
         ``fast_forward`` is part of the key even though results are
         bit-identical by contract — a fast-forward bug then cannot
         poison serially-produced entries (or the other way round).
         """
-        key = self.__dict__.get("_cache_key")
+        keys = self.__dict__.setdefault("_run_keys", {})
+        key = keys.get(fast_forward)
         if key is None:
             spec = self.spec
             profile = get_profile(self.benchmark)
+            # The scalars go in as one list: one encoding, not six.
             digest = config_hash(
-                scaled_spec(profile.spec, self.scale), spec.spec_hash(),
-                self.sm_config, self.seed, self.scale,
-                profile.dram_latency, self.fast_forward, RESULT_SCHEMA)
-            key = f"{self.benchmark}-{spec.name}-s{self.seed}-{digest}"
-            object.__setattr__(self, "_cache_key", key)
+                scaled_spec(profile.spec, self.scale), self.sm_config,
+                [spec.spec_hash(), self.seed, self.scale,
+                 profile.dram_latency, fast_forward, RESULT_SCHEMA])
+            key = keys[fast_forward] = \
+                f"{self.benchmark}-{spec.name}-s{self.seed}-{digest}"
         return key
+
+    # -- wire format ---------------------------------------------------
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON form for the HTTP API (SM config stays server-side)."""
+        doc: Dict[str, object] = {
+            "benchmark": self.benchmark,
+            "spec": self.spec.to_dict(),
+            "seed": self.seed,
+            "scale": self.scale,
+        }
+        if self.fast_forward is not None:
+            doc["fast_forward"] = self.fast_forward
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: object) -> "JobRequest":
+        """Parse and fully validate the JSON form.
+
+        ``technique`` (a registered name) and ``spec`` (a full
+        :meth:`TechniqueSpec.to_dict` document) are alternatives —
+        exactly one must be present.  Every schema violation raises
+        ValueError with the offending key named, never a KeyError.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("job request must be a JSON object, got "
+                             f"{type(doc).__name__}")
+        allowed = {"benchmark", "technique", "spec", "seed", "scale",
+                   "fast_forward"}
+        unknown = sorted(set(doc) - allowed)
+        if unknown:
+            raise ValueError(f"job request has unknown key(s) {unknown}; "
+                             f"allowed: {sorted(allowed)}")
+        benchmark = doc.get("benchmark")
+        if not isinstance(benchmark, str) or not benchmark:
+            raise ValueError("'benchmark' must be a non-empty string")
+        has_name = "technique" in doc
+        has_spec = "spec" in doc
+        if has_name == has_spec:
+            raise ValueError("job request needs exactly one of "
+                             "'technique' (a registered name) or 'spec' "
+                             "(a full technique-spec object)")
+        if has_name:
+            name = doc["technique"]
+            if not isinstance(name, str):
+                raise ValueError("'technique' must be a string name")
+            technique: object = as_spec(name)
+        else:
+            technique = TechniqueSpec.from_dict(doc["spec"])
+        seed = doc.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError("'seed' must be an integer")
+        scale = doc.get("scale", 1.0)
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise ValueError("'scale' must be a number")
+        fast_forward = doc.get("fast_forward")
+        if fast_forward is not None and not isinstance(fast_forward, bool):
+            raise ValueError("'fast_forward' must be a boolean or absent")
+        return cls(benchmark=benchmark, technique=technique,
+                   seed=seed, scale=float(scale),
+                   fast_forward=fast_forward)
 
 
 @dataclass
 class JobOutcome:
-    """What the engine returns for one :class:`SimJob`.
+    """What the engine returns for one :class:`JobRequest`.
 
     Successful jobs carry the :class:`~repro.sim.sm.SimResult`; failed
     ones carry ``result=None`` plus a failure manifest, so a batch with
@@ -157,12 +250,12 @@ class JobOutcome:
         return self.status is JobStatus.OK
 
 
-def failure_manifest(job: SimJob, report: JobReport) -> RunManifest:
-    """Provenance record for a cell that produced no result.
+def job_manifest(job: JobRequest, result: Optional[SimResult],
+                 **fields: object) -> RunManifest:
+    """Provenance record of one job, named by its run key.
 
-    Pins the failed run to its exact configuration — the same identity
-    a successful manifest carries — so a sweep's manifest list records
-    exactly which cells failed, how often they were attempted, and why.
+    ``job.fast_forward`` must be resolved.  A job that produced no
+    result records zero cycles and instructions.
     """
     spec = job.spec
     return RunManifest(
@@ -170,17 +263,28 @@ def failure_manifest(job: SimJob, report: JobReport) -> RunManifest:
         technique=spec.name,
         seed=job.seed,
         scale=job.scale,
-        config_hash=job.manifest_hash,
-        cycles=0,
-        instructions=0,
-        status=report.status.value,
-        error=report.error,
-        attempts=max(report.attempts, 0),
-        spec=spec.to_dict())
+        run_key=job.key(job.fast_forward),
+        cycles=result.cycles if result is not None else 0,
+        instructions=(result.stats.instructions_retired
+                      if result is not None else 0),
+        spec=spec.to_dict(),
+        **fields)
 
 
-def outcome_from_report(job: SimJob, report: JobReport) -> JobOutcome:
-    """Fold one :class:`JobReport` into the sim-job outcome shape."""
+def failure_manifest(job: JobRequest, report: JobReport) -> RunManifest:
+    """Provenance record for a cell that produced no result.
+
+    Pins the failed run to its exact configuration — the same run key
+    a successful manifest carries — so a sweep's manifest list records
+    exactly which cells failed, how often they were attempted, and why.
+    """
+    return job_manifest(job, None, status=report.status.value,
+                        error=report.error,
+                        attempts=max(report.attempts, 0))
+
+
+def outcome_from_report(job: JobRequest, report: JobReport) -> JobOutcome:
+    """Fold one :class:`JobReport` into the job outcome shape."""
     if report.ok:
         outcome = report.value
         outcome.attempts = report.attempts
@@ -191,12 +295,14 @@ def outcome_from_report(job: SimJob, report: JobReport) -> JobOutcome:
                       attempts=report.attempts)
 
 
-def execute_job(job: SimJob,
+def execute_job(job: JobRequest,
                 cache_dir: Optional[str] = None,
                 cache_max_bytes: Optional[int] = None) -> JobOutcome:
     """Execute one grid cell (top-level, hence picklable).
 
-    Checks the result cache first; on a miss, builds the (trace-cached)
+    A job with ``fast_forward=None`` runs fast-forward, the engine's
+    default (the engine resolves it to its own setting first).  Checks
+    the result cache first; on a miss, builds the (trace-cached)
     kernel, wires the SM and runs it, then stores the result.  Either
     way a :class:`RunManifest` records what happened — cache hits carry
     ``cache_hit=True`` and a ``cache_load`` wall phase, fresh runs the
@@ -208,49 +314,42 @@ def execute_job(job: SimJob,
     telemetry session: :class:`~repro.obs.telemetry.JobStarted` goes
     out immediately, cache hits/misses stream as they happen, and a
     compact :class:`~repro.obs.telemetry.WorkerEventSummary`, built
-    from the finished result, ships when the job completes.  The SM
-    runs on a disabled bus either way, so observing a job never
-    changes how it executes.
+    from the finished result, ships when the job completes.  Session
+    events carry the job's run key.  The SM runs on a disabled bus
+    either way, so observing a job never changes how it executes.
 
     The cache is opened with the janitor off: sweeping orphaned temp
     files is the engine's once-per-batch job
     (:meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs`), not
     something every job in every worker should re-pay.
     """
+    job = job.resolve(True)
     telemetry = current_worker()
     if telemetry is None:
         return _run_cell(job, cache_dir, cache_max_bytes, None)
     with telemetry.profile_job():
         return _run_cell(job, cache_dir, cache_max_bytes,
-                         telemetry.job_session(job_label(job)))
+                         telemetry.job_session(
+                             job_label(job), job.key(job.fast_forward)))
 
 
-def _run_cell(job: SimJob, cache_dir: Optional[str],
+def _run_cell(job: JobRequest, cache_dir: Optional[str],
               cache_max_bytes: Optional[int],
               session: Optional[JobTelemetry]) -> JobOutcome:
     cache = RunCache(cache_dir, max_bytes=cache_max_bytes,
                      janitor=False,
                      listener=session.emit if session is not None
                      else None) if cache_dir else None
-    spec = job.spec
-    key = job.cache_key()
+    key = job.key(job.fast_forward)
 
     if cache is not None:
         t0 = time.perf_counter()
         result = cache.get("results", key)
         if result is not None:
-            manifest = RunManifest(
-                benchmark=job.benchmark,
-                technique=spec.name,
-                seed=job.seed,
-                scale=job.scale,
-                config_hash=job.manifest_hash,
-                cycles=result.cycles,
-                instructions=result.stats.instructions_retired,
+            manifest = job_manifest(
+                job, result,
                 wall_seconds={"cache_load": time.perf_counter() - t0},
-                worker=_worker_name(),
-                cache_hit=True,
-                spec=spec.to_dict())
+                worker=_worker_name(), cache_hit=True)
             if session is not None:
                 session.finish(result, cache_hit=True)
             return JobOutcome(result=result, manifest=manifest)
@@ -259,7 +358,7 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
     kernel = load_or_build_kernel(job.benchmark, job.seed, job.scale,
                                   cache=cache)
     t1 = time.perf_counter()
-    result = build_sm(kernel, spec, sm_config=job.sm_config,
+    result = build_sm(kernel, job.spec, sm_config=job.sm_config,
                       dram_latency=get_profile(job.benchmark).dram_latency,
                       fast_forward=job.fast_forward).run()
     t2 = time.perf_counter()
@@ -267,17 +366,10 @@ def _run_cell(job: SimJob, cache_dir: Optional[str],
         cache.put("results", key, result)
     if session is not None:
         session.finish(result)
-    manifest = RunManifest(
-        benchmark=job.benchmark,
-        technique=spec.name,
-        seed=job.seed,
-        scale=job.scale,
-        config_hash=job.manifest_hash,
-        cycles=result.cycles,
-        instructions=result.stats.instructions_retired,
-        wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},
-        worker=_worker_name(),
-        spec=spec.to_dict())
+    manifest = job_manifest(
+        job, result, wall_seconds={"build_trace": t1 - t0,
+                                   "simulate": t2 - t1},
+        worker=_worker_name())
     return JobOutcome(result=result, manifest=manifest)
 
 
@@ -346,12 +438,13 @@ def _run_sm_part(job: SMPartJob,
 __all__ = [
     "AdaptiveConfig",
     "JobOutcome",
+    "JobRequest",
     "SMPartJob",
-    "SimJob",
     "execute_job",
     "execute_sm_part",
     "sm_part_label",
     "failure_manifest",
+    "job_manifest",
     "load_or_build_kernel",
     "outcome_from_report",
     "trace_cache_key",

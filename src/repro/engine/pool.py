@@ -69,7 +69,7 @@ from repro.engine.faults import (
 )
 from repro.engine.jobs import (
     JobOutcome,
-    SimJob,
+    JobRequest,
     execute_job,
     outcome_from_report,
 )
@@ -98,12 +98,13 @@ def _format_error(exc: BaseException) -> str:
                                               exc.__traceback__))
 
 
-def _ledger_record(index: int, job: SimJob,
+def _ledger_record(index: int, job: JobRequest,
                    outcome: JobOutcome) -> Dict[str, object]:
     """One run-ledger job line, derived from the settled outcome."""
     manifest = outcome.manifest
     return dict(
         index=index,
+        run_key=job.key(job.fast_forward),
         benchmark=manifest.benchmark,
         technique=manifest.technique,
         spec_hash=job.spec.spec_hash(),
@@ -172,9 +173,10 @@ class ParallelEngine:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._cache_swept = False
         #: Per-batch state: the active telemetry (None when disabled)
-        #: and the submission-order labels of the current batch.
+        #: and the submission-order labels and run keys of the batch.
         self._tel: Optional[EngineTelemetry] = None
         self._labels: List[str] = []
+        self._keys: List[str] = []
 
     # ------------------------------------------------------------------
     # generic mapping
@@ -235,6 +237,7 @@ class ParallelEngine:
         finally:
             self._tel = None
             self._labels = []
+            self._keys = []
 
     def _begin_batch(self, items: Sequence) -> None:
         """Arm per-batch telemetry state and announce the queue."""
@@ -242,25 +245,26 @@ class ParallelEngine:
         self._tel = telemetry if (telemetry is not None
                                   and telemetry.enabled) else None
         if self._tel is None:
-            self._labels = []
             return
         self._labels = [job_label(item, i)
                         for i, item in enumerate(items)]
         for index, item in enumerate(items):
-            try:
-                spec = getattr(item, "spec", None)
-                spec_hash = spec.spec_hash() if spec is not None \
-                    and hasattr(spec, "spec_hash") else ""
-            except Exception:  # unresolvable spec: the job will fail
-                spec_hash = ""  # on execution; don't die announcing it
-
+            spec_hash = run_key = ""
+            if isinstance(item, JobRequest):
+                try:
+                    spec_hash = item.spec.spec_hash()
+                    run_key = item.key(item.fast_forward)
+                except Exception:  # unresolvable job: it fails on
+                    pass  # execution; don't die announcing it
+            self._keys.append(run_key)
             self._tel.emit(JobQueued.now(label=self._labels[index],
-                                         index=index,
+                                         run_key=run_key, index=index,
                                          spec_hash=spec_hash))
 
     def _emit_retry(self, index: int, attempt: int, reason: str) -> None:
         if self._tel is not None:
             self._tel.emit(JobRetry.now(label=self._labels[index],
+                                        run_key=self._keys[index],
                                         index=index, attempt=attempt,
                                         reason=reason))
 
@@ -270,7 +274,8 @@ class ParallelEngine:
             return
         manifest = getattr(value, "manifest", None)
         self._tel.emit(JobFinished.now(
-            label=self._labels[index], index=index, status=status,
+            label=self._labels[index], run_key=self._keys[index],
+            index=index, status=status,
             attempts=attempts,
             seconds=manifest.total_seconds if manifest is not None
             else 0.0,
@@ -604,15 +609,16 @@ class ParallelEngine:
     # simulation jobs
     # ------------------------------------------------------------------
 
-    def run_sim_jobs(self, jobs: Sequence[SimJob],
+    def run_sim_jobs(self, jobs: Sequence[JobRequest],
                      policy: Optional[FaultPolicy] = None,
-                     worker: Optional[Callable[[SimJob], JobOutcome]]
+                     worker: Optional[Callable[[JobRequest], JobOutcome]]
                      = None) -> List[JobOutcome]:
         """Execute a batch of grid cells (cache-aware, order-preserving).
 
         Every cell gets a :class:`JobOutcome` — failed cells carry a
         failure manifest instead of a result, so a partial grid still
-        returns whole.  ``worker`` overrides the executing callable
+        returns whole.  A job with ``fast_forward=None`` runs with the
+        engine's default.  ``worker`` overrides the executing callable
         (the fault-injection seam used by the test-suite).
 
         Unless ledgers are disabled, the batch is recorded as one
@@ -621,6 +627,7 @@ class ParallelEngine:
         ledger and results agree by construction, and each outcome's
         manifest is stamped with the batch's ``run_id``.
         """
+        jobs = [job.resolve(self.fast_forward) for job in jobs]
         self._sweep_cache_once()
         fn = worker if worker is not None else partial(
             execute_job, cache_dir=self.cache_dir,
@@ -669,7 +676,7 @@ class ParallelEngine:
         self._cache_swept = True
         RunCache(self.cache_dir, janitor=True)
 
-    def run_sim_job(self, job: SimJob,
+    def run_sim_job(self, job: JobRequest,
                     policy: Optional[FaultPolicy] = None) -> JobOutcome:
         """Execute one grid cell (still cache-aware and fault-aware)."""
         return self.run_sim_jobs([job], policy=policy)[0]

@@ -30,7 +30,8 @@ from repro.power.params import (
     GatingParams,
     INT_DYN_PER_ISSUE,
 )
-from repro.service.core import JobRequest, JobTicket, SimulationService
+from repro.engine.jobs import JobRequest
+from repro.service.core import JobTicket, SimulationService
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
 from repro.workloads.specs import (
@@ -83,7 +84,7 @@ class ExperimentRunner:
     The runner is a thin, figure-oriented veneer over the
     :class:`~repro.service.core.SimulationService` — since the service
     refactor it resolves techniques against the campaign's settings,
-    builds :class:`~repro.service.core.JobRequest`\\ s, and lets the
+    builds :class:`~repro.engine.jobs.JobRequest`\\ s, and lets the
     service dedupe, execute and memoise.  ``settings`` defaults to a
     fresh :class:`ExperimentSettings` built *per runner* (never a
     shared module-level instance).

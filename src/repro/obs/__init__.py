@@ -13,7 +13,7 @@ The subsystem has four pieces, all usable independently:
 * :mod:`repro.obs.exporters` — JSONL event log and Chrome trace-event
   output (loadable in Perfetto), for both the sim stream and a whole
   parallel batch (:class:`EngineTraceExporter`, per-worker lanes).
-* :mod:`repro.obs.manifest` — per-run provenance records (config hash,
+* :mod:`repro.obs.manifest` — per-run provenance records (run key,
   wall-clock per phase, cycles/sec).
 * :mod:`repro.obs.telemetry` — the cross-process relay: engine events,
   per-job worker summaries built from finished results, and

@@ -1,8 +1,8 @@
 """Run provenance: what exactly ran, and how fast.
 
 A :class:`RunManifest` pins one simulation to its exact inputs — the
-benchmark, technique, seed, scale and a stable hash of every config
-object — and records the wall-clock cost per phase plus the simulated
+benchmark, technique, seed, scale and the run key hashed over every
+input — and records the wall-clock cost per phase plus the simulated
 cycles/second throughput.  The memoising
 :class:`~repro.harness.experiment.ExperimentRunner` writes one manifest
 per *uncached* run, which gives every future performance PR a measured
@@ -19,38 +19,42 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
+from repro.core.digest import canonical_json
 
-def _repr_bytes(obj: object) -> bytes:
-    """``repr(obj)`` as UTF-8, memoised on frozen dataclass instances.
+
+def _canonical_bytes(obj: object) -> bytes:
+    """:func:`repro.core.digest.canonical_json` of ``obj`` as UTF-8,
+    memoised on frozen dataclass instances.
 
     The memo lives on the instance, outside its fields, like
     :func:`functools.cached_property` — never in a table keyed by
     equality, where ``1 == 1.0 == True`` (and dataclasses holding
-    them) would alias reprs, and hence hashes, that differ.
+    them) would alias encodings, and hence hashes, that differ.
     """
     params = getattr(type(obj), "__dataclass_params__", None)
     memo = getattr(obj, "__dict__", None)
-    if params is None or not params.frozen or memo is None:
-        return repr(obj).encode("utf-8")
-    text = memo.get("_config_repr")
-    if text is None:
-        text = memo["_config_repr"] = repr(obj).encode("utf-8")
-    return text
+    cacheable = params is not None and params.frozen and memo is not None
+    data = memo.get("_canonical_bytes") if cacheable else None
+    if data is None:
+        data = canonical_json(obj).encode("utf-8")
+        if cacheable:
+            memo["_canonical_bytes"] = data
+    return data
 
 
 def config_hash(*objects: object) -> str:
     """Stable short hash over configuration objects.
 
-    Uses each object's ``repr`` — the config dataclasses in this repo
-    (``SMConfig``, ``GatingParams``, ``AdaptiveConfig``, ...) all have
-    value-complete reprs — hashed with SHA-256 and truncated to 12 hex
-    chars, enough to tell configurations apart at a glance.  A frozen
-    dataclass's repr is computed once per instance, so re-hashing the
-    same ``SMConfig`` or scaled ``TraceSpec`` costs only the digest.
+    Hashes each object's canonical JSON — the same form the result
+    digests use, so it follows values, not dict insertion order or
+    ``repr`` — with SHA-256, truncated to 12 hex chars, enough to tell
+    configurations apart at a glance.  A frozen dataclass is encoded
+    once per instance, so re-hashing the same ``SMConfig`` or scaled
+    ``TraceSpec`` costs only the digest.
     """
     digest = hashlib.sha256()
     for obj in objects:
-        digest.update(_repr_bytes(obj))
+        digest.update(_canonical_bytes(obj))
         digest.update(b"\x00")
     return digest.hexdigest()[:12]
 
@@ -63,7 +67,9 @@ class RunManifest:
     technique: str
     seed: int
     scale: float
-    config_hash: str
+    #: The run's identity: its cache filename, service job id and
+    #: ledger key (:meth:`repro.engine.jobs.JobRequest.key`).
+    run_key: str
     cycles: int
     instructions: int
     #: Wall-clock seconds per phase, e.g. {"build_trace": .., "simulate": ..}.
@@ -106,7 +112,7 @@ class RunManifest:
             "technique": self.technique,
             "seed": self.seed,
             "scale": self.scale,
-            "config_hash": self.config_hash,
+            "run_key": self.run_key,
             "cycles": self.cycles,
             "instructions": self.instructions,
             "wall_seconds": dict(self.wall_seconds),

@@ -89,6 +89,7 @@ class JobQueued(EngineEvent):
     """The parent accepted one job into a batch."""
 
     label: str = ""
+    run_key: str = ""
     index: int = -1
     spec_hash: str = ""
 
@@ -98,6 +99,7 @@ class JobStarted(EngineEvent):
     """A worker began executing a job (worker-originated)."""
 
     label: str = ""
+    run_key: str = ""
     worker: str = ""
 
 
@@ -111,6 +113,7 @@ class JobRetry(EngineEvent):
     """
 
     label: str = ""
+    run_key: str = ""
     index: int = -1
     attempt: int = 0
     reason: str = ""
@@ -121,6 +124,7 @@ class JobFinished(EngineEvent):
     """A job settled terminally (parent-originated, authoritative)."""
 
     label: str = ""
+    run_key: str = ""
     index: int = -1
     status: str = "ok"
     attempts: int = 1
@@ -188,6 +192,7 @@ class WorkerEventSummary(EngineEvent):
     """
 
     label: str = ""
+    run_key: str = ""
     worker: str = ""
     started_at: float = 0.0
     finished_at: float = 0.0
@@ -235,11 +240,13 @@ ENGINE_EVENT_TYPES: Tuple[type, ...] = (
 
 
 def job_label(item: object, index: Optional[int] = None) -> str:
-    """Human-readable identity of one batch item.
+    """Human-readable label of one batch item, for display.
 
-    :class:`~repro.engine.jobs.SimJob`-shaped items label as
+    :class:`~repro.engine.jobs.JobRequest`-shaped items label as
     ``benchmark/technique/sSEED`` (matching the test-suite's plan
     keys); anything else falls back to its position or type name.
+    Distinct runs can share a label (another scale, SM config or
+    gating); the job events' ``run_key`` names the run.
     """
     benchmark = getattr(item, "benchmark", None)
     if benchmark is not None:
@@ -287,15 +294,19 @@ class JobTelemetry:
     :class:`WorkerEventSummary` from :meth:`finish`.
     """
 
-    __slots__ = ("label", "started_at", "_send", "_worker", "_finished")
+    __slots__ = ("label", "run_key", "started_at", "_send", "_worker",
+                 "_finished")
 
-    def __init__(self, send: Callable[[Event], None], label: str) -> None:
+    def __init__(self, send: Callable[[Event], None], label: str,
+                 run_key: str = "") -> None:
         self.label = label
+        self.run_key = run_key
         self.started_at = time.time()
         self._send = send
         self._worker = _process_name()
         self._finished = False
-        send(JobStarted.now(label=label, worker=self._worker))
+        send(JobStarted.now(label=label, run_key=run_key,
+                            worker=self._worker))
 
     def emit(self, event: Event) -> None:
         """Forward one engine/cache event to the parent immediately."""
@@ -311,7 +322,7 @@ class JobTelemetry:
             return
         self._finished = True
         self._send(WorkerEventSummary.now(
-            label=self.label, worker=self._worker,
+            label=self.label, run_key=self.run_key, worker=self._worker,
             started_at=self.started_at, finished_at=time.time(),
             cycles=result.cycles, cache_hit=cache_hit,
             counts={} if cache_hit else result_event_counts(result)))
@@ -378,11 +389,12 @@ class WorkerTelemetry:
         self.send = send
         self.profile_dir = profile_dir
 
-    def job_session(self, label: str) -> Optional[JobTelemetry]:
+    def job_session(self, label: str,
+                    run_key: str = "") -> Optional[JobTelemetry]:
         """A telemetry session for one job (None when events are off)."""
         if self.send is None:
             return None
-        return JobTelemetry(self.send, label)
+        return JobTelemetry(self.send, label, run_key)
 
     def profile_job(self):
         """Context manager profiling one job (no-op without a dir)."""
@@ -572,10 +584,11 @@ class EngineTelemetry:
         metrics = self.metrics
         if isinstance(event, JobQueued):
             metrics.counter("engine_jobs_queued").inc()
-            self._queued_ts.setdefault(event.label, []).append(event.ts)
+            self._queued_ts.setdefault(event.run_key or event.label,
+                                       []).append(event.ts)
         elif isinstance(event, JobStarted):
             metrics.counter("engine_jobs_started").inc()
-            pending = self._queued_ts.get(event.label)
+            pending = self._queued_ts.get(event.run_key or event.label)
             if pending:
                 wait_ms = int((event.ts - pending.pop(0)) * 1000)
                 metrics.histogram("engine_queue_wait_ms") \

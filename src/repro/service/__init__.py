@@ -1,8 +1,9 @@
 """Simulation-as-a-service: one run path behind one core object.
 
 * :mod:`repro.service.core` — the synchronous
-  :class:`SimulationService`: spec-addressed :class:`JobRequest`\\ s,
-  single-flight dedupe onto :class:`JobTicket`\\ s, structured
+  :class:`SimulationService`: single-flight dedupe of
+  :class:`~repro.engine.jobs.JobRequest`\\ s onto :class:`JobTicket`\\ s
+  named by their run key, structured
   :class:`JobState` lifecycle, engine-or-inline execution, replayable
   per-job event feeds.  The experiment runner, the sweeps, the
   replication harness and the CLI all run through it.

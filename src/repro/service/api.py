@@ -38,8 +38,9 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.engine.jobs import JobRequest
 from repro.obs.subscribe import FEED_CLOSED
-from repro.service.core import JobRequest, JobTicket, SimulationService
+from repro.service.core import JobTicket, SimulationService
 
 #: Upper bound on request head + body sizes (a spec document is small).
 MAX_HEAD_BYTES = 64 * 1024

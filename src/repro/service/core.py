@@ -4,14 +4,17 @@ One object — :class:`SimulationService` — owns the whole run path that
 was previously duplicated across the experiment runner, the sweeps, the
 replication harness and the CLI:
 
-* **requests, not call sites**: a :class:`JobRequest` is the frozen,
+* **requests, not call sites**: a
+  :class:`~repro.engine.jobs.JobRequest` is the frozen,
   wire-serialisable identity of one simulation (benchmark, resolved
   technique spec, SM config, seed, scale, fast-forward choice);
 * **single-flight dedupe**: concurrent or repeated submissions of the
-  same request share one :class:`JobTicket` — one engine execution, N
-  responses — keyed on the spec's canonical
-  :meth:`~repro.core.spec.TechniqueSpec.spec_hash` so an enum member,
-  its name string and an equal hand-built spec all land on one ticket;
+  same run share one :class:`JobTicket` — one engine execution, N
+  responses.  The ticket table is keyed by the run key
+  (:meth:`~repro.engine.jobs.JobRequest.key`), which is also the
+  ticket's ``job_id``, the cache filename and the manifest's
+  ``run_key``, so an enum member, its name string and an equal
+  hand-built spec all land on one ticket;
 * **structured lifecycle**: tickets move ``queued`` → ``running`` →
   a terminal :class:`JobState` mapped from the engine's
   :class:`~repro.engine.faults.JobStatus`, with a replayable per-job
@@ -34,19 +37,18 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import uuid
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import result_digest
-from repro.core.spec import TechniqueSpec, as_spec
+from repro.core.spec import TechniqueSpec
 from repro.core.techniques import build_sm
-from repro.engine.faults import JobFailedError, JobStatus, last_error_line
-from repro.engine.jobs import JobOutcome, SimJob
+from repro.engine.faults import JobFailedError, last_error_line
+from repro.engine.jobs import JobOutcome, JobRequest, job_manifest
 from repro.obs.bus import EventBus
-from repro.obs.manifest import RunManifest, config_hash
+# ``config_hash`` is not called here: perfbench/tracing.py wraps it on
+# this module to time run identity.
+from repro.obs.manifest import RunManifest, config_hash  # noqa: F401
 from repro.obs.subscribe import Feed
 from repro.obs.telemetry import (
     EngineEvent,
@@ -54,10 +56,9 @@ from repro.obs.telemetry import (
     ServiceJobStateChanged,
     job_label,
 )
-from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
 from repro.workloads.registry import build_kernel
-from repro.workloads.specs import BENCHMARK_NAMES, get_profile
+from repro.workloads.specs import get_profile
 
 
 class JobState(str, Enum):
@@ -81,150 +82,23 @@ class JobState(str, Enum):
         return self not in (JobState.QUEUED, JobState.RUNNING)
 
 
-@dataclass(frozen=True)
-class JobRequest:
-    """The frozen identity of one requested simulation.
-
-    ``technique`` is anything :func:`repro.core.spec.as_spec` resolves
-    (spec, registered name, enum member); it is kept exactly as given,
-    and :attr:`spec` is the resolved identity every key uses — the same
-    convention as :class:`~repro.engine.jobs.SimJob`.
-
-    ``fast_forward=None`` (the default) defers to the executing path:
-    the engine's configured default when one is attached, plain serial
-    simulation inline — exactly what the pre-service runner did.
-
-    ``scale`` is stored as a float, so ``scale=1`` and ``scale=1.0``
-    dedupe onto one ticket *and* share the engine's cache keys.  The
-    request is frozen; its resolved spec and identity are derived once.
-    """
-
-    benchmark: str
-    technique: object
-    sm_config: SMConfig = field(default_factory=SMConfig)
-    seed: int = 0
-    scale: float = 1.0
-    fast_forward: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", float(self.scale))
-
-    @cached_property
-    def spec(self) -> TechniqueSpec:
-        """The resolved technique spec this request runs."""
-        return as_spec(self.technique)
-
-    @cached_property
-    def _identity(self) -> Tuple:
-        return (self.benchmark, self.spec.spec_hash(), self.seed,
-                self.scale, config_hash(self.sm_config))
-
-    def label(self) -> str:
-        """Telemetry label, matching the engine's ``job_label`` form."""
-        return f"{self.benchmark}/{self.spec.name}/s{self.seed}"
-
-    def key(self, fast_forward: bool) -> Tuple:
-        """The single-flight dedupe key, with fast-forward resolved.
-
-        Finer than the old runner memo key — it also pins the SM config
-        and the resolved fast-forward flag, so one service shared by
-        differently-configured callers can never alias their cells.
-        """
-        return self._identity + (fast_forward,)
-
-    def to_sim_job(self, fast_forward: bool) -> SimJob:
-        """The engine-level :class:`SimJob` this request resolves to."""
-        return SimJob(benchmark=self.benchmark, config=self.spec,
-                      sm_config=self.sm_config, seed=self.seed,
-                      scale=self.scale, fast_forward=fast_forward)
-
-    # -- wire format ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON form for the HTTP API (SM config stays server-side)."""
-        doc: Dict[str, object] = {
-            "benchmark": self.benchmark,
-            "spec": self.spec.to_dict(),
-            "seed": self.seed,
-            "scale": self.scale,
-        }
-        if self.fast_forward is not None:
-            doc["fast_forward"] = self.fast_forward
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: object) -> "JobRequest":
-        """Parse and fully validate the JSON form.
-
-        ``technique`` (a registered name) and ``spec`` (a full
-        :meth:`TechniqueSpec.to_dict` document) are alternatives —
-        exactly one must be present.  Every schema violation raises
-        ValueError with the offending key named, never a KeyError.
-        """
-        if not isinstance(doc, dict):
-            raise ValueError("job request must be a JSON object, got "
-                             f"{type(doc).__name__}")
-        allowed = {"benchmark", "technique", "spec", "seed", "scale",
-                   "fast_forward"}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ValueError(f"job request has unknown key(s) {unknown}; "
-                             f"allowed: {sorted(allowed)}")
-        benchmark = doc.get("benchmark")
-        if not isinstance(benchmark, str) or not benchmark:
-            raise ValueError("'benchmark' must be a non-empty string")
-        if benchmark not in BENCHMARK_NAMES:
-            from repro.core.spec import unknown_name_error
-            raise unknown_name_error("benchmark", benchmark,
-                                     BENCHMARK_NAMES)
-        has_name = "technique" in doc
-        has_spec = "spec" in doc
-        if has_name == has_spec:
-            raise ValueError("job request needs exactly one of "
-                             "'technique' (a registered name) or 'spec' "
-                             "(a full technique-spec object)")
-        if has_name:
-            name = doc["technique"]
-            if not isinstance(name, str):
-                raise ValueError("'technique' must be a string name")
-            technique: object = as_spec(name)
-        else:
-            technique = TechniqueSpec.from_dict(doc["spec"])
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError("'seed' must be an integer")
-        scale = doc.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise ValueError("'scale' must be a number")
-        fast_forward = doc.get("fast_forward")
-        if fast_forward is not None and not isinstance(fast_forward, bool):
-            raise ValueError("'fast_forward' must be a boolean or absent")
-        return cls(benchmark=benchmark, technique=technique,
-                   seed=seed, scale=float(scale),
-                   fast_forward=fast_forward)
-
-
 class JobTicket:
     """One deduped unit of work and everything observable about it.
 
     Tickets are created by :meth:`SimulationService.submit` and shared
-    by every submission of the same request.  ``submissions`` counts
+    by every submission of the same run.  ``submissions`` counts
     how many times the ticket was (re-)submitted — the observable proof
     of single-flight dedupe.  ``feed`` carries the job's event stream
     (state changes, forwarded engine telemetry, the final summary) and
-    closes when the ticket settles.  ``job`` is the engine-level
-    :class:`SimJob` both execution paths run; it carries the cache key
-    and manifest hash, derived once.
+    closes when the ticket settles.  ``job`` is the submitted request
+    with fast-forward resolved, which both execution paths run;
+    ``job_id`` is its run key.
     """
 
-    def __init__(self, job_id: str, request: JobRequest, key: Tuple,
-                 fast_forward: bool) -> None:
-        self.job_id = job_id
-        self.request = request
-        self.key = key
-        self.fast_forward = fast_forward
-        self.job = request.to_sim_job(fast_forward)
-        self.label = request.label()
+    def __init__(self, job: JobRequest) -> None:
+        self.job = job
+        self.job_id = job.key(job.fast_forward)
+        self.label = job.label()
         self.state = JobState.QUEUED
         self.outcome: Optional[JobOutcome] = None
         self.submissions = 1
@@ -261,8 +135,8 @@ class JobTicket:
             raise self._exception
         assert self.outcome is not None
         if not self.outcome.ok:
-            raise_for_outcome(self.request.benchmark,
-                              self.request.spec, self.outcome)
+            raise_for_outcome(self.job.benchmark, self.job.spec,
+                              self.outcome)
         return self.outcome.result
 
     def digest(self) -> Optional[str]:
@@ -281,12 +155,12 @@ class JobTicket:
             "job_id": self.job_id,
             "label": self.label,
             "state": self.state.value,
-            "benchmark": self.request.benchmark,
-            "technique": self.request.spec.name,
-            "spec_hash": self.request.spec.spec_hash(),
-            "seed": self.request.seed,
-            "scale": self.request.scale,
-            "fast_forward": self.fast_forward,
+            "benchmark": self.job.benchmark,
+            "technique": self.job.spec.name,
+            "spec_hash": self.job.spec.spec_hash(),
+            "seed": self.job.seed,
+            "scale": self.job.scale,
+            "fast_forward": self.job.fast_forward,
             "submissions": self.submissions,
             "deduped": self.submissions > 1,
             "created_at": self.created_at,
@@ -325,21 +199,20 @@ class SimulationService:
             :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` —
             the fault-injection seam the test-suite uses.
 
-    Thread-safety: the ticket table has its own lock; all engine access
-    is serialised behind ``_exec_lock`` (the engine keeps per-batch
-    telemetry state and must never see two batches at once).  Inline
-    execution is serialised the same way.
+    Thread-safety: the ticket table (keyed by run key) has its own
+    lock; all engine access is serialised behind ``_exec_lock`` (the
+    engine keeps per-batch telemetry state and must never see two
+    batches at once).  Inline execution is serialised the same way.
     """
 
     def __init__(self, engine=None,
-                 worker: Optional[Callable[[SimJob], JobOutcome]] = None):
+                 worker: Optional[Callable[[JobRequest], JobOutcome]]
+                 = None):
         self.engine = engine
         self.worker = worker
         self._lock = threading.Lock()
         self._exec_lock = threading.Lock()
         self._tickets: Dict[str, JobTicket] = {}
-        self._by_key: Dict[Tuple, JobTicket] = {}
-        self._live_labels: Dict[str, JobTicket] = {}
         #: Provenance records, one per actual execution (not per
         #: submission), in settle order.
         self.manifests: List[RunManifest] = []
@@ -358,23 +231,20 @@ class SimulationService:
         (the caller is then responsible for driving :meth:`execute`);
         False marks a deduped submission sharing an existing ticket.
         """
-        fast_forward = self._resolve_fast_forward(request)
-        key = request.key(fast_forward)
+        job = request.resolve(self.engine.fast_forward
+                              if self.engine is not None else False)
+        key = job.key(job.fast_forward)
         with self._lock:
-            ticket = self._by_key.get(key)
+            ticket = self._tickets.get(key)
             if ticket is not None:
                 ticket.submissions += 1
                 created = False
             else:
-                ticket = JobTicket(uuid.uuid4().hex[:12], request, key,
-                                   fast_forward)
-                self._tickets[ticket.job_id] = ticket
-                self._by_key[key] = ticket
-                self._live_labels[ticket.label] = ticket
+                ticket = self._tickets[key] = JobTicket(job)
                 created = True
         self._publish(ServiceJobAccepted.now(
             job_id=ticket.job_id, label=ticket.label,
-            spec_hash=request.spec.spec_hash(), deduped=not created))
+            spec_hash=job.spec.spec_hash(), deduped=not created))
         if created:
             ticket.feed.append(self._state_record(ticket))
         return ticket, created
@@ -496,7 +366,8 @@ class SimulationService:
         with self._exec_lock:
             return self._run_engine_batch([ticket.job])[0]
 
-    def _run_engine_batch(self, jobs: List[SimJob]) -> List[JobOutcome]:
+    def _run_engine_batch(self, jobs: List[JobRequest]
+                          ) -> List[JobOutcome]:
         """One engine batch; must be called under ``_exec_lock``."""
         if self.worker is not None:
             return self.engine.run_sim_jobs(jobs, worker=self.worker)
@@ -509,28 +380,19 @@ class SimulationService:
         manifest carries the ``build_trace`` / ``simulate`` wall phases.
         Serialised behind ``_exec_lock``, like the engine path.
         """
-        request = ticket.request
-        spec = request.spec
+        job = ticket.job
         with self._exec_lock:
             t0 = time.perf_counter()
-            kernel = build_kernel(request.benchmark, seed=request.seed,
-                                  scale=request.scale)
+            kernel = build_kernel(job.benchmark, seed=job.seed,
+                                  scale=job.scale)
             t1 = time.perf_counter()
-            result = build_sm(kernel, spec, sm_config=request.sm_config,
+            result = build_sm(kernel, job.spec, sm_config=job.sm_config,
                               dram_latency=get_profile(
-                                  request.benchmark).dram_latency,
-                              fast_forward=ticket.fast_forward).run()
+                                  job.benchmark).dram_latency,
+                              fast_forward=job.fast_forward).run()
             t2 = time.perf_counter()
-        manifest = RunManifest(
-            benchmark=request.benchmark,
-            technique=spec.name,
-            seed=request.seed,
-            scale=request.scale,
-            config_hash=ticket.job.manifest_hash,
-            cycles=result.cycles,
-            instructions=result.stats.instructions_retired,
-            wall_seconds={"build_trace": t1 - t0, "simulate": t2 - t1},
-            spec=spec.to_dict())
+        manifest = job_manifest(job, result, wall_seconds={
+            "build_trace": t1 - t0, "simulate": t2 - t1})
         return JobOutcome(result=result, manifest=manifest)
 
     # ------------------------------------------------------------------
@@ -542,7 +404,6 @@ class SimulationService:
         ticket.finished_at = time.time()
         with self._lock:
             self.manifests.append(outcome.manifest)
-            self._live_labels.pop(ticket.label, None)
         self._set_state(ticket, JobState(outcome.status.value))
         ticket.feed.append({
             "record": "done",
@@ -568,9 +429,8 @@ class SimulationService:
         ticket._exception = exc
         ticket.finished_at = time.time()
         with self._lock:
-            self._by_key.pop(ticket.key, None)
-            self._tickets.pop(ticket.job_id, None)
-            self._live_labels.pop(ticket.label, None)
+            if self._tickets.get(ticket.job_id) is ticket:
+                del self._tickets[ticket.job_id]
         self._set_state(ticket, JobState.FAILED)
         ticket.feed.append({
             "record": "done",
@@ -616,19 +476,16 @@ class SimulationService:
     def _on_engine_event(self, event: object) -> None:
         """Forward one engine-telemetry event into its ticket's feed.
 
-        Engine events carry the ``benchmark/technique/sSEED`` label
-        (see :func:`~repro.obs.telemetry.job_label`); the in-flight
-        ticket with that label gets the event appended to its feed in
-        JSON-friendly form.  Service-originated events are skipped —
-        they are already feed records.
+        Job events carry the job's ``run_key``, which is the ticket's
+        ``job_id``; the ticket gets the event appended to its feed in
+        JSON-friendly form until it settles.  Events without a run key
+        (cache, pool and service events) are skipped.
         """
-        if isinstance(event, (ServiceJobAccepted, ServiceJobStateChanged)):
-            return
-        label = getattr(event, "label", None)
-        if not label:
+        run_key = getattr(event, "run_key", "")
+        if not run_key:
             return
         with self._lock:
-            ticket = self._live_labels.get(label)
+            ticket = self._tickets.get(run_key)
         if ticket is None or ticket.feed.closed:
             return
         try:
@@ -653,17 +510,6 @@ class SimulationService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    def _resolve_fast_forward(self, request: JobRequest) -> bool:
-        if request.fast_forward is not None:
-            return request.fast_forward
-        if self.engine is not None:
-            return self.engine.fast_forward
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:

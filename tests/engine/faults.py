@@ -41,7 +41,7 @@ def identity_key(item: Any) -> Any:
 
 
 def sim_job_key(job) -> str:
-    """Plan key for :class:`~repro.engine.jobs.SimJob` items."""
+    """Plan key for :class:`~repro.engine.jobs.JobRequest` items."""
     return f"{job.benchmark}/{job.spec.name}/s{job.seed}"
 
 

@@ -1,12 +1,16 @@
 """Golden run keys: the identities persistent caches are addressed by.
 
 A warm ``.repro-cache/`` keeps hitting only while every derived key is
-bit-identical: the result-cache key of each grid cell, the trace-cache
-key of each benchmark, and the ``config_hash`` each manifest carries.
+bit-identical: the run key of each grid cell
+(:meth:`~repro.engine.jobs.JobRequest.key`, which is also the result
+filename, the manifest's ``run_key``, the service job id and the
+ledger key) and the trace-cache key of each benchmark.
 ``tests/engine/golden/run_keys.json`` pins them for the paper grid (the
 18 benchmarks under the ungated baseline and the five gating
 techniques, seed 1, scale 1.0, fast-forward on and off);
 ``test_run_keys.py`` recomputes every one of them.
+
+Keys hash canonical JSON (``repro.core.digest``), never a ``repr``.
 
 Regenerate (only when an *intentional* identity change lands, which
 invalidates every cache written before it) with::
@@ -20,8 +24,7 @@ import json
 from pathlib import Path
 from typing import Dict
 
-from repro.engine.faults import JobReport, JobStatus
-from repro.engine.jobs import SimJob, failure_manifest, trace_cache_key
+from repro.engine.jobs import JobRequest, trace_cache_key
 from repro.workloads.specs import BENCHMARK_NAMES
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "run_keys.json"
@@ -34,22 +37,17 @@ GRID_SCALE = 1.0
 
 
 def compute_run_keys() -> Dict[str, str]:
-    """Every pinned key, by ``result/…``, ``trace/…`` or ``manifest/…``."""
+    """Every pinned key, by ``result/…`` or ``trace/…``."""
     keys: Dict[str, str] = {}
     for benchmark in BENCHMARK_NAMES:
         for technique in GRID_TECHNIQUES:
+            job = JobRequest(benchmark, technique, seed=GRID_SEED,
+                             scale=GRID_SCALE)
             for fast_forward, mode in ((True, "ff"), (False, "serial")):
-                job = SimJob(benchmark, technique, seed=GRID_SEED,
-                             scale=GRID_SCALE, fast_forward=fast_forward)
                 keys[f"result/{benchmark}/{technique}/{mode}"] = \
-                    job.cache_key()
+                    job.key(fast_forward)
         keys[f"trace/{benchmark}"] = trace_cache_key(
             benchmark, GRID_SEED, GRID_SCALE)
-    for technique in GRID_TECHNIQUES:
-        job = SimJob(BENCHMARK_NAMES[0], technique, seed=GRID_SEED,
-                     scale=GRID_SCALE)
-        manifest = failure_manifest(job, JobReport(0, JobStatus.FAILED))
-        keys[f"manifest/{technique}"] = manifest.config_hash
     return keys
 
 

@@ -16,7 +16,7 @@ from repro.obs.telemetry import (
     CacheSwept,
 )
 from repro.engine.jobs import (
-    SimJob,
+    JobRequest,
     execute_job,
     load_or_build_kernel,
     trace_cache_key,
@@ -127,18 +127,18 @@ class TestJanitor:
         # Workers open their per-job caches without the janitor: a
         # per-job directory scan would grow with cache size.
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
-        job = SimJob(benchmark="hotspot",
-                     config=TechniqueConfig(Technique.BASELINE),
-                     scale=0.2)
+        job = JobRequest(benchmark="hotspot",
+                         technique=TechniqueConfig(Technique.BASELINE),
+                         scale=0.2)
         execute_job(job, cache_dir=str(tmp_path))
         assert orphan.exists()
 
     def test_engine_sweeps_once_per_batch(self, tmp_path):
         from repro.engine import ParallelEngine
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
-        job = SimJob(benchmark="hotspot",
-                     config=TechniqueConfig(Technique.BASELINE),
-                     scale=0.2)
+        job = JobRequest(benchmark="hotspot",
+                         technique=TechniqueConfig(Technique.BASELINE),
+                         scale=0.2)
         with ParallelEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
             engine.run_sim_jobs([job])
         assert not orphan.exists()
@@ -288,8 +288,8 @@ class TestTraceMemoisation:
 
 
 class TestResultCache:
-    JOB = SimJob(benchmark="hotspot",
-                 config=TechniqueConfig(Technique.CONV_PG), scale=0.2)
+    JOB = JobRequest(benchmark="hotspot",
+                     technique=TechniqueConfig(Technique.CONV_PG), scale=0.2)
 
     def test_execute_job_round_trip(self, tmp_path):
         cold = execute_job(self.JOB, cache_dir=str(tmp_path))
@@ -305,23 +305,21 @@ class TestResultCache:
 
     def test_corrupt_result_falls_back_to_simulation(self, tmp_path):
         cold = execute_job(self.JOB, cache_dir=str(tmp_path))
-        path = RunCache(tmp_path).path("results", self.JOB.cache_key())
+        path = RunCache(tmp_path).path("results", self.JOB.key(True))
         path.write_bytes(b"garbage")
         redo = execute_job(self.JOB, cache_dir=str(tmp_path))
         assert not redo.manifest.cache_hit
         assert redo.result.cycles == cold.result.cycles
 
     def test_key_isolates_fast_forward_and_config(self):
-        base = self.JOB.cache_key()
-        assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.CONV_PG),
-                      scale=0.2, fast_forward=False).cache_key() != base
-        assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.WARPED_GATES),
-                      scale=0.2).cache_key() != base
-        assert SimJob(benchmark="hotspot",
-                      config=TechniqueConfig(Technique.CONV_PG),
-                      scale=0.2, seed=7).cache_key() != base
+        base = self.JOB.key(True)
+        assert self.JOB.key(False) != base
+        assert JobRequest(benchmark="hotspot",
+                          technique=TechniqueConfig(Technique.WARPED_GATES),
+                          scale=0.2).key(True) != base
+        assert JobRequest(benchmark="hotspot",
+                          technique=TechniqueConfig(Technique.CONV_PG),
+                          scale=0.2, seed=7).key(True) != base
 
     def test_no_cache_dir_runs_fresh(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

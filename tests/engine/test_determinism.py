@@ -8,7 +8,7 @@ cannot mask a divergence.
 """
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.optypes import ExecUnitKind
 from repro.power.energy import domain_energy
@@ -19,8 +19,8 @@ SETTINGS = ExperimentSettings(scale=SCALE)
 
 
 def _grid():
-    return [SimJob(benchmark=name, config=TechniqueConfig(technique),
-                   scale=SCALE)
+    return [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
+                       scale=SCALE)
             for name in BENCHMARKS for technique in Technique]
 
 

@@ -16,7 +16,7 @@ The contract under test (the tentpole of this PR):
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import FaultPolicy, JobStatus, ParallelEngine, SimJob
+from repro.engine import FaultPolicy, JobRequest, JobStatus, ParallelEngine
 from repro.engine.faults import JobFailedError
 
 from tests.engine.faults import (
@@ -198,8 +198,8 @@ class TestSimJobGrid:
     VICTIM = "bfs/warped_gates/s0"
 
     def _grid(self):
-        jobs = [SimJob(benchmark=name, config=TechniqueConfig(technique),
-                       scale=self.SCALE)
+        jobs = [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
+                           scale=self.SCALE)
                 for name in ("hotspot", "bfs") for technique in Technique]
         assert len(jobs) >= 20
         return jobs
@@ -227,8 +227,8 @@ class TestSimJobGrid:
             assert got.result.metrics == ref.result.metrics, label
 
     def test_permanent_failure_leaves_survivors_intact(self):
-        jobs = [SimJob(benchmark="hotspot",
-                       config=TechniqueConfig(technique), scale=self.SCALE)
+        jobs = [JobRequest(benchmark="hotspot",
+                           technique=TechniqueConfig(technique), scale=self.SCALE)
                 for technique in (Technique.BASELINE, Technique.CONV_PG,
                                   Technique.WARPED_GATES)]
         victim = sim_job_key(jobs[1])

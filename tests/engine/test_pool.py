@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 
 
 def _double(x: int) -> int:  # top-level so the pool can pickle it
@@ -41,8 +41,8 @@ class TestMap:
 
 class TestSimJobs:
     def test_pool_attributes_worker_processes(self):
-        jobs = [SimJob(benchmark="hotspot",
-                       config=TechniqueConfig(technique), scale=0.2)
+        jobs = [JobRequest(benchmark="hotspot",
+                           technique=TechniqueConfig(technique), scale=0.2)
                 for technique in (Technique.BASELINE, Technique.CONV_PG)]
         with ParallelEngine(jobs=2, cache_dir=None) as engine:
             outcomes = engine.run_sim_jobs(jobs)
@@ -54,8 +54,8 @@ class TestSimJobs:
     def test_inline_job_named_main_process(self):
         engine = ParallelEngine(jobs=1, cache_dir=None)
         outcome = engine.run_sim_job(
-            SimJob(benchmark="hotspot",
-                   config=TechniqueConfig(Technique.BASELINE), scale=0.2))
+            JobRequest(benchmark="hotspot",
+                       technique=TechniqueConfig(Technique.BASELINE), scale=0.2))
         assert outcome.manifest.worker == "MainProcess"
 
     def test_open_cache_follows_cache_dir(self, tmp_path):

@@ -411,14 +411,14 @@ class TestFaultFlags:
 
     def test_failure_exit_silent_when_all_ok(self, capsys):
         ok = RunManifest(benchmark="hotspot", technique="baseline",
-                         seed=0, scale=0.2, config_hash="abc",
+                         seed=0, scale=0.2, run_key="abc",
                          cycles=10, instructions=5)
         assert _failure_exit([ok]) == 0
         assert capsys.readouterr().err == ""
 
     def test_failure_exit_reports_failed_jobs(self, capsys):
         failed = RunManifest(benchmark="bfs", technique="conv_pg",
-                             seed=0, scale=0.2, config_hash="abc",
+                             seed=0, scale=0.2, run_key="abc",
                              cycles=0, instructions=0, status="failed",
                              error="Traceback ...\nInjectedCrash: boom",
                              attempts=2)

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.engine.jobs import JobRequest
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.obs.bus import EventBus
 from repro.obs.events import GateOff, GateOn, Wakeup
@@ -211,7 +212,9 @@ class TestRunnerProvenance:
         assert manifest.cycles == first.cycles
         assert manifest.cycles_per_sec > 0
         assert set(manifest.wall_seconds) == {"build_trace", "simulate"}
-        assert len(manifest.config_hash) == 12
+        # The inline path runs serially, so its key is the serial one.
+        assert manifest.run_key == JobRequest(
+            "hotspot", Technique.BASELINE, scale=TEST_SCALE).key(False)
 
     def test_runner_settings_default_is_not_shared(self):
         # Regression for the mutable-default constructor bug.

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 from repro.obs.ledger import (
     LedgerWriter,
     ledger_dir_for,
@@ -19,9 +19,9 @@ from tests.engine.faults import FaultPlan, FaultyEngine
 
 
 def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
-    return SimJob(benchmark=benchmark,
-                  config=TechniqueConfig(technique), scale=0.2,
-                  seed=seed)
+    return JobRequest(benchmark=benchmark,
+                      technique=TechniqueConfig(technique), scale=0.2,
+                      seed=seed)
 
 
 class TestRunIds:

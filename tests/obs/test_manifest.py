@@ -55,7 +55,8 @@ class TestConfigHash:
 
 def _manifest(**overrides):
     base = dict(benchmark="hotspot", technique="warped_gates", seed=0,
-                scale=0.5, config_hash="abc123def456", cycles=10_000,
+                scale=0.5, run_key="hotspot-warped_gates-s0-abc123def456",
+                cycles=10_000,
                 instructions=4_000,
                 wall_seconds={"build_trace": 0.5, "simulate": 2.0})
     base.update(overrides)

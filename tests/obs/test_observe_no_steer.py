@@ -24,7 +24,7 @@ from repro.core.device import device_preset
 from repro.core.digest import result_digest
 from repro.cli import main
 from repro.core.techniques import build_sm
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 from repro.engine.jobs import SMPartJob, execute_sm_part, load_or_build_kernel
 from repro.obs.bus import EventBus
 from repro.obs.telemetry import (
@@ -117,7 +117,7 @@ class TestCliEmitEvents:
 
 def _run_grid(jobs: int, observed: bool):
     """Both cells through one engine batch; (outcomes, summaries)."""
-    cells = [SimJob(benchmark=b, config=TECHNIQUE, scale=s)
+    cells = [JobRequest(benchmark=b, technique=TECHNIQUE, scale=s)
              for b, s in CELLS]
     if not observed:
         with ParallelEngine(jobs=jobs, cache_dir=None) as engine:

@@ -12,7 +12,7 @@ import io
 import json
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 from repro.obs.exporters import (
     EngineTraceExporter,
     JsonlEventLog,
@@ -24,9 +24,9 @@ from tests.engine.faults import FaultPlan, FaultyEngine
 
 
 def _jobs(n=3, technique=Technique.BASELINE):
-    return [SimJob(benchmark="hotspot",
-                   config=TechniqueConfig(technique), scale=0.2,
-                   seed=seed) for seed in range(n)]
+    return [JobRequest(benchmark="hotspot",
+                       technique=TechniqueConfig(technique), scale=0.2,
+                       seed=seed) for seed in range(n)]
 
 
 def _span_events(document):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core.techniques import Technique, TechniqueConfig
-from repro.engine import ParallelEngine, SimJob
+from repro.engine import JobRequest, ParallelEngine
 from repro.engine.jobs import execute_job
 from tests.engine.faults import square
 from repro.obs.telemetry import (
@@ -28,9 +28,9 @@ from repro.obs.telemetry import (
 
 
 def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
-    return SimJob(benchmark=benchmark,
-                  config=TechniqueConfig(technique), scale=0.2,
-                  seed=seed)
+    return JobRequest(benchmark=benchmark,
+                      technique=TechniqueConfig(technique), scale=0.2,
+                      seed=seed)
 
 
 class TestEngineEvents:

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.core.digest import result_digest
-from repro.engine import ParallelEngine
+from repro.engine import JobRequest, ParallelEngine
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
@@ -77,6 +77,13 @@ class TestEndpoints:
         assert len(result["digest"]) == 64
         listed = served.client.jobs()
         assert [j["job_id"] for j in listed] == [accepted["job_id"]]
+
+    def test_job_id_is_the_run_key(self, served):
+        accepted = served.client.submit(job_doc())
+        key = JobRequest.from_dict(job_doc()).key(True)  # engine default
+        assert accepted["job_id"] == key
+        result = served.client.wait(key, timeout=120)
+        assert result["manifest"]["run_key"] == key
 
     def test_served_digest_matches_serial_runner(self, served):
         """Acceptance: HTTP-served digest == classic serial digest."""

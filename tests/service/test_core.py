@@ -19,10 +19,13 @@ import pytest
 
 from repro.core.digest import result_digest
 from repro.engine import FaultPolicy, ParallelEngine
+from repro.engine.cache import RunCache
 from repro.engine.faults import JobFailedError
-from repro.engine.jobs import execute_job
+from repro.engine.jobs import JobRequest, execute_job
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
-from repro.service.core import JobRequest, JobState, SimulationService
+from repro.obs.ledger import ledger_dir_for, load_run
+from repro.obs.telemetry import EngineTelemetry
+from repro.service.core import JobState, SimulationService
 
 from tests.engine.faults import (
     CountingWorker,
@@ -181,6 +184,98 @@ class TestLifecycle:
         assert all(t.done for t in tickets)
         assert len(service.manifests) == 3  # 1 direct + 2 batched
         assert service.drain(timeout=1.0)
+
+
+def _engine_events(ticket):
+    """The engine events routed into one ticket's feed, by type."""
+    events = {}
+    for record in ticket.feed.history():
+        if record.get("record") == "engine_event":
+            events.setdefault(record["event"], []).append(record)
+    return events
+
+
+JOB_EVENTS = ("JobQueued", "JobStarted", "WorkerEventSummary", "JobFinished")
+
+
+class TestFeedRouting:
+    """Engine events reach the ticket of their run, by run key.
+
+    Labels (``bench/tech/sSEED``) name cells for display only: two runs
+    that differ in scale or gating share one, and must still keep their
+    own feeds.
+    """
+
+    def _service(self, tmp_path):
+        telemetry = EngineTelemetry()
+        engine = ParallelEngine(jobs=1, cache_dir=str(tmp_path / "cache"),
+                                telemetry=telemetry)
+        return telemetry, SimulationService(engine=engine)
+
+    def _assert_own_events(self, ticket):
+        events = _engine_events(ticket)
+        for name in JOB_EVENTS:
+            assert len(events.get(name, ())) == 1, (ticket.job_id, name)
+            assert events[name][0]["run_key"] == ticket.job_id
+
+    def test_same_label_other_scale_keeps_its_own_feed(self, tmp_path):
+        telemetry, service = self._service(tmp_path)
+        with telemetry, service:
+            a, _ = service.submit(request("hotspot", scale=0.1))
+            b, _ = service.submit(request("hotspot", scale=0.2))
+            assert a.label == b.label and a.job_id != b.job_id
+            service.execute(a)
+            service.execute(b)
+        self._assert_own_events(a)
+        self._assert_own_events(b)
+        assert _engine_events(a)["WorkerEventSummary"][0]["cycles"] == \
+            a.outcome.manifest.cycles
+        assert _engine_events(b)["WorkerEventSummary"][0]["cycles"] == \
+            b.outcome.manifest.cycles
+
+    def test_same_named_specs_in_one_prefetch(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.core.spec import technique_spec
+        from repro.power.params import GatingParams
+
+        spec = technique_spec("warped_gates")
+        other = replace(spec, gating=GatingParams(bet=19))
+        telemetry, service = self._service(tmp_path)
+        with telemetry, service:
+            tickets = service.prefetch([request(technique=spec),
+                                        request(technique=other)])
+        assert len({t.label for t in tickets}) == 1
+        assert len({t.job_id for t in tickets}) == 2
+        for ticket in tickets:
+            self._assert_own_events(ticket)
+
+
+class TestOneRunKey:
+    def test_every_layer_names_the_run_by_its_key(self, tmp_path):
+        """Ticket table, cache file, manifest, ledger and engine events
+        all carry ``JobRequest.key``."""
+        cache_dir = tmp_path / "cache"
+        telemetry = EngineTelemetry()
+        seen = []
+        telemetry.bus.subscribe(seen.append)
+        engine = ParallelEngine(jobs=1, cache_dir=str(cache_dir),
+                                telemetry=telemetry)
+        with telemetry, SimulationService(engine=engine) as service:
+            submitted = request()
+            ticket, _ = service.submit(submitted)
+            service.execute(ticket)
+        key = submitted.key(engine.fast_forward)
+        assert ticket.job_id == key and service.get(key) is ticket
+        assert RunCache(str(cache_dir)).path("results", key).exists()
+        assert ticket.outcome.manifest.run_key == key
+        jobs = [r for r in load_run(ledger_dir_for(str(cache_dir)),
+                                    engine.last_run_id)
+                if r.get("record") == "job"]
+        assert [r["run_key"] for r in jobs] == [key]
+        keyed = [e for e in seen if type(e).__name__ in JOB_EVENTS]
+        assert sorted(type(e).__name__ for e in keyed) == sorted(JOB_EVENTS)
+        assert {e.run_key for e in keyed} == {key}
 
 
 class TestWireFormat:
