@@ -62,10 +62,10 @@ class GatesScheduler(WarpScheduler):
         #: When True, consult the view's per-type blackout status for the
         #: extended priority switch (enabled for Blackout techniques).
         self.blackout_aware = blackout_aware
-        # Idle fast-forward: on no-ready cycles ``order`` only runs
-        # ``_update_priority``, whose drained/blackout triggers are
-        # exposed through ``idle_flip_pending`` (the planner real-steps
-        # those cycles).  The timeout trigger depends on wall cycle
+        # Span fast-forward: on cycles that issue nothing, ``order``'s
+        # only mutation is ``_update_priority``, whose drained/blackout
+        # triggers are exposed through ``idle_flip_pending`` (the
+        # planner steps those cycles).  The timeout trigger depends on wall cycle
         # count, so a timeout-bounded GATES cannot be skipped.
         self.supports_idle_skip = max_priority_cycles is None
         self._highest = OpClass.INT

@@ -11,6 +11,7 @@ on-disk cache sound.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -93,8 +94,10 @@ class JobRequest:
     the engine's configured default, or plain serial simulation on the
     service's inline path.
 
-    An unknown ``benchmark`` raises ValueError (with a did-you-mean
-    hint) when the request is built: a run key needs its profile.
+    An unknown ``benchmark`` or technique name raises ValueError (with
+    a did-you-mean hint), and a ``technique`` of no accepted form raises
+    TypeError, when the request is built: a run key needs both the
+    profile and the spec.
 
     The request is frozen, so its spec and :meth:`key` are derived once
     per instance and travel with it (into pool workers too).  ``scale``
@@ -115,6 +118,7 @@ class JobRequest:
             raise unknown_name_error("benchmark", self.benchmark,
                                      BENCHMARK_NAMES)
         object.__setattr__(self, "scale", float(self.scale))
+        self.spec  # resolve (and memoise) the technique now
 
     @cached_property
     def spec(self) -> TechniqueSpec:
@@ -133,11 +137,8 @@ class JobRequest:
         """
         if self.fast_forward is not None:
             return self
-        job = JobRequest(self.benchmark, self.technique, self.sm_config,
-                         self.seed, self.scale, fast_forward)
-        for memo in ("spec", "_run_keys"):
-            if memo in self.__dict__:
-                job.__dict__[memo] = self.__dict__[memo]
+        job = copy.copy(self)  # the memos come along; no __post_init__
+        object.__setattr__(job, "fast_forward", fast_forward)
         return job
 
     def key(self, fast_forward: bool) -> str:

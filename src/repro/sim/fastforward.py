@@ -1,7 +1,7 @@
 """Quiescent-span fast-forward for the SM main loop.
 
 GPGPU workloads spend long stretches on cycles where the step functions
-do no *decision* work — and not only while idle.  Two span families
+do no *decision* work — and not only while idle.  Three span families
 qualify:
 
 * **Idle spans** — every resident warp stalled on a known-latency
@@ -15,12 +15,16 @@ qualify:
   with a known writeback bound.  Each such cycle the issue stage walks
   an empty ready list and the gating controllers observe "busy" —
   state drift that is bulk-replayable arithmetic.
+* **MSHR-stalled spans** — a full MSHR file has latched retries, and
+  the only ready heads are loads and stores.  Each cycle every retry
+  is rejected again and the issue walk holds every ready LDST head
+  (``mshr_full``), until a memory tick frees an MSHR.
 
-:class:`SpanFastForwarder` detects both and jumps the clock over them.
-The design rule that makes bit-identity easy to argue is that **every
-cycle on which anything interesting can happen is stepped** by the
-run's dense kernel (:mod:`repro.sim.kernel`), which calls the SM's own
-stages; only provably-quiet maximal sub-spans are skipped.
+:class:`SpanFastForwarder` detects all three and jumps the clock over
+them.  The design rule that makes bit-identity easy to argue is that
+**every cycle on which anything interesting can happen is stepped** by
+the run's dense kernel (:mod:`repro.sim.kernel`), which calls the SM's
+own stages; only provably-quiet maximal sub-spans are skipped.
 "Interesting" cycles are collected as a lower bound from every
 stateful component, each reporting its next *state-changing* cycle:
 
@@ -28,13 +32,20 @@ stateful component, each reporting its next *state-changing* cycle:
   (:meth:`ExecPipeline.next_state_change`); a drain triggers retires,
   memory accesses and scoreboard resolution, so it always ends a span;
 * memory — the earliest scheduled load delivery or line fill
-  (:meth:`MemorySubsystem.next_completion_cycle`);
-* scoreboards — each head's cached absolute-cycle readiness summary
-  (:meth:`Scoreboard.head_status`): the ready flip at ``ready_at`` and
-  the pending-set exit at ``mem_until`` are the only cycles its
-  classification can change.  A head blocked on an *unresolved* load
-  pends until an LDST completion resolves it, so the LDST pipe's drain
-  bound covers it (no LDST work in flight forces a stepped cycle);
+  (:meth:`MemorySubsystem.next_completion_cycle`).  The MSHR file frees
+  and the L1 fills only at such a tick, so it also bounds every latched
+  retry: a rejected access (an L1 lookup with ``allocate=False`` that
+  misses) changes nothing but the ``mshr_stalls`` count;
+* warp heads — the planner reads the dense kernel's classification,
+  current after every stepped cycle, instead of scanning warps: its
+  ready lists, its transition heap (the earliest live ``mem_until`` /
+  ``ready_at`` threshold, the only cycles a head's category can change
+  on its own) and its unresolved-head count.  An unresolved head pends
+  until an LDST completion or a retried access resolves it; the LDST
+  pipe's drain bound or the memory event covers it (neither forces a
+  stepped cycle);
+* fetch — the fetch engine's refill set: while it holds a slot, fetch
+  may still stream and the cycle is stepped;
 * gating domains — while the attached pipeline is idle, gate taking
   effect, blackout expiry, wakeup completion and the policy's
   predicted gate-fire cycle (:meth:`GatingDomain.next_idle_event`);
@@ -45,55 +56,46 @@ stateful component, each reporting its next *state-changing* cycle:
   fast-forwarding entirely;
 * the launcher — the earliest cycle a queued warp could launch
   (``launch_blocked_until``);
-* the scheduler — a pending GATES priority flip under the frozen view
-  (``idle_flip_pending``) forces a stepped cycle so the flip happens
+* the scheduler — a state change ``order`` would make although nothing
+  issues, such as a pending GATES priority flip under the frozen view
+  (``idle_flip_pending``), forces a stepped cycle so the change happens
   inside an ordinary ``order`` call;
 * the run cap — ``config.max_cycles``, so an over-long run raises at
   exactly the serial cycle.
 
 When the minimum of those bounds lies beyond the current cycle, the
-span up to (but excluding) the bound is applied in bulk: gating-domain
-idle/waking/busy counters, warp-population samples, no-ready-warp stall
-counters, the fetch and scheduler round-robin pointers, and the cycle
-count all advance by exactly what ``span`` stepped cycles would have
-produced.  (The per-pipeline idle trackers need no bulk update at all:
-they accumulate busy/idle *spans* between absolute cycle marks, so a
-skipped stretch lands in the right period when the next issue — or the
-end-of-run flush — integrates it.)  The only serial/fast-forward
-divergence is *internal* scoreboard garbage (completed producers are
-dropped at the next stepped writeback instead of every cycle), which
-is unobservable: a producer whose ready cycle has passed blocks nothing
-and classifies as nothing.
+span up to (but excluding) the bound is applied in bulk: rejected-retry
+counts, gating-domain idle/waking/busy counters, warp-population
+samples, the issue stalls (``mshr_full`` per held head, or
+``no_ready_warp`` per issue lane), the fetch and scheduler round-robin
+pointers, and the cycle count all advance by exactly what ``span``
+stepped cycles would have produced.  (The per-pipeline idle trackers
+need no bulk update at all: they accumulate busy/idle *spans* between
+absolute cycle marks, so a skipped stretch lands in the right period
+when the next issue — or the end-of-run flush — integrates it.)
 
-Two cost controls keep the planner cheap on cycles it cannot skip:
-
-* the per-warp head scan reuses the SM's incremental classification
-  cache (``(popped, scoreboard version)``-stamped), so an unchanged
-  warp costs two integer compares; and
-* a failed plan arms an exponential backoff, capped at
-  :data:`PLAN_BACKOFF_CAP` cycles between attempts and escalating to
-  :data:`ADAPTIVE_BACKOFF_CAP` while the skip fraction stays low, so
-  issue-bound stretches degrade to a handful of attribute checks per
-  cycle.
-  Planning *timing* cannot affect results — a missed span start only
-  shrinks the skipped span — so the backoff trades at most a few
-  cycles of coverage for plan cost, never correctness.
+A failed plan arms an exponential backoff, capped at
+:data:`PLAN_BACKOFF_CAP` cycles between attempts and escalating to
+:data:`ADAPTIVE_BACKOFF_CAP` while the skip fraction stays low, so
+issue-bound stretches degrade to a handful of attribute checks per
+cycle.  Planning *timing* cannot affect results — a missed span start
+only shrinks the skipped span — so the backoff trades at most a few
+cycles of coverage for plan cost, never correctness.
 
 Skipping statistics (``skipped_cycles``, ``skips``, ``plans``) live on
 the forwarder, *not* in the run's metrics — results stay byte-identical
 to serial runs by construction.  An enabled event bus does not change
-the plan: every event but the no-ready-warp stall ends a span, and
-``_apply`` publishes those stalls.
+the plan: every event but the issue stalls ends a span, and ``_apply``
+publishes those stalls.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from heapq import heappop
 
-from repro.isa.optypes import ExecUnitKind
+from repro.isa.optypes import ALL_OP_CLASSES, ExecUnitKind, OpClass
 from repro.obs.events import IssueStall
 from repro.power.gating import GatingPolicy
-from repro.sim.sched.base import SchedulerView
 
 #: Floor of the failed-plan backoff cap: after repeated failures the
 #: planner re-arms at most this many cycles later.  Tuned on the
@@ -123,20 +125,20 @@ class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
 
     Built by :meth:`StreamingMultiprocessor.run` when fast-forwarding
-    is requested, after all domains and hooks are attached; the dense
-    kernel's loop asks :meth:`advance` about every cycle.
+    is requested, after all domains and hooks are attached, together
+    with the dense ``kernel`` whose loop asks :meth:`advance` about
+    every cycle and whose classification the planner reads.
     """
 
-    def __init__(self, sm) -> None:
+    def __init__(self, sm, kernel) -> None:
         self.sm = sm
+        self.kernel = kernel
         #: Cycles jumped over instead of stepped (diagnostics only).
         self.skipped_cycles = 0
         #: Number of skip spans applied.
         self.skips = 0
         #: Number of planning attempts (diagnostics only).
         self.plans = 0
-        self._pending_count = 0
-        self._view: Optional[SchedulerView] = None
         self._next_plan = 0
         self._backoff = 0
         #: Adaptive ceiling of the failed-plan backoff: grows toward
@@ -240,20 +242,37 @@ class SpanFastForwarder:
 
         Any return <= ``cycle`` means "step normally".  Ordered so the
         cheap disqualifiers run first — on unskippable cycles this
-        should cost little more than a few attribute checks.
+        should cost little more than a few attribute checks.  The
+        warps' classification is the dense kernel's, current after
+        every stepped cycle; a span never changes it.
         """
         sm = self.sm
+        kernel = self.kernel
         self.plans += 1
-        if sm._retry:
+        if kernel._synced_resident is not sm._resident \
+                or sm._finish_check:
+            # Unclassified residency (no cycle stepped yet), or a warp
+            # that may finish and free its slot this cycle.
             return cycle
+        if sm.fetch._refill:
+            # Fetch may still stream: the refill set holds every slot
+            # with buffer room and trace left, the kernel's empty
+            # buffers among them.
+            return cycle
+        retry = sm._retry
+        ready = kernel._ready_all
+        if ready and (not retry
+                      or len(ready) != len(kernel._ready_cls[OpClass.LDST])):
+            return cycle  # issue will happen
 
         bound: float = sm.config.max_cycles
 
         # Pipeline completions: a drain due this cycle (retire, memory
         # access, scoreboard resolution) forces a stepped cycle; later
-        # ones bound the span.  Port-release times need no bound — with no
-        # ready warp there are no issue attempts, and the structural
-        # check at the span-ending cycle derives from timestamps.
+        # ones bound the span.  Port-release times need no bound — no
+        # head in a span reaches the port check (none is ready, or the
+        # MSHR retry holds it first), and the structural check at the
+        # span-ending cycle derives from timestamps.
         ldst_flight = False
         for pipe in sm.pipelines:
             nxt = pipe.next_state_change(cycle)
@@ -265,61 +284,30 @@ class SpanFastForwarder:
                 if pipe.kind is ExecUnitKind.LDST:
                     ldst_flight = True
 
+        # The memory event also bounds every latched retry: the MSHR
+        # file frees, and the L1 fills, only at a memory tick.
         mem_event = sm.memory.next_completion_cycle()
         if mem_event <= cycle:
             return cycle
         if mem_event < bound:
             bound = mem_event
 
-        ibuffer_entries = sm.fetch.ibuffer_entries
-        view = SchedulerView()
-        actv = view.actv_counts
-        pending = 0
-        unresolved_any = False
-        resident = 0
-        free_slot = False
-
-        for warp in sm.warps:
-            if warp.trace is None:
-                free_slot = True
-                continue
-            resident += 1
-            if warp.finished():
-                return cycle  # slot frees (and may refill) this cycle
-            buf = warp.ibuffer
-            buffered = len(buf)
-            if buffered < ibuffer_entries \
-                    and warp.fetch_pc < warp.trace_len:
-                return cycle  # fetch still streams this warp
-            if not buffered:
-                continue  # exhausted, draining outstanding work
-            popped = warp.fetch_pc - buffered
-            if popped != warp.cache_popped \
-                    or warp.cache_version != warp.scoreboard.version:
-                # The planner and the issue stage share one memoised
-                # head summary.
-                sm._refresh_head(warp, popped)
-            if warp.head_unresolved:
-                pending += 1
-                unresolved_any = True
-            elif cycle < warp.head_mem_until:
-                # Pending until the threshold crossing; the ready flip
-                # lies strictly beyond it, so mem_until alone bounds.
-                pending += 1
-                if warp.head_mem_until < bound:
-                    bound = warp.head_mem_until
-            else:
-                if cycle >= warp.head_ready_at:
-                    return cycle  # issue will happen
-                actv[warp.head_inst.op_class] += 1
-                if warp.head_ready_at < bound:
-                    bound = warp.head_ready_at
-
-        if unresolved_any and not ldst_flight:
-            # An unresolved load with no LDST completion to bound its
-            # resolution (cannot happen outside retry pressure, which
-            # already bailed) — refuse rather than guess.
+        if kernel._n_unresolved and not ldst_flight and not retry:
+            # An unresolved load with neither an LDST completion nor a
+            # retried access to resolve it — refuse rather than guess.
             return cycle
+
+        # Head transitions: the earliest live mem_until / ready_at event.
+        heap = kernel._heap
+        gen = kernel._gen
+        while heap and heap[0][2] != gen[heap[0][1]]:
+            heappop(heap)  # orphaned: the kernel would drop it too
+        if heap:
+            due = heap[0][0]
+            if due <= cycle:
+                return cycle
+            if due < bound:
+                bound = due
 
         for pipe, domain in sm._gated_pipes:
             if cycle < pipe.busy_until:
@@ -348,7 +336,8 @@ class SpanFastForwarder:
             if event < bound:
                 bound = event
 
-        if sm.launcher.remaining and free_slot:
+        resident = len(sm._resident)
+        if sm.launcher.remaining and resident < len(sm.warps):
             event = sm.launcher.launch_blocked_until(cycle, resident)
             if event <= cycle:
                 return cycle
@@ -358,12 +347,20 @@ class SpanFastForwarder:
         if bound <= cycle:
             return cycle
 
-        sm._blackout_flags(cycle, view.type_in_blackout)
+        # The view stage 4 would hand the scheduler this cycle.
+        view = sm._view
+        actv = view.actv_counts
+        actv4 = kernel._actv4
+        for index, cls in enumerate(ALL_OP_CLASSES):
+            actv[cls] = actv4[index]
+        if sm._has_blackout:
+            sm._blackout_flags(cycle, view.type_in_blackout)
+        view.active = kernel._active_all
+        view.ready = ready
+        view.ready_by_class = kernel._ready_cls
         if sm.scheduler.idle_flip_pending(cycle, view):
             return cycle
 
-        self._view = view
-        self._pending_count = pending
         return int(bound)
 
     # ------------------------------------------------------------------
@@ -378,30 +375,41 @@ class SpanFastForwarder:
         stage reduces to these updates.
         """
         sm = self.sm
+        kernel = self.kernel
         span = target - cycle
         stats = sm.stats
-        view = self._view
-        assert view is not None
 
-        # stage 4: classification samples
-        n_active = sum(view.actv_counts.values())
-        stats.active_warp_sum += span * n_active
-        stats.pending_warp_sum += span * self._pending_count
-        if n_active > stats.active_warp_max:
-            stats.active_warp_max = n_active
-        sm.actv_counts = view.actv_counts
+        # stage 1: every latched retry is rejected again each cycle
+        if sm._retry:
+            sm.memory.stats.mshr_stalls += span * len(sm._retry)
 
         # stage 3: fetch round-robin pointer
         sm.fetch.skip_idle_cycles(span, len(sm.warps))
 
-        # stage 5: empty issue slots + scheduler pointer drift
-        stats.stalls.no_ready_warp += span * sm.config.issue_width
+        # stage 4: classification samples
+        n_active = kernel._n_active
+        stats.active_warp_sum += span * n_active
+        stats.pending_warp_sum += span * kernel._n_pending
+        if n_active > stats.active_warp_max:
+            stats.active_warp_max = n_active
+
+        # stage 5: the walk meets only LDST heads held by MSHR
+        # back-pressure, or no ready warp at all; the scheduler's
+        # pointer drifts as ``order`` would move it.
+        blocked = len(kernel._ready_all)
+        if blocked:
+            stats.stalls.mshr_full += span * blocked
+            reason, per_cycle = "mshr_full", blocked
+        else:
+            per_cycle = sm.config.issue_width
+            stats.stalls.no_ready_warp += span * per_cycle
+            reason = "no_ready_warp"
         sm.scheduler.skip_idle_cycles(span)
         if sm.bus.enabled:
             # The span's only events, in serial order.
             for c in range(cycle, target):
-                stall = IssueStall(c, "no_ready_warp")
-                for _ in range(sm.config.issue_width):
+                stall = IssueStall(c, reason)
+                for _ in range(per_cycle):
                     sm.bus.publish(stall)
 
         # stage 6: gating domains.  Busy pipelines pin the idle counter
@@ -421,4 +429,3 @@ class SpanFastForwarder:
         stats.cycles += span
         self.skipped_cycles += span
         self.skips += 1
-        self._view = None

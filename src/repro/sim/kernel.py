@@ -25,24 +25,27 @@ What the kernel owns:
 * **Sync** — at the first stepped cycle, and again after any residency
   change, every resident slot's cached head summary (the
   ``(popped, scoreboard version)``-stamped scalars that ``_classify``
-  and the span planner share) is classified once, seeding the
-  incremental state below.  An unchanged warp costs two integer
-  compares.
+  also reads) is classified once, seeding the incremental state below.
+  An unchanged warp costs two integer compares.
 * **Per cycle** — each slot carries a category (no head / unresolved /
-  memory-pending / active-not-ready / ready); aggregate counts, the
-  per-class ACTV counters and the sorted active, ready and per-class
-  ready slot lists change only when a slot's category does.  Those lists
-  become the scheduler view's ``active``/``ready``/``ready_by_class``.
-  Time-driven changes (a pending window expiring at ``mem_until``, a
-  ready flip at ``ready_at``) come from a min-heap of per-slot
-  transition events; state-driven changes come from exactly the events
-  that can invalidate the head cache.
+  memory-pending / active-not-ready / ready); aggregate counts (active,
+  pending, unresolved), the per-class ACTV counters and the sorted
+  active, ready and per-class ready slot lists change only when a
+  slot's category does.  Those lists become the scheduler view's
+  ``active``/``ready``/``ready_by_class``.  Time-driven changes (a
+  pending window expiring at ``mem_until``, a ready flip at
+  ``ready_at``) come from a min-heap of per-slot transition events;
+  state-driven changes come from exactly the events that can
+  invalidate the head cache.
 
-A skipped span needs no resync.  The planner ends every span at the
-next pipeline completion, memory event, launch and head
-``mem_until``/``ready_at`` threshold, so no warp's state changes inside
-it; a transition event due at the span's end fires in stage 4 of the
-cycle that ends it, exactly as it would after stepping the span.
+This state is a fast-forward run's one classification: it is current
+after every stepped cycle, and the span planner reads it (ready lists,
+heap minimum, counts) instead of scanning warps.  A skipped span needs
+no resync.  The planner ends every span at the next pipeline
+completion, memory event, launch and head ``mem_until``/``ready_at``
+threshold, so no warp's state changes inside it; a transition event
+due at the span's end fires in stage 4 of the cycle that ends it,
+exactly as it would after stepping the span.
 
 The synchronisation rules mirror the head cache's invalidation
 conditions, which are complete by construction:
@@ -55,9 +58,6 @@ conditions, which are complete by construction:
 * fetch appends move ``fetch_pc`` and the buffer length together, so a
   non-empty head row stays valid under fetch — only empty→non-empty
   transitions (tracked in ``_empty``) need a first classification;
-* ``release_completed`` never bumps the version and is unobservable by
-  design (a completed producer blocks nothing), so cached summaries
-  survive it;
 * residency changes always replace the ``sm._resident`` list object,
   so one identity check per cycle detects them and triggers a full
   resync;
@@ -110,7 +110,10 @@ class DenseStepKernel:
         self._gen: List[int] = [0] * n_slots
         self._heap: list = []
         self._n_active = 0
+        #: Pending slots (unresolved or memory-pending heads), and the
+        #: unresolved ones among them.
         self._n_pending = 0
+        self._n_unresolved = 0
         self._actv4: List[int] = [0, 0, 0, 0]
         #: Active slots, ready slots and ready slots per op-class index,
         #: each ascending: the scheduler view's ``active``, ``ready``
@@ -165,6 +168,7 @@ class DenseStepKernel:
         self._heap = []
         self._n_active = 0
         self._n_pending = 0
+        self._n_unresolved = 0
         self._actv4 = [0, 0, 0, 0]
         self._ready_all = []
         self._ready_cls = [[], [], [], []]
@@ -203,6 +207,7 @@ class DenseStepKernel:
         if warp.head_unresolved:
             self._cat[slot] = CAT_UNRES
             self._n_pending += 1
+            self._n_unresolved += 1
             return
         mem_until = warp.head_mem_until
         if cycle < mem_until:
@@ -235,6 +240,8 @@ class DenseStepKernel:
                 self._ready_cls[opx].remove(slot)
         elif cat:
             self._n_pending -= 1
+            if cat == CAT_UNRES:
+                self._n_unresolved -= 1
         self._cat[slot] = CAT_NONE
 
     def _refresh(self, warp, cycle: int) -> None:

@@ -84,12 +84,14 @@ class WarpScheduler(abc.ABC):
     #: instances (unit tests) publishing into the shared disabled bus.
     bus: EventBus = NULL_BUS
 
-    #: Whether the idle fast-forward (:mod:`repro.sim.fastforward`) may
-    #: skip cycles on which this scheduler sees no ready warps.  A
-    #: scheduler must opt in only when (a) ``order`` on an empty ready
-    #: set either mutates no state or the mutation is replayed exactly
-    #: by :meth:`skip_idle_cycles`, and (b) any priority change that can
-    #: fire on a no-ready cycle is reported by :meth:`idle_flip_pending`.
+    #: Whether the span fast-forward (:mod:`repro.sim.fastforward`) may
+    #: skip cycles on which nothing issues: no warp is ready, or every
+    #: ready head is an LDST instruction held by MSHR back-pressure.  A
+    #: scheduler must opt in only when, on such a cycle, (a) ``order``
+    #: returns all of ``view.ready`` and either mutates no state or the
+    #: mutation is replayed exactly by :meth:`skip_idle_cycles`, and
+    #: (b) any other state change is reported by
+    #: :meth:`idle_flip_pending`.
     supports_idle_skip = False
 
     @abc.abstractmethod
@@ -107,18 +109,20 @@ class WarpScheduler(abc.ABC):
         """Clear internal state before a fresh run (optional)."""
 
     def skip_idle_cycles(self, span: int) -> None:
-        """Replay the per-cycle state drift of ``span`` no-ready cycles.
+        """Replay the state drift of ``span`` cycles that issue nothing.
 
-        Called by the fast-forward path instead of ``span`` individual
-        ``order`` calls with an empty ready set.  Default: nothing (the
-        scheduler's ``order`` is pure on empty input).
+        Called by the fast-forward path instead of ``span`` ``order``
+        calls on one unchanging view — no ready warp, or only LDST heads
+        held by MSHR back-pressure — with no ``on_issue`` between them.
+        Default: nothing (``order`` is pure on such views).
         """
 
     def idle_flip_pending(self, cycle: int, view: SchedulerView) -> bool:
-        """True when the scheduler would change internal priority state
-        at ``cycle`` even with no ready warps, given ``view``.
+        """True when ``order`` at ``cycle`` on ``view`` would change
+        state that :meth:`skip_idle_cycles` does not replay, although
+        nothing issues (e.g. a priority flip).
 
-        The fast-forward planner real-steps such cycles so the change
+        The fast-forward planner steps such cycles so the change
         happens inside an ordinary ``order`` call.  Default: False.
         """
         return False

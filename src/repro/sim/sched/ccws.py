@@ -25,10 +25,11 @@ class CCWSScheduler(WarpScheduler):
     """Two-level scheduling with lost-locality warp throttling."""
 
     name = "ccws"
-    # With an empty ready set, ``order`` mutates nothing (the throttle
-    # counter only advances when ready warps are filtered out).  The
-    # decay hook below still pins every cycle via idle_next_event, so
-    # CCWS runs effectively un-fast-forwarded — correct, just not fast.
+    # With an empty ready set, ``order`` mutates nothing; ready warps
+    # filtered out by the throttle advance its counter even when none
+    # could issue.  The decay hook below pins every cycle via
+    # idle_next_event, so no span of a CCWS run is ever skipped —
+    # correct, just not fast.
     supports_idle_skip = True
 
     def __init__(self, n_slots: int = 48,

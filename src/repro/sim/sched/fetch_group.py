@@ -21,7 +21,8 @@ class FetchGroupScheduler(WarpScheduler):
 
     name = "fetch_group"
     # ``order`` returns before any mutation when the ready set is
-    # empty, so no-ready cycles leave the scheduler untouched.
+    # empty.  Ready warps that all stall move the group pointer at most
+    # once, which ``idle_flip_pending`` reports.
     supports_idle_skip = True
 
     def __init__(self, n_slots: int = 48, group_size: int = 8) -> None:
@@ -65,6 +66,13 @@ class FetchGroupScheduler(WarpScheduler):
 
     def on_issue(self, cycle: int, slot: int) -> None:
         self._last_slot = slot
+
+    def idle_flip_pending(self, cycle: int, view: SchedulerView) -> bool:
+        """Would ``order`` rotate to another group given ``view``?"""
+        current = self._current_group
+        group_size = self.group_size
+        return bool(view.ready) and all(slot // group_size != current
+                                        for slot in view.ready)
 
     def reset(self) -> None:
         self._current_group = 0

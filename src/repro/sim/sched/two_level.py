@@ -27,7 +27,7 @@ class TwoLevelScheduler(WarpScheduler):
 
     name = "two_level"
     # ``order`` mutates nothing (only ``on_issue`` moves the pointer),
-    # so skipping no-ready cycles is trivially safe.
+    # so skipping cycles that issue nothing is trivially safe.
     supports_idle_skip = True
 
     def __init__(self, n_slots: int = 48) -> None:

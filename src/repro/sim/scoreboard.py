@@ -28,8 +28,6 @@ from repro.isa.instructions import Instruction
 #: (loads between LDST issue and cache access).
 UNRESOLVED = -1
 
-_INF = float("inf")
-
 
 @dataclass(slots=True)
 class _Producer:
@@ -46,35 +44,30 @@ class Scoreboard:
     via :meth:`reset` when a new warp becomes resident.
     """
 
-    __slots__ = ("_busy", "_mem_count", "version", "_next_release")
+    __slots__ = ("_busy", "_mem_count", "version")
 
     def __init__(self) -> None:
+        #: Producer per register.  A completed producer stays until the
+        #: register is written again or the slot resets: it blocks
+        #: nothing and classifies as nothing (every readiness predicate
+        #: compares the current cycle against its ready cycle), and the
+        #: map never holds more entries than the warp has registers.
         self._busy: Dict[int, _Producer] = {}
-        # Count of in-flight memory producers; lets the per-cycle
-        # pending-set classification skip the scan for the (common)
-        # warps with no outstanding loads.
+        # Count of load producers in the map; lets blocking_memory
+        # skip the scan for warps with none.
         self._mem_count = 0
         #: Bumped whenever the producer set changes in a way that can
         #: alter a head instruction's readiness summary (issue, memory
         #: resolution, slot reset).  The SM caches :meth:`head_status`
         #: results keyed on this, so per-cycle classification is two
-        #: integer compares instead of an operand scan.  Dropping
-        #: *completed* producers deliberately does NOT bump it: a
-        #: producer past its ready cycle contributes only past-cycle
-        #: bounds to the summary, which every ``cycle >= bound``
-        #: comparison already treats as satisfied.
+        #: integer compares instead of an operand scan.
         self.version = 0
-        # Earliest writeback among resolved producers: lets
-        # release_completed return without scanning on cycles where
-        # nothing can complete.
-        self._next_release: float = _INF
 
     def reset(self) -> None:
-        """Forget all in-flight producers (new warp occupies the slot)."""
+        """Forget all producers (new warp occupies the slot)."""
         self._busy.clear()
         self._mem_count = 0
         self.version += 1
-        self._next_release = _INF
 
     # ------------------------------------------------------------------
     # issue-side interface
@@ -135,10 +128,8 @@ class Scoreboard:
             previous = self._busy.get(inst.dest)
             if previous is not None and previous.is_memory:
                 self._mem_count -= 1
-            ready = cycle + inst.latency
-            self._busy[inst.dest] = _Producer(ready, is_memory=False)
-            if ready < self._next_release:
-                self._next_release = ready
+            self._busy[inst.dest] = _Producer(cycle + inst.latency,
+                                              is_memory=False)
 
     # ------------------------------------------------------------------
     # completion-side interface
@@ -151,35 +142,6 @@ class Scoreboard:
             raise KeyError(f"register r{reg} has no outstanding load")
         producer.ready_cycle = ready_cycle
         self.version += 1
-        if ready_cycle < self._next_release:
-            self._next_release = ready_cycle
-
-    def release_completed(self, cycle: int) -> None:
-        """Drop producers whose values are readable at ``cycle``.
-
-        O(1) on quiet cycles: a min-tracked next-release bound
-        (maintained at issue and memory resolution) proves nothing can
-        complete, so no scan happens.  Completed producers are never
-        observable anyway — every readiness predicate compares the
-        current cycle against the producer's ready cycle — but dropping
-        them keeps the producer map (and the debug accessors) tight.
-        """
-        if cycle < self._next_release:
-            return
-        busy = self._busy
-        done = [reg for reg, producer in busy.items()
-                if producer.ready_cycle != UNRESOLVED
-                and producer.ready_cycle <= cycle]
-        for reg in done:
-            if busy[reg].is_memory:
-                self._mem_count -= 1
-            del busy[reg]
-        nxt: float = _INF
-        for producer in busy.values():
-            ready = producer.ready_cycle
-            if ready != UNRESOLVED and ready < nxt:
-                nxt = ready
-        self._next_release = nxt
 
     # ------------------------------------------------------------------
     # incremental classification support
@@ -199,8 +161,7 @@ class Scoreboard:
         This is what lets the SM classify a warp per cycle with two
         integer compares: the summary only changes when a producer is
         recorded or resolved (both bump :attr:`version`), never with the
-        passage of time.  Completed-producer cleanup keeps it valid too:
-        a dropped producer can only lower the (already passed) bounds.
+        passage of time.
 
         The summary doubles as the scoreboard's next-state-change report
         for the fast-forward planner: while :attr:`version` holds, the
@@ -239,7 +200,8 @@ class Scoreboard:
     # ------------------------------------------------------------------
 
     def busy_registers(self) -> Tuple[int, ...]:
-        """Registers with an in-flight producer (diagnostics/tests).
+        """Registers with a recorded producer, completed or not
+        (diagnostics/tests).
 
         Debug-only accessor: builds a sorted tuple on every call, so it
         must stay out of the per-cycle path — the simulator itself only
@@ -249,7 +211,8 @@ class Scoreboard:
         return tuple(sorted(self._busy))
 
     def outstanding_memory_registers(self) -> Tuple[int, ...]:
-        """Registers awaiting a memory value (diagnostics/tests).
+        """Registers whose recorded producer is a load, completed or
+        not (diagnostics/tests).
 
         Debug-only accessor — see :meth:`busy_registers`.
         """

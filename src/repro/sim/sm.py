@@ -4,7 +4,7 @@ One :class:`StreamingMultiprocessor` replays a :class:`KernelTrace`
 cycle by cycle through the stages of Figure 1a:
 
 1. **writeback** — memory values arrive, execution pipelines drain,
-   scoreboards release completed producers;
+   MSHR-rejected loads retry;
 2. **warp management** — finished warps free their slots, queued warps
    launch (successive thread blocks refilling the SM);
 3. **fetch/decode** — round-robin fill of per-warp I-buffers;
@@ -272,8 +272,8 @@ class StreamingMultiprocessor:
         self._ran = False
         self._kernel_index_seen = 0
         #: When True, run() steps cycles through a DenseStepKernel and
-        #: lets a SpanFastForwarder jump over provably-quiescent idle
-        #: *and* busy spans (bit-identical results; see
+        #: lets a SpanFastForwarder jump over provably-quiescent idle,
+        #: busy and MSHR-stalled spans (bit-identical results; see
         #: repro.sim.kernel and repro.sim.fastforward); when False,
         #: _step runs every cycle as the serial oracle.  Both are built
         #: at run time so domains and hooks attached after construction
@@ -354,8 +354,8 @@ class StreamingMultiprocessor:
             self.bus.publish(KernelBoundary(0, self.kernel.name, 0))
         max_cycles = self.config.max_cycles
         if self.fast_forward:
-            self._forwarder = SpanFastForwarder(self)
             self._kernel_core = DenseStepKernel(self)
+            self._forwarder = SpanFastForwarder(self, self._kernel_core)
             cycle = self._kernel_core.run(0, max_cycles, self._forwarder)
         else:
             cycle = 0
@@ -442,7 +442,7 @@ class StreamingMultiprocessor:
 
     def _writeback(self, cycle: int,
                    resolved: Optional[Set[int]] = None) -> None:
-        """Deliver memory values, drain pipelines, release producers.
+        """Deliver memory values, drain pipelines, retry rejected loads.
 
         ``resolved``, when given, collects the slots whose load resolved
         this cycle — the only writeback event that bumps a scoreboard
@@ -471,10 +471,6 @@ class StreamingMultiprocessor:
                                            resolved=resolved):
                     still_waiting.append((slot, inst))
             self._retry = still_waiting
-        for warp in self._resident:
-            scoreboard = warp.scoreboard
-            if cycle >= scoreboard._next_release:
-                scoreboard.release_completed(cycle)
 
     def _access_memory(self, cycle: int, slot: int, inst: Instruction,
                        requeue: bool = True,
@@ -622,8 +618,7 @@ class StreamingMultiprocessor:
 
         Callers compare the ``(popped, scoreboard version)`` stamp
         inline and call this only on a mismatch.  The serial
-        classification, the dense kernel and the span planner all share
-        this one cache, whichever execution mode reaches a warp next.
+        classification and the dense kernel share this one cache.
         """
         head = warp.ibuffer[0]
         scoreboard = warp.scoreboard

@@ -170,9 +170,9 @@ class SMStats:
     pending_warp_sum: int = 0
 
     #: Cycles on which the span fast-forward planner was asked for a
-    #: span and skipped nothing (pure overhead): a full plan that found
-    #: no span, or ``_plan``'s early return on a pending MSHR retry (an
-    #: enabled bus changes neither).  Deliberately NOT exported to the
+    #: span and skipped nothing (pure overhead): every plan that found
+    #: no span, early returns included (an enabled bus changes
+    #: neither).  Deliberately NOT exported to the
     #: metrics registry: a fast-forwarded run's metrics must stay
     #: byte-identical to the serial run's (the golden identity harness
     #: digests ``result.metrics`` wholesale), and serial runs never

@@ -87,6 +87,16 @@ def test_unknown_benchmark_is_rejected_when_built():
         JobRequest("bsf", "warped_gates")
 
 
+def test_unresolvable_technique_is_rejected_when_built():
+    """A run key needs the technique's spec too: a technique that does
+    not resolve fails when the request is built, not after a batch ran
+    it and the failure record tried to name it."""
+    with pytest.raises(ValueError, match="did you mean 'warped_gates'"):
+        JobRequest("bfs", "warpd_gates")
+    with pytest.raises(TypeError, match="cannot resolve a technique"):
+        JobRequest("bfs", object(), scale=0.1)
+
+
 def test_permuted_mix_keeps_the_key(monkeypatch):
     """Equal workload specs hash equal whatever their dict order."""
     request = JobRequest("bfs", "warped_gates")

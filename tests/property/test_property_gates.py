@@ -1,5 +1,7 @@
 """Property tests: scheduler issue orderings, GATES' ladder above all."""
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.gates import GatesScheduler
@@ -124,3 +126,73 @@ def test_switch_only_when_high_subset_empty(raw):
         before = sched.highest_priority
         sched.order(0, view)
         assert sched.highest_priority is before
+
+
+#: Active warps whose ready heads are all LDST instructions: with an MSHR
+#: retry latched, the issue walk holds every one of them, so nothing
+#: issues on such a view.
+blocked_lists = candidate_lists.map(lambda rows: [
+    (slot, OpClass.LDST if ready else op_class, ready, age)
+    for slot, op_class, ready, age in rows])
+
+blackout_flags = st.tuples(st.booleans(), st.booleans())
+
+
+def _blocked_view(raw, blackout):
+    view = make_view(raw)
+    (view.type_in_blackout[OpClass.INT],
+     view.type_in_blackout[OpClass.FP]) = blackout
+    return view
+
+
+def _state(sched):
+    return {name: value for name, value in vars(sched).items()
+            if name != "monitor"}
+
+
+@given(name=st.sampled_from(sorted(set(SCHEDULERS) - {"ccws_throttled"})),
+       raw=blocked_lists, blackout=blackout_flags,
+       history=st.lists(st.tuples(candidate_lists,
+                                  st.integers(min_value=0, max_value=15)),
+                        max_size=3),
+       span=st.integers(min_value=1, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_no_issue_cycles_replay_in_bulk(name, raw, blackout, history, span):
+    """``span`` ``order`` calls on a view that issues nothing, with no
+    ``on_issue`` between them, leave the state ``skip_idle_cycles(span)``
+    leaves, and each returns all of ``view.ready`` — once
+    ``idle_flip_pending`` reports nothing (the span planner steps the
+    cycles on which it does).  A throttling CCWS breaks this, which is
+    why its decay hook keeps every CCWS cycle stepped."""
+    sched = SCHEDULERS[name]()
+    for cycle, (earlier, slot) in enumerate(history):
+        sched.order(cycle, make_view(earlier))
+        sched.on_issue(cycle, slot)
+    view = _blocked_view(raw, blackout)
+    start = len(history)
+    while sched.idle_flip_pending(start, view):
+        if start > len(history) + 2:
+            return  # a flip every cycle: no span can start
+        sched.order(start, view)
+        start += 1
+    stepped = copy.deepcopy(sched)
+    for cycle in range(start, start + span):
+        assert sorted(stepped.order(cycle, view)) == list(view.ready)
+    sched.skip_idle_cycles(span)
+    assert _state(stepped) == _state(sched)
+
+
+@given(raw=blocked_lists, blackout=blackout_flags,
+       aware=st.booleans(),
+       highest=st.sampled_from((OpClass.INT, OpClass.FP)))
+@settings(max_examples=200, deadline=None)
+def test_gates_flip_pending_agrees_with_update(raw, blackout, aware,
+                                               highest):
+    """On views that issue nothing, GATES reports a pending flip exactly
+    when ``_update_priority`` flips."""
+    sched = GatesScheduler(n_slots=16, blackout_aware=aware)
+    sched._highest = highest
+    view = _blocked_view(raw, blackout)
+    pending = sched.idle_flip_pending(5, view)
+    sched._update_priority(5, view)
+    assert pending == (sched.highest_priority is not highest)

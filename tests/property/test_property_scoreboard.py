@@ -19,18 +19,6 @@ def test_alu_producer_frees_exactly_at_latency(dest, latency, issue):
     assert sb.is_ready(consumer, issue + latency)
 
 
-@given(st.lists(st.tuples(regs, latencies), min_size=1, max_size=20))
-def test_release_never_leaves_stale_ready_producers(events):
-    sb = Scoreboard()
-    cycle = 0
-    for dest, latency in events:
-        sb.record_issue(int_op(dest=dest, latency=latency), cycle)
-        cycle += 1
-    horizon = cycle + 40
-    sb.release_completed(horizon)
-    assert sb.busy_registers() == ()
-
-
 @given(dest=regs, ready=st.integers(min_value=1, max_value=500),
        threshold=st.integers(min_value=0, max_value=100))
 def test_pending_classification_consistent_with_threshold(dest, ready,

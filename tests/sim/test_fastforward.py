@@ -115,3 +115,89 @@ def test_max_cycles_overrun_raises_identically():
             sm.run()
         errors.append(sm.stats.cycles)
     assert errors[0] == errors[1]
+
+
+def _mshr_config(entries: int):
+    from dataclasses import replace
+
+    from repro.sim.config import SMConfig
+
+    base = SMConfig()
+    return replace(base, memory=replace(base.memory, mshr_entries=entries))
+
+
+def _mshr_cases():
+    """Every registered technique on each memory-bound benchmark, with
+    the MSHR file size cycling through 1-4 entries across the cases."""
+    from repro.core.spec import technique_names
+
+    cells = [(bench, technique) for bench in ("bfs", "lbm", "MUM")
+             for technique in technique_names()]
+    return [(bench, technique, 1 + index % 4)
+            for index, (bench, technique) in enumerate(cells)]
+
+
+@pytest.mark.parametrize("bench_name,technique,mshr_entries", _mshr_cases())
+def test_mshr_stalled_spans_skip_with_serial_results(bench_name, technique,
+                                                     mshr_entries):
+    """A tiny MSHR file latches retries for most of the run.  Spans
+    whose only ready heads are LDST instructions held by the retry are
+    skipped, and serial and fast-forward runs, bus on and off, still
+    agree on the canonical result and the event stream."""
+    from repro.core.digest import canonical_result, event_stream_digest
+    from repro.obs.bus import EventBus
+    from repro.sim.fastforward import SpanFastForwarder
+
+    kernel = build_kernel(bench_name, seed=0, scale=0.1)
+    config = _mshr_config(mshr_entries)
+    latched = [0]
+    apply = SpanFastForwarder._apply
+
+    def spy(forwarder, cycle, target):
+        if forwarder.sm._retry:
+            latched[0] += target - cycle
+        apply(forwarder, cycle, target)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SpanFastForwarder, "_apply", spy)
+        for fast_forward in (False, True):
+            for observed in (False, True):
+                bus = EventBus(enabled=observed)
+                events = []
+                bus.subscribe(events.append)
+                sm = build_sm(kernel, technique, sm_config=config,
+                              dram_latency=get_profile(bench_name)
+                              .dram_latency,
+                              bus=bus, fast_forward=fast_forward)
+                runs[fast_forward, observed] = (
+                    canonical_result(sm.run()),
+                    event_stream_digest(events))
+    serial, serial_events = runs[False, True]
+    assert serial_events != event_stream_digest([])
+    for (fast_forward, observed), (result, events) in runs.items():
+        assert result == serial
+        if observed:
+            assert events == serial_events
+    if sm._forwarder.supported:
+        assert sm.memory.stats.mshr_stalls > 0
+        assert latched[0] > 0
+
+
+def test_empty_warp_is_released_on_the_serial_cycle():
+    """A zero-instruction warp finishes the moment it launches; the
+    cycle after its launch frees its slot, so the planner must step it
+    even though no head, fetch or pipeline event marks it."""
+    from repro.core.digest import canonical_result
+    from repro.isa.instructions import int_op, load_op
+    from repro.isa.trace import KernelTrace, WarpTrace
+
+    loads = tuple(load_op(dest=j % 4, line_addr=j) for j in range(4))
+    uses = tuple(int_op(dest=4, srcs=(j % 4,)) for j in range(4))
+    kernel = KernelTrace(name="k", max_resident_warps=1, warps=(
+        WarpTrace(0, loads + uses), WarpTrace(1, ()),
+        WarpTrace(2, loads + uses)))
+    results = [canonical_result(build_sm(
+        kernel, "baseline", fast_forward=fast_forward).run())
+        for fast_forward in (False, True)]
+    assert results[0] == results[1]

@@ -90,7 +90,7 @@ def test_window_boundaries_are_invisible():
     serial = canonical_result(_serial_result("bfs", Technique.GATES))
     sm = _prepared("bfs", Technique.GATES)
     core = DenseStepKernel(sm)
-    forwarder = SpanFastForwarder(sm)
+    forwarder = SpanFastForwarder(sm, core)
     cycle = 0
     calls = 0
     while not sm._drained():
@@ -108,7 +108,7 @@ def test_drain_stops_window_early():
     expected = _serial_result("hotspot", Technique.BASELINE).cycles
     sm = _prepared("hotspot", Technique.BASELINE)
     core = DenseStepKernel(sm)
-    forwarder = SpanFastForwarder(sm)
+    forwarder = SpanFastForwarder(sm, core)
     end = core.run(0, expected + 10_000, forwarder)
     assert sm._drained()
     assert end == expected

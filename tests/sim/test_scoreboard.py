@@ -79,20 +79,6 @@ class TestMemoryProducers:
 
 
 class TestRelease:
-    def test_release_completed_frees_registers(self):
-        sb = Scoreboard()
-        sb.record_issue(int_op(dest=1, latency=4), cycle=0)
-        sb.release_completed(cycle=3)
-        assert sb.busy_registers() == (1,)
-        sb.release_completed(cycle=4)
-        assert sb.busy_registers() == ()
-
-    def test_release_keeps_unresolved(self):
-        sb = Scoreboard()
-        sb.record_issue(load_op(dest=1, line_addr=0), cycle=0)
-        sb.release_completed(cycle=10_000)
-        assert sb.busy_registers() == (1,)
-
     def test_reset_clears_everything(self):
         sb = Scoreboard()
         sb.record_issue(int_op(dest=1), cycle=0)
