@@ -11,7 +11,7 @@ granularity.
 """
 
 from repro.analysis.report import format_table
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.config import SMConfig
 from repro.workloads.registry import build_kernel
@@ -33,10 +33,10 @@ def regenerate(figure_scale):
         for name in BENCHMARKS:
             kernel = build_kernel(name, scale=scale)
             dram = get_profile(name).dram_latency
-            base = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
+            base = build_sm(kernel, Technique.BASELINE,
                             sm_config=sm_config, dram_latency=dram).run()
             wg = build_sm(kernel,
-                          TechniqueConfig(Technique.COORD_BLACKOUT),
+                          Technique.COORD_BLACKOUT,
                           sm_config=sm_config, dram_latency=dram).run()
             activity = wg.unit_activity(ExecUnitKind.INT)
             int_savings.append(

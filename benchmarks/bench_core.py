@@ -30,8 +30,7 @@ import pstats
 import time
 from pathlib import Path
 
-from repro.core.techniques import (Technique, TechniqueConfig, build_sm,
-                                   run_benchmark)
+from repro.core.techniques import Technique, build_sm, run_benchmark
 from repro.obs.bus import EventBus
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -86,8 +85,7 @@ def _serial_rate(technique: Technique, rounds: int = 5) -> tuple:
     cycles = 0
     for _ in range(rounds):
         start = time.perf_counter()
-        result = run_benchmark(BENCHMARK, TechniqueConfig(technique),
-                               seed=SEED, scale=SCALE)
+        result = run_benchmark(BENCHMARK, technique, seed=SEED, scale=SCALE)
         elapsed = time.perf_counter() - start
         cycles = result.cycles
         rate = cycles / elapsed
@@ -99,7 +97,7 @@ def _serial_rate(technique: Technique, rounds: int = 5) -> tuple:
 def _build_loop_sm(instrumented: bool):
     kernel = build_kernel(BENCHMARK, seed=SEED, scale=SCALE)
     bus = EventBus(enabled=True) if instrumented else None
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, Technique.WARPED_GATES,
                   dram_latency=get_profile(BENCHMARK).dram_latency,
                   bus=bus)
     if instrumented:
@@ -170,7 +168,7 @@ def _serial_row(benchmark, technique: Technique, key: str) -> None:
     # pytest-benchmark records the official timing; the gate uses the
     # in-process best-of-N above so both appear in the bench output.
     benchmark.pedantic(run_benchmark,
-                       args=(BENCHMARK, TechniqueConfig(technique)),
+                       args=(BENCHMARK, technique),
                        kwargs={"seed": SEED, "scale": SCALE},
                        rounds=3, iterations=1, warmup_rounds=1)
     speedup = rate / PRE_PR_CYCLES_PER_SEC[key]
@@ -211,7 +209,7 @@ def _dense_rate(rounds: int = 5, **run_kwargs) -> tuple:
     for _ in range(rounds):
         start = time.perf_counter()
         result = run_benchmark(DENSE_BENCHMARK,
-                               TechniqueConfig(Technique.WARPED_GATES),
+                               Technique.WARPED_GATES,
                                seed=SEED, scale=DENSE_SCALE, **run_kwargs)
         elapsed = time.perf_counter() - start
         rate = result.cycles / elapsed
@@ -230,7 +228,7 @@ def test_core_dense_single_sm(benchmark):
     """
     benchmark.pedantic(
         run_benchmark,
-        args=(DENSE_BENCHMARK, TechniqueConfig(Technique.WARPED_GATES)),
+        args=(DENSE_BENCHMARK, Technique.WARPED_GATES),
         kwargs={"seed": SEED, "scale": DENSE_SCALE, "fast_forward": True},
         rounds=3, iterations=1, warmup_rounds=1)
     rate, result = _dense_rate(fast_forward=True)

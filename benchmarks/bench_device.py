@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.core.device import device_preset
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.gpu import GPU, split_kernel
 from repro.workloads.registry import build_kernel
@@ -71,7 +71,7 @@ def _build_device_sms():
     parts = split_kernel(kernel, preset.n_sms)
     dram = preset.memory_side.effective_dram_latency(
         get_profile(DEVICE_BENCHMARK).dram_latency, len(parts))
-    return [build_sm(part, TechniqueConfig(Technique.WARPED_GATES),
+    return [build_sm(part, Technique.WARPED_GATES,
                      sm_config=preset.sm, dram_latency=dram,
                      fast_forward=True)
             for part in parts]
@@ -79,7 +79,7 @@ def _build_device_sms():
 
 def _build_single_sm():
     kernel = build_kernel(DEVICE_BENCHMARK, seed=SEED, scale=DEVICE_SCALE)
-    return build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    return build_sm(kernel, Technique.WARPED_GATES,
                     dram_latency=get_profile(DEVICE_BENCHMARK).dram_latency,
                     fast_forward=True)
 
@@ -183,14 +183,8 @@ def test_device_scale_rate(benchmark):
 # ----------------------------------------------------------------------
 
 def run_device(name: str, technique: Technique, scale: float):
-    profile = get_profile(name)
-
-    def factory(kernel):
-        return build_sm(kernel, TechniqueConfig(technique),
-                        dram_latency=profile.dram_latency)
-
-    kernel = build_kernel(name, scale=scale)
-    return GPU(n_sms=N_SMS, sm_factory=factory).run(kernel)
+    gpu = GPU(N_SMS, technique, dram_latency=get_profile(name).dram_latency)
+    return gpu.run(build_kernel(name, scale=scale))
 
 
 def regenerate(figure_scale):

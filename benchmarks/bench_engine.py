@@ -26,7 +26,7 @@ within the history tolerance of the last recorded run.
 import json
 from pathlib import Path
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 
 import history
@@ -47,7 +47,7 @@ SERIAL_BASELINE_CYCLES_PER_SEC = 5_000.0
 
 
 def _jobs(fast_forward: bool):
-    return [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
+    return [JobRequest(benchmark=name, technique=technique,
                        scale=SCALE, fast_forward=fast_forward)
             for name, technique in GRID]
 

@@ -18,7 +18,6 @@ from figure4_walkthrough import (  # noqa: E402
 )
 from repro.core.techniques import (  # noqa: E402
     Technique,
-    TechniqueConfig,
     build_sm,
 )
 
@@ -32,8 +31,7 @@ def longest_idle_run(strip: str) -> int:
 def regenerate():
     charts = {}
     for technique in (Technique.BASELINE, Technique.GATES_NO_PG):
-        sm = build_sm(build_fig4_kernel(), TechniqueConfig(technique),
-                      sm_config=FIG4_CONFIG)
+        sm = build_sm(build_fig4_kernel(), technique, sm_config=FIG4_CONFIG)
         charts[technique] = occupancy_chart(sm)
     return charts
 

@@ -66,7 +66,7 @@ def regenerate_with_gaps(figure_scale):
     three kernel launches with host-side gaps and show the SM-level
     opportunity catching up.
     """
-    from repro.core.techniques import Technique, TechniqueConfig, build_sm
+    from repro.core.techniques import Technique, build_sm
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
 
@@ -75,7 +75,7 @@ def regenerate_with_gaps(figure_scale):
     for gap in (0, 200, 1000):
         kernels = [build_kernel("hotspot", seed=s, scale=scale)
                    for s in range(3)]
-        sm = build_sm(kernels, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(kernels, Technique.BASELINE,
                       dram_latency=get_profile("hotspot").dram_latency,
                       kernel_gap_cycles=gap)
         result = sm.run()

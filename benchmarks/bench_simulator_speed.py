@@ -25,7 +25,7 @@ cycles/sec record instead of scraping the pytest-benchmark banner.
 import json
 from pathlib import Path
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.obs.bus import EventBus
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -41,7 +41,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 def run_once(technique: Technique, instrumented: bool = False) -> int:
     kernel = build_kernel(BENCH, scale=SCALE)
     bus = EventBus(enabled=True) if instrumented else None
-    sm = build_sm(kernel, TechniqueConfig(technique),
+    sm = build_sm(kernel, technique,
                   dram_latency=get_profile(BENCH).dram_latency, bus=bus,
                   fast_forward=instrumented)
     if instrumented:

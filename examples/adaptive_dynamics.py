@@ -17,7 +17,7 @@ import argparse
 
 from repro.analysis.report import format_table
 from repro.core.adaptive import AdaptiveIdleDetect
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
@@ -31,7 +31,7 @@ def main() -> None:
 
     kernel = build_kernel(args.benchmark, scale=args.scale)
     profile = get_profile(args.benchmark)
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, Technique.WARPED_GATES,
                   dram_latency=profile.dram_latency)
     result = sm.run()
 

@@ -13,7 +13,7 @@ Usage::
 """
 
 from repro.analysis.report import format_fraction, format_table
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import fp_op, int_op, load_op, store_op
 from repro.isa.optypes import ExecUnitKind, OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -69,7 +69,7 @@ def main() -> None:
     baseline_cycles = None
     for technique in (Technique.BASELINE, Technique.CONV_PG,
                       Technique.WARPED_GATES):
-        sm = build_sm(kernel, TechniqueConfig(technique), dram_latency=380)
+        sm = build_sm(kernel, technique, dram_latency=380)
         result = sm.run()
         if technique is Technique.BASELINE:
             baseline_cycles = result.cycles
@@ -84,7 +84,7 @@ def main() -> None:
           "whole run -- gating pays maximally there.\n")
 
     result = build_sm(handwritten_kernel(),
-                      TechniqueConfig(Technique.WARPED_GATES),
+                      Technique.WARPED_GATES,
                       dram_latency=200).run()
     print(f"handwritten kernel: {result.cycles} cycles, "
           f"{result.stats.instructions_retired} instructions retired, "

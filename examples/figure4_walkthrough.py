@@ -21,7 +21,7 @@ Usage::
 from typing import Dict, List
 
 from repro.analysis.occupancy import OccupancyRecorder
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -59,8 +59,7 @@ def main() -> None:
     print(f"active warp set: {' '.join(WARP_TYPES)}\n")
     for technique, label in ((Technique.BASELINE, "Two-level scheduler"),
                              (Technique.GATES_NO_PG, "GATES")):
-        sm = build_sm(build_fig4_kernel(), TechniqueConfig(technique),
-                      sm_config=FIG4_CONFIG)
+        sm = build_sm(build_fig4_kernel(), technique, sm_config=FIG4_CONFIG)
         strips = occupancy_chart(sm)
         print(f"{label}:")
         print(f"  cycle      {''.join(str((i + 1) % 10) for i in range(len(strips['INT0'])))}")

@@ -16,7 +16,7 @@ Usage::
 import argparse
 
 from repro.analysis.report import format_fraction, format_table
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.gpu import GPU
 from repro.workloads.registry import build_kernel
@@ -24,10 +24,7 @@ from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
 
 def device(technique: Technique, n_sms: int, dram_latency: int) -> GPU:
-    def factory(kernel):
-        return build_sm(kernel, TechniqueConfig(technique),
-                        dram_latency=dram_latency)
-    return GPU(n_sms=n_sms, sm_factory=factory)
+    return GPU(n_sms, technique, dram_latency=dram_latency)
 
 
 def main() -> None:

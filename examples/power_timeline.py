@@ -16,7 +16,7 @@ import argparse
 
 from repro.analysis.report import format_table
 from repro.analysis.timeline import TIMELINE_HEADERS, PowerTimeline
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
@@ -38,7 +38,7 @@ def main() -> None:
     args = parser.parse_args()
 
     kernel = build_kernel(args.benchmark, scale=args.scale)
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, Technique.WARPED_GATES,
                   dram_latency=get_profile(args.benchmark).dram_latency)
     timeline = PowerTimeline(sm, epoch_cycles=args.epoch,
                              names=("INT0", "INT1", "FP0", "FP1"))

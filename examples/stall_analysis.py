@@ -18,7 +18,7 @@ import argparse
 
 from repro.analysis.report import format_table
 from repro.analysis.stalls import STALL_HEADERS, stall_rows
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import Technique, run_benchmark
 from repro.workloads.specs import BENCHMARK_NAMES
 
 TECHNIQUES = (Technique.BASELINE, Technique.CONV_PG,
@@ -33,7 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     runs = {technique.value: run_benchmark(
-                args.benchmark, TechniqueConfig(technique),
+                args.benchmark, technique,
                 scale=args.scale)
             for technique in TECHNIQUES}
     print(format_table(

@@ -7,10 +7,10 @@ called *Warped Gates*.
 
 Quick start::
 
-    from repro import Technique, TechniqueConfig, run_benchmark
+    from repro import Technique, run_benchmark
 
-    base = run_benchmark("hotspot", TechniqueConfig(Technique.BASELINE))
-    wg = run_benchmark("hotspot", TechniqueConfig(Technique.WARPED_GATES))
+    base = run_benchmark("hotspot", Technique.BASELINE)
+    wg = run_benchmark("hotspot", Technique.WARPED_GATES)
     print(base.cycles, wg.cycles)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -27,7 +27,6 @@ from repro.core.spec import (
 from repro.core.techniques import (
     PAPER_TECHNIQUES,
     Technique,
-    TechniqueConfig,
     build_sm,
     run_benchmark,
 )
@@ -40,7 +39,6 @@ __version__ = "1.0.0"
 __all__ = [
     "PAPER_TECHNIQUES",
     "Technique",
-    "TechniqueConfig",
     "GatingPolicySpec",
     "SchedulerSpec",
     "TechniqueSpec",

@@ -7,7 +7,7 @@ behaviour ("why is FP1 never busy?").
 
 Usage::
 
-    sm = build_sm(kernel, TechniqueConfig(Technique.GATES_NO_PG))
+    sm = build_sm(kernel, Technique.GATES_NO_PG)
     recorder = OccupancyRecorder(sm)       # self-registers as a hook
     sm.run()
     print(recorder.to_text())

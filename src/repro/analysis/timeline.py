@@ -20,7 +20,7 @@ Constructing a timeline enables the SM's bus.
 
 Usage::
 
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES))
+    sm = build_sm(kernel, Technique.WARPED_GATES)
     timeline = PowerTimeline(sm, epoch_cycles=500)
     sm.run()
     for sample in timeline.samples("FP0"):

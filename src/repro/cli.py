@@ -649,7 +649,7 @@ def _run_device(args: argparse.Namespace, spec) -> int:
         raise SystemExit("error: --emit-events/--emit-chrome-trace "
                          "instrument a single SM; drop --n-sms")
     kernel = load_or_build_kernel(args.benchmark, args.seed, args.scale)
-    gpu = GPU(args.n_sms, config=spec,
+    gpu = GPU(args.n_sms, spec,
               dram_latency=get_profile(args.benchmark).dram_latency,
               memory_side=MemorySideConfig(),
               fast_forward=not args.no_fast_forward)

@@ -33,7 +33,6 @@ from repro.core.spec import (
 )
 from repro.core.techniques import (
     Technique,
-    TechniqueConfig,
     build_sm,
     run_benchmark,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "technique_names",
     "technique_spec",
     "Technique",
-    "TechniqueConfig",
     "build_sm",
     "run_benchmark",
 ]

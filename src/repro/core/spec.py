@@ -753,17 +753,15 @@ def techniques_by_group() -> Dict[str, List[TechniqueSpec]]:
 def as_spec(technique: Any) -> TechniqueSpec:
     """Resolve anything technique-shaped into a :class:`TechniqueSpec`.
 
-    Accepts a spec (returned as-is), a registered name string, a
-    ``Technique`` enum member (its ``.value`` is the registered name),
-    or any object exposing ``to_spec()`` (``TechniqueConfig``).
+    Accepts exactly three forms: a spec (returned as-is), a registered
+    name string, or a ``Technique`` enum member (its ``.value`` is the
+    registered name).  A variant of a registered technique is a
+    ``dataclasses.replace`` of its spec.
     """
     if isinstance(technique, TechniqueSpec):
         return technique
     if isinstance(technique, str):
         return technique_spec(technique)
-    to_spec = getattr(technique, "to_spec", None)
-    if callable(to_spec):
-        return to_spec()
     value = getattr(technique, "value", None)
     if isinstance(value, str):
         return technique_spec(value)

@@ -32,7 +32,6 @@ Plus ablations the paper's design discussion motivates but does not name:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveIdleDetect
@@ -51,7 +50,6 @@ from repro.isa.optypes import CUDA_CORE_CLASSES, UNIT_FOR_OP_CLASS
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.power.gating import ConventionalPolicy, GatingDomain
-from repro.power.params import GatingParams
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult, StreamingMultiprocessor
 from repro.workloads.registry import build_kernel
@@ -155,50 +153,6 @@ for _spec, _group in (
 del _spec, _group
 
 
-@dataclass(frozen=True)
-class TechniqueConfig:
-    """All knobs of one experimental configuration (enum-flavoured).
-
-    The historical construction path: an enum member plus overrides.
-    :meth:`to_spec` lowers it onto the registered spec — new code can
-    build :class:`~repro.core.spec.TechniqueSpec` values directly.
-    """
-
-    technique: Technique = Technique.WARPED_GATES
-    gating: GatingParams = field(default_factory=GatingParams)
-    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
-    max_priority_cycles: Optional[int] = None
-    #: Also gate the SFU group (conventionally).  Off by default: the
-    #: paper leaves SFUs to conventional gating and reports INT/FP only.
-    gate_sfu: bool = False
-
-    @property
-    def label(self) -> str:
-        """Display name used in experiment records and reports."""
-        return self.technique.value
-
-    def to_spec(self) -> TechniqueSpec:
-        """The registered spec with this config's overrides applied."""
-        from dataclasses import replace
-
-        spec = technique_spec(self.technique.value)
-        scheduler = spec.scheduler
-        if (self.max_priority_cycles is not None
-                and "max_priority_cycles"
-                in scheduler_plugin(scheduler.name).params):
-            params = scheduler.param_dict()
-            params["max_priority_cycles"] = self.max_priority_cycles
-            scheduler = SchedulerSpec(scheduler.name, params)
-        return replace(
-            spec,
-            scheduler=scheduler,
-            gating=self.gating,
-            # Techniques without adaptation ignore the adaptive field,
-            # exactly as the pre-spec wiring did.
-            adaptive=self.adaptive if spec.adaptive is not None else None,
-            gate_sfu=self.gate_sfu)
-
-
 def build_sm(kernel, config,
              sm_config: Optional[SMConfig] = None,
              dram_latency: Optional[int] = None,
@@ -208,11 +162,10 @@ def build_sm(kernel, config,
     """Assemble an SM wired for one technique.
 
     ``config`` is anything :func:`repro.core.spec.as_spec` resolves: a
-    :class:`TechniqueSpec`, a registered technique name, a
-    :class:`Technique` member or a :class:`TechniqueConfig`.  ``kernel``
-    is a :class:`KernelTrace` or a sequence of them (run back to back
-    with barriers and ``kernel_gap_cycles`` of idle gap).  The wiring
-    mirrors Figure 7: the scheduler plugin, the per-cluster gating
+    :class:`TechniqueSpec`, a registered technique name or a
+    :class:`Technique` member.  ``kernel`` is a :class:`KernelTrace` or
+    a sequence of them (run back to back with barriers and
+    ``kernel_gap_cycles`` of idle gap).  The wiring mirrors Figure 7: the scheduler plugin, the per-cluster gating
     domains with their policy, and — when the spec enables adaptation —
     the per-type adaptive idle-detect hooks.
 

@@ -81,7 +81,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Salt of every result key.  Bump to orphan every cached result
 #: (result format change, simulator semantics change that config hashes
 #: cannot see, ...).  2: entries gained the checksummed header.  3:
-#: result keys switched from ``TechniqueConfig`` reprs to canonical
+#: result keys switched from technique-config reprs to canonical
 #: ``TechniqueSpec`` hashes.  4: ``SimResult`` stores warp lifetimes as
 #: int rows and no longer stores ``metrics``.
 RESULT_SCHEMA = 4

@@ -29,7 +29,7 @@ from repro.obs.manifest import RunManifest, config_hash
 from repro.obs.telemetry import JobTelemetry, current_worker, job_label
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
-from repro.workloads.registry import scaled_spec
+from repro.workloads.registry import build_kernel, scaled_spec
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
 
@@ -58,16 +58,20 @@ def load_or_build_kernel(benchmark: str, seed: int, scale: float,
                          cache: Optional[RunCache] = None) -> KernelTrace:
     """Memoised :func:`repro.workloads.registry.build_kernel`.
 
-    With a cache, the generated trace is stored on disk so parallel
-    workers (and later sessions) deserialise instead of regenerating —
-    trace generation is a visible fraction of small-run wall time.
+    Without a cache this is ``build_kernel`` itself, whose in-process
+    memo hands every technique of one benchmark the same trace.  With a
+    cache, the generated trace is stored on disk so parallel workers
+    (and later sessions) deserialise instead of regenerating — trace
+    generation is a visible fraction of small-run wall time.  A disk
+    miss is not kept in process: holding every full-scale trace would
+    grow a long-lived server's memory by tens of megabytes.
     """
-    spec = scaled_spec(get_profile(benchmark).spec, scale)
     if cache is None:
-        return TraceGenerator(spec, seed=seed).generate()
+        return build_kernel(benchmark, seed=seed, scale=scale)
     key = trace_cache_key(benchmark, seed, scale)
     kernel = cache.get("traces", key)
     if kernel is None:
+        spec = scaled_spec(get_profile(benchmark).spec, scale)
         kernel = TraceGenerator(spec, seed=seed).generate()
         cache.put("traces", key, kernel)
     return kernel
@@ -83,16 +87,15 @@ class JobRequest:
 
     ``technique`` is anything :func:`repro.core.spec.as_spec` resolves —
     a :class:`~repro.core.spec.TechniqueSpec`, a registered technique
-    name, a :class:`~repro.core.techniques.Technique` member or a
-    legacy :class:`~repro.core.techniques.TechniqueConfig`.  It is kept
-    exactly as given (callers may inspect what they submitted); the
+    name or a :class:`~repro.core.techniques.Technique` member.  It is
+    kept exactly as given (callers may inspect what they submitted); the
     :attr:`spec` property is the resolved spec every key uses, so an
     enum member, its name string and an equal hand-built spec are one
     run.
 
-    ``fast_forward=None`` (the default) defers to the executing path:
-    the engine's configured default, or plain serial simulation on the
-    service's inline path.
+    ``fast_forward=None`` (the default) defers to the executing
+    engine's configured default (off for the service's default
+    in-process engine, which runs the serial oracle).
 
     An unknown ``benchmark`` or technique name raises ValueError (with
     a did-you-mean hint), and a ``technique`` of no accepted form raises

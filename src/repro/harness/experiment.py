@@ -89,12 +89,13 @@ class ExperimentRunner:
     fresh :class:`ExperimentSettings` built *per runner* (never a
     shared module-level instance).
 
-    ``engine``, when given, routes uncached simulations through the
-    parallel engine (:class:`repro.engine.pool.ParallelEngine`): they
-    gain the persistent result cache, the idle fast-forward, and —
-    via :meth:`prefetch` — process-pool fan-out.  Results are
-    bit-identical to the in-process path.  (Engine batches are
-    observable the cross-process way — give the engine an
+    ``engine``, when given, runs the simulations
+    (:class:`repro.engine.pool.ParallelEngine`): they gain its
+    persistent result cache, the fast-forward engine and — via
+    :meth:`prefetch` — process-pool fan-out.  Without one, the
+    service's default in-process engine runs the serial oracle,
+    uncached.  Results are bit-identical either way.  (Engine batches
+    are observable the cross-process way — give the engine an
     :class:`~repro.obs.telemetry.EngineTelemetry` and its workers relay
     digested events to the parent bus; each :meth:`prefetch` grid also
     lands in the run ledger.)
@@ -102,7 +103,7 @@ class ExperimentRunner:
     ``service``, when given, shares an existing
     :class:`SimulationService` (and its single-flight memo) with other
     runners — the replication harness hands one service to every
-    per-seed runner; ``engine`` is then taken from it.
+    per-seed runner; ``engine`` is then ignored for the service's own.
 
     Every simulation appends a :class:`RunManifest` to
     ``self.manifests``: the run's exact configuration (hashed), its
@@ -119,7 +120,6 @@ class ExperimentRunner:
             else ExperimentSettings()
         self.service = service if service is not None \
             else SimulationService(engine=engine)
-        self.engine = self.service.engine
         #: Tickets whose manifests this runner has recorded already.
         self._recorded: Set[str] = set()
         #: Provenance records, one per simulation read through this
@@ -156,9 +156,8 @@ class ExperimentRunner:
                  spec: TechniqueSpec) -> JobRequest:
         """One service request under this campaign's settings.
 
-        ``fast_forward=None`` defers to the executing path (the
-        engine's configured default, plain serial inline) — exactly
-        the pre-service behaviour.
+        ``fast_forward=None`` defers to the engine's configured default
+        (off on the service's default in-process engine).
         """
         return JobRequest(benchmark=benchmark, technique=spec,
                           sm_config=self.settings.sm_config,
@@ -179,8 +178,8 @@ class ExperimentRunner:
 
         ``technique`` is anything :func:`repro.core.spec.as_spec`
         resolves: a :class:`Technique` member, a registered name, or a
-        :class:`~repro.core.spec.TechniqueSpec`.  A cell whose engine
-        job terminally failed (exception, timeout, fail-fast
+        :class:`~repro.core.spec.TechniqueSpec`.  A cell whose job
+        terminally failed (exception, timeout, fail-fast
         cancellation — after any retries) raises
         :class:`~repro.engine.faults.JobFailedError`; the failure is
         memoised too, so the cell is never silently re-simulated.
@@ -207,11 +206,8 @@ class ExperimentRunner:
         memoised cells are skipped (service-wide single-flight); the
         rest fan out over the engine's worker pool as one ledgered
         batch, so subsequent :meth:`run` calls (and every derived
-        metric) are pure lookups.  Without an engine this is a no-op —
-        the serial path computes lazily as before.
+        metric) are pure lookups.
         """
-        if self.engine is None:
-            return
         job_requests = []
         for request in requests:
             benchmark, technique = request[0], request[1]

@@ -83,13 +83,14 @@ def replicate(settings: ExperimentSettings,
     seeds share one :class:`SimulationService` — request keys carry the
     seed, so cells never alias, and the shared single-flight memo means
     re-running a seed costs nothing.  Within a seed the usual
-    identical-trace comparison across techniques holds.  With an
-    ``engine`` (or a ``service`` wrapping one), each seed's full
-    (benchmark × technique) grid is prefetched over the worker pool
-    before the serial metric loops read it back from memory.
+    identical-trace comparison across techniques holds.  Each seed's
+    full (benchmark × technique) grid is prefetched as one engine batch
+    (over the worker pool of an ``engine``, or of the engine a
+    ``service`` wraps) before the serial metric loops read it back
+    from memory.
 
-    A benchmark that terminally fails *any* of its cells under the
-    engine (baseline or any technique) is dropped from the whole seed —
+    A benchmark that terminally fails *any* of its cells (baseline or
+    any technique) is dropped from the whole seed —
     not just from the failing technique's averages — so every technique
     aggregates over the same surviving benchmarks and cross-technique
     comparisons stay population-equal.  Per-seed survivor counts land

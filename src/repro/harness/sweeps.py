@@ -172,7 +172,7 @@ def bet_sweep(runner: ExperimentRunner,
 def _prefetch_grid(runner: ExperimentRunner,
                    techniques: Sequence[Technique],
                    gatings: Sequence[GatingParams]) -> None:
-    """Fan a sweep's full run grid over the runner's engine (if any)."""
+    """Fan a sweep's full run grid over the runner's engine."""
     runner.prefetch(
         [(name, Technique.BASELINE) for name in runner.settings.benchmarks]
         + [(name, technique, gating)

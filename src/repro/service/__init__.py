@@ -4,8 +4,9 @@
   :class:`SimulationService`: single-flight dedupe of
   :class:`~repro.engine.jobs.JobRequest`\\ s onto :class:`JobTicket`\\ s
   named by their run key, structured
-  :class:`JobState` lifecycle, engine-or-inline execution, replayable
-  per-job event feeds.  The experiment runner, the sweeps, the
+  :class:`JobState` lifecycle, execution on one
+  :class:`~repro.engine.pool.ParallelEngine`, replayable per-job event
+  feeds.  The experiment runner, the sweeps, the
   replication harness and the CLI all run through it.
 * :mod:`repro.service.api` — the thin asyncio JSON-over-HTTP front end
   (``repro serve``).

@@ -267,7 +267,7 @@ class ServiceAPI:
         try:
             self.service.execute(ticket)
         except Exception:
-            # Inline-path exceptions already settled the ticket (state
+            # An engine exception already settled the ticket (state
             # "failed", error in the feed); nothing to re-raise into.
             pass
 

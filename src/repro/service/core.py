@@ -20,10 +20,11 @@ replication harness and the CLI:
   :class:`~repro.engine.faults.JobStatus`, with a replayable per-job
   :class:`~repro.obs.subscribe.Feed` any number of consumers can
   stream (a consumer disconnecting never perturbs the job);
-* **both execution paths**: with an engine, jobs go through
-  :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` (persistent
-  cache, retries, ledger); without one, the inline path reproduces the
-  classic serial runner byte-for-byte.
+* **one execution path**: every job goes through
+  :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs`.  Without an
+  engine the service builds an in-process one with no cache, no ledger
+  and fast-forward off, so the default service runs the serial oracle
+  and keeps nothing on disk.
 
 The service is synchronous and thread-safe; the asyncio front end in
 :mod:`repro.service.api` is a thin shell over it.  The engine itself is
@@ -37,17 +38,25 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+import traceback
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import result_digest
 from repro.core.spec import TechniqueSpec
-from repro.core.techniques import build_sm
-from repro.engine.faults import JobFailedError, last_error_line
-from repro.engine.jobs import JobOutcome, JobRequest, job_manifest
+from repro.engine.faults import (
+    JobFailedError,
+    JobReport,
+    JobStatus,
+    last_error_line,
+)
+from repro.engine.jobs import JobOutcome, JobRequest, outcome_from_report
+from repro.engine.pool import ParallelEngine
 from repro.obs.bus import EventBus
-# ``config_hash`` is not called here: perfbench/tracing.py wraps it on
-# this module to time run identity.
+# ``build_sm`` and ``config_hash`` are not called here:
+# perfbench/tracing.py wraps both on this module to time SM wiring and
+# run identity.
+from repro.core.techniques import build_sm  # noqa: F401
 from repro.obs.manifest import RunManifest, config_hash  # noqa: F401
 from repro.obs.subscribe import Feed
 from repro.obs.telemetry import (
@@ -57,8 +66,6 @@ from repro.obs.telemetry import (
     job_label,
 )
 from repro.sim.sm import SimResult
-from repro.workloads.registry import build_kernel
-from repro.workloads.specs import get_profile
 
 
 class JobState(str, Enum):
@@ -91,8 +98,8 @@ class JobTicket:
     of single-flight dedupe.  ``feed`` carries the job's event stream
     (state changes, forwarded engine telemetry, the final summary) and
     closes when the ticket settles.  ``job`` is the submitted request
-    with fast-forward resolved, which both execution paths run;
-    ``job_id`` is its run key.
+    with fast-forward resolved, which the engine runs; ``job_id`` is
+    its run key.
     """
 
     def __init__(self, job: JobRequest) -> None:
@@ -108,7 +115,6 @@ class JobTicket:
         self.feed = Feed()
         self._done = threading.Event()
         self._run_lock = threading.Lock()
-        self._exception: Optional[BaseException] = None
         self._digest: Optional[str] = None
         self._digest_lock = threading.Lock()
 
@@ -122,17 +128,14 @@ class JobTicket:
         return self._done.wait(timeout)
 
     def result(self) -> SimResult:
-        """The settled result; raises like the classic runner.
+        """The settled result.
 
-        A terminally failed engine job raises
-        :class:`~repro.engine.faults.JobFailedError`; an inline-path
-        exception is re-raised as itself.  Call only on a done ticket
-        (use :meth:`wait` first).
+        A terminally failed job raises
+        :class:`~repro.engine.faults.JobFailedError`.  Call only on a
+        done ticket (use :meth:`wait` first).
         """
         if not self._done.is_set():
             raise RuntimeError(f"job {self.job_id} has not settled yet")
-        if self._exception is not None:
-            raise self._exception
         assert self.outcome is not None
         if not self.outcome.ok:
             raise_for_outcome(self.job.benchmark, self.job.spec,
@@ -191,9 +194,11 @@ class SimulationService:
     """Spec-addressed, single-flight simulation execution.
 
     Args:
-        engine: Optional :class:`~repro.engine.pool.ParallelEngine`.
-            With one, jobs gain the persistent cache, retries and the
-            run ledger; without one, the inline serial path runs.
+        engine: Optional :class:`~repro.engine.pool.ParallelEngine`
+            that runs every job.  Omitted, the service runs jobs in
+            process on ``ParallelEngine(jobs=1, cache_dir=None,
+            fast_forward=False, ledger=False)``: the serial oracle,
+            uncached and unledgered.
         worker: Optional override for the engine-side executing
             callable, passed through to
             :meth:`~repro.engine.pool.ParallelEngine.run_sim_jobs` —
@@ -202,12 +207,15 @@ class SimulationService:
     Thread-safety: the ticket table (keyed by run key) has its own
     lock; all engine access is serialised behind ``_exec_lock`` (the
     engine keeps per-batch telemetry state and must never see two
-    batches at once).  Inline execution is serialised the same way.
+    batches at once).
     """
 
-    def __init__(self, engine=None,
+    def __init__(self, engine: Optional[ParallelEngine] = None,
                  worker: Optional[Callable[[JobRequest], JobOutcome]]
                  = None):
+        if engine is None:
+            engine = ParallelEngine(jobs=1, cache_dir=None,
+                                    fast_forward=False, ledger=False)
         self.engine = engine
         self.worker = worker
         self._lock = threading.Lock()
@@ -231,8 +239,7 @@ class SimulationService:
         (the caller is then responsible for driving :meth:`execute`);
         False marks a deduped submission sharing an existing ticket.
         """
-        job = request.resolve(self.engine.fast_forward
-                              if self.engine is not None else False)
+        job = request.resolve(self.engine.fast_forward)
         key = job.key(job.fast_forward)
         with self._lock:
             ticket = self._tickets.get(key)
@@ -268,37 +275,22 @@ class SimulationService:
         """Drive one ticket to a terminal state (idempotent).
 
         The first caller in executes; concurrent callers block on the
-        per-ticket lock and return the shared settled outcome.  Engine
-        failures settle the ticket (and are memoised — re-reading a
-        failed cell never silently re-simulates); inline exceptions
-        settle the ticket for waiters but *drop it from the dedupe
-        table*, preserving the classic runner's non-memoising inline
-        behaviour.
+        per-ticket lock and return the shared settled outcome.  A
+        failure settles the ticket too and is memoised: re-reading a
+        failed cell never silently re-simulates.
         """
-        if ticket._done.is_set():
-            return self._settled(ticket)
-        with ticket._run_lock:
-            if ticket._done.is_set():
-                return self._settled(ticket)
-            self._set_state(ticket, JobState.RUNNING)
-            ticket.started_at = time.time()
-            try:
-                if self.engine is not None:
-                    outcome = self._execute_engine(ticket)
-                else:
-                    outcome = self._execute_inline(ticket)
-            except BaseException as exc:
-                self._settle_exception(ticket, exc)
-                raise
-            self._settle(ticket, outcome)
-            return outcome
+        if not ticket._done.is_set():
+            with ticket._run_lock, self._exec_lock:
+                if not ticket._done.is_set():
+                    self._run_batch([ticket])
+        assert ticket.outcome is not None
+        return ticket.outcome
 
     def run(self, request: JobRequest) -> SimResult:
         """Submit + execute + unwrap: the whole classic run() contract.
 
         Deduped against every other submission; raises
-        :class:`JobFailedError` for terminally failed engine cells and
-        re-raises inline exceptions as themselves.
+        :class:`JobFailedError` for terminally failed cells.
         """
         ticket, _ = self.submit(request)
         self.execute(ticket)
@@ -309,9 +301,6 @@ class SimulationService:
 
         Already-settled and in-flight cells are skipped (their tickets
         are still returned, in request order, duplicates collapsed).
-        Without an engine this is a no-op beyond ticket registration —
-        the inline path computes lazily, as the serial runner always
-        has.
         """
         tickets: List[JobTicket] = []
         owned: List[JobTicket] = []
@@ -324,7 +313,7 @@ class SimulationService:
             tickets.append(ticket)
             if created:
                 owned.append(ticket)
-        if self.engine is None or not owned:
+        if not owned:
             return tickets
         with self._exec_lock:
             # Re-check under the lock: a concurrent execute() may have
@@ -332,14 +321,8 @@ class SimulationService:
             batch = [t for t in owned
                      if not t.done and t._run_lock.acquire(blocking=False)]
             try:
-                if not batch:
-                    return tickets
-                for ticket in batch:
-                    self._set_state(ticket, JobState.RUNNING)
-                    ticket.started_at = time.time()
-                outcomes = self._run_engine_batch([t.job for t in batch])
-                for ticket, outcome in zip(batch, outcomes):
-                    self._settle(ticket, outcome)
+                if batch:
+                    self._run_batch(batch)
             finally:
                 for ticket in batch:
                     ticket._run_lock.release()
@@ -359,45 +342,34 @@ class SimulationService:
         return True
 
     # ------------------------------------------------------------------
-    # execution paths
+    # execution and settlement
     # ------------------------------------------------------------------
 
-    def _execute_engine(self, ticket: JobTicket) -> JobOutcome:
-        with self._exec_lock:
-            return self._run_engine_batch([ticket.job])[0]
+    def _run_batch(self, batch: List[JobTicket]) -> None:
+        """Run tickets as one engine batch and settle every one.
 
-    def _run_engine_batch(self, jobs: List[JobRequest]
-                          ) -> List[JobOutcome]:
-        """One engine batch; must be called under ``_exec_lock``."""
-        if self.worker is not None:
-            return self.engine.run_sim_jobs(jobs, worker=self.worker)
-        return self.engine.run_sim_jobs(jobs)
-
-    def _execute_inline(self, ticket: JobTicket) -> JobOutcome:
-        """The classic serial path, byte-for-byte, as a JobOutcome.
-
-        Mirrors the pre-service ``ExperimentRunner._run_uncached``: the
-        manifest carries the ``build_trace`` / ``simulate`` wall phases.
-        Serialised behind ``_exec_lock``, like the engine path.
+        Must be called under ``_exec_lock`` and each ticket's
+        ``_run_lock``.  An exception out of the engine itself (not a
+        failed cell, which comes back as an outcome) settles every
+        ticket of the batch as failed before it propagates, so no
+        waiter is left on a ticket nobody will run.
         """
-        job = ticket.job
-        with self._exec_lock:
-            t0 = time.perf_counter()
-            kernel = build_kernel(job.benchmark, seed=job.seed,
-                                  scale=job.scale)
-            t1 = time.perf_counter()
-            result = build_sm(kernel, job.spec, sm_config=job.sm_config,
-                              dram_latency=get_profile(
-                                  job.benchmark).dram_latency,
-                              fast_forward=job.fast_forward).run()
-            t2 = time.perf_counter()
-        manifest = job_manifest(job, result, wall_seconds={
-            "build_trace": t1 - t0, "simulate": t2 - t1})
-        return JobOutcome(result=result, manifest=manifest)
-
-    # ------------------------------------------------------------------
-    # settlement
-    # ------------------------------------------------------------------
+        for ticket in batch:
+            self._set_state(ticket, JobState.RUNNING)
+            ticket.started_at = time.time()
+        jobs = [ticket.job for ticket in batch]
+        try:
+            outcomes = self.engine.run_sim_jobs(jobs, worker=self.worker)
+        except BaseException as exc:
+            error = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+            for index, ticket in enumerate(batch):
+                self._settle(ticket, outcome_from_report(
+                    ticket.job, JobReport(index, JobStatus.FAILED,
+                                          error=error)))
+            raise
+        for ticket, outcome in zip(batch, outcomes):
+            self._settle(ticket, outcome)
 
     def _settle(self, ticket: JobTicket, outcome: JobOutcome) -> None:
         ticket.outcome = outcome
@@ -416,36 +388,6 @@ class SimulationService:
         })
         ticket.feed.close()
         ticket._done.set()
-
-    def _settle_exception(self, ticket: JobTicket,
-                          exc: BaseException) -> None:
-        """Settle an inline-path exception without memoising it.
-
-        Waiters blocked on the ticket re-raise the stored exception;
-        the key is dropped from the dedupe table so the next submission
-        re-attempts — exactly the classic runner, where an inline raise
-        left nothing in the memo.
-        """
-        ticket._exception = exc
-        ticket.finished_at = time.time()
-        with self._lock:
-            if self._tickets.get(ticket.job_id) is ticket:
-                del self._tickets[ticket.job_id]
-        self._set_state(ticket, JobState.FAILED)
-        ticket.feed.append({
-            "record": "done",
-            "job_id": ticket.job_id,
-            "state": JobState.FAILED.value,
-            "error": f"{type(exc).__name__}: {exc}",
-        })
-        ticket.feed.close()
-        ticket._done.set()
-
-    def _settled(self, ticket: JobTicket) -> JobOutcome:
-        if ticket._exception is not None:
-            raise ticket._exception
-        assert ticket.outcome is not None
-        return ticket.outcome
 
     # ------------------------------------------------------------------
     # events

@@ -13,16 +13,19 @@ computed *once before the fan-out* — so SMs stay mutually independent
 exactly the base latency (the neutrality the single-SM golden digests
 rely on).  Everything else the paper measures lives inside the SM.
 
-Building an SM per technique is the caller's job (the harness passes an
-``sm_factory`` or a declarative config), so the GPU wrapper stays
-technique-agnostic.  :meth:`GPU.from_preset` wires the full paper
-platform (``gtx480``) from the device-preset registry.
+A device is wired declaratively: a technique (anything
+:func:`repro.core.spec.as_spec` resolves), an SM config and a DRAM
+latency, all picklable, so every part is one
+:class:`~repro.engine.jobs.SMPartJob` whether it runs in process or on
+a :class:`~repro.engine.pool.ParallelEngine`.  :meth:`GPU.from_preset`
+wires the full paper platform (``gtx480``) from the device-preset
+registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -32,9 +35,8 @@ from repro.power.params import (
     FP_DYN_PER_ISSUE,
     INT_DYN_PER_ISSUE,
 )
-from repro.sim.sm import SimResult, StreamingMultiprocessor
-
-SMFactory = Callable[[KernelTrace], StreamingMultiprocessor]
+from repro.sim.config import SMConfig
+from repro.sim.sm import SimResult
 
 
 def split_kernel(kernel: KernelTrace, n_sms: int) -> List[KernelTrace]:
@@ -114,38 +116,25 @@ class GPUResult:
 class GPU:
     """A device of independent SMs sharing a work distributor.
 
-    Two construction styles:
-
-    * ``GPU(n, sm_factory)`` — legacy closure-based wiring; runs
-      serially only (closures don't pickle).
-    * ``GPU(n, config=TechniqueConfig(...), sm_config=..., ...)`` —
-      declarative wiring from picklable configs, which additionally
-      allows ``run(kernel, engine=...)`` to fan the per-SM parts over
-      a :class:`~repro.engine.pool.ParallelEngine`.
+    ``GPU(n_sms, config, sm_config=..., dram_latency=...)`` wires every
+    SM with technique ``config``; ``run(kernel, engine=...)`` fans the
+    per-SM parts over a :class:`~repro.engine.pool.ParallelEngine`, and
+    without an engine runs them in process, one after another.
     """
 
-    def __init__(self, n_sms: int, sm_factory: Optional[SMFactory] = None,
-                 *, config=None, sm_config=None,
+    def __init__(self, n_sms: int, config, *,
+                 sm_config: Optional[SMConfig] = None,
                  dram_latency: Optional[int] = None,
                  memory_side=None,
                  fast_forward: bool = False) -> None:
         if n_sms < 1:
             raise ValueError("n_sms must be >= 1")
-        if (sm_factory is None) == (config is None):
-            raise ValueError("pass exactly one of sm_factory or config")
-        if memory_side is not None and config is None:
-            # The contention model works by overriding the per-part
-            # DRAM latency, which only the declarative path controls —
-            # an opaque closure has already baked its latency in.
-            raise ValueError(
-                "memory_side needs config-based construction")
         self.n_sms = n_sms
         self.config = config
         self.sm_config = sm_config
         self.dram_latency = dram_latency
         self.memory_side = memory_side
         self.fast_forward = fast_forward
-        self.sm_factory = sm_factory
 
     @classmethod
     def from_preset(cls, name: str, config, *,
@@ -160,7 +149,7 @@ class GPU:
         """
         from repro.core.device import device_preset
         preset = device_preset(name)
-        return cls(preset.n_sms, config=config, sm_config=preset.sm,
+        return cls(preset.n_sms, config, sm_config=preset.sm,
                    dram_latency=dram_latency,
                    memory_side=preset.memory_side,
                    fast_forward=fast_forward)
@@ -177,41 +166,29 @@ class GPU:
             return self.dram_latency
         base = self.dram_latency
         if base is None:
-            sm_config = self.sm_config
-            if sm_config is None:
-                from repro.sim.config import SMConfig
-                sm_config = SMConfig()
-            base = sm_config.memory.dram_latency
+            base = (self.sm_config or SMConfig()).memory.dram_latency
         return self.memory_side.effective_dram_latency(base, n_active)
 
     def run(self, kernel: KernelTrace, engine=None) -> GPUResult:
         """Split, run and aggregate one kernel launch.
 
-        With an ``engine`` (and config-based construction), the
-        independent SM parts execute on the worker pool; results are
-        aggregated in part order, identical to the serial path.
+        Each SM part is one :class:`~repro.engine.jobs.SMPartJob` run
+        by :func:`~repro.engine.jobs.execute_sm_part`: on the
+        ``engine``'s workers when one is given, in process otherwise.
+        Results are aggregated in part order either way.
         """
+        from repro.engine.jobs import SMPartJob, execute_sm_part
         parts = split_kernel(kernel, self.n_sms)
-        if self.sm_factory is not None:
-            results = [self.sm_factory(part).run() for part in parts]
+        dram_latency = self._effective_dram_latency(len(parts))
+        jobs = [SMPartJob(part=part, config=self.config,
+                          sm_config=self.sm_config or SMConfig(),
+                          dram_latency=dram_latency,
+                          fast_forward=self.fast_forward)
+                for part in parts]
+        if engine is not None:
+            results = engine.map(execute_sm_part, jobs)
         else:
-            dram_latency = self._effective_dram_latency(len(parts))
-            if engine is not None:
-                from repro.engine.jobs import SMPartJob, execute_sm_part
-                from repro.sim.config import SMConfig
-                jobs = [SMPartJob(part=part, config=self.config,
-                                  sm_config=self.sm_config or SMConfig(),
-                                  dram_latency=dram_latency,
-                                  fast_forward=self.fast_forward)
-                        for part in parts]
-                results = engine.map(execute_sm_part, jobs)
-            else:
-                from repro.core.techniques import build_sm
-                results = [build_sm(part, self.config,
-                                    sm_config=self.sm_config,
-                                    dram_latency=dram_latency,
-                                    fast_forward=self.fast_forward).run()
-                           for part in parts]
+            results = [execute_sm_part(job) for job in jobs]
         technique = results[0].technique if results else "baseline"
         return GPUResult(kernel_name=kernel.name, technique=technique,
                          sm_results=tuple(results))

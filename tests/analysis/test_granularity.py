@@ -96,10 +96,9 @@ class TestGranularityComparison:
 class TestOnSimulatorOutput:
     def test_sm_wide_tracker_collected(self, tiny_kernel,
                                        small_sm_config):
-        from repro.core.techniques import (Technique, TechniqueConfig,
-                                           build_sm)
+        from repro.core.techniques import Technique, build_sm
         from repro.sim.sm import StreamingMultiprocessor
-        sm = build_sm(tiny_kernel, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(tiny_kernel, Technique.BASELINE,
                       sm_config=small_sm_config)
         result = sm.run()
         tracker = result.stats.idle_trackers[
@@ -109,12 +108,11 @@ class TestOnSimulatorOutput:
     def test_sm_wide_idleness_below_per_unit_idleness(self):
         # SM-wide idle requires EVERY pipeline idle, so its idle count
         # can never exceed any single pipeline's.
-        from repro.core.techniques import (Technique, TechniqueConfig,
-                                           build_sm)
+        from repro.core.techniques import Technique, build_sm
         from repro.sim.sm import StreamingMultiprocessor
         from repro.workloads.registry import build_kernel
         kernel = build_kernel("hotspot", scale=0.25)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE))
+        sm = build_sm(kernel, Technique.BASELINE)
         result = sm.run()
         sm_idle = result.stats.idle_trackers[
             StreamingMultiprocessor.SM_WIDE_TRACKER].idle_cycles

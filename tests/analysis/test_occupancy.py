@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.occupancy import BUSY, IDLE, OccupancyRecorder
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -19,8 +19,7 @@ def single_int_kernel(n: int = 3) -> KernelTrace:
 
 
 def build(kernel):
-    return build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                    sm_config=CONFIG)
+    return build_sm(kernel, Technique.BASELINE, sm_config=CONFIG)
 
 
 class TestRecorder:

@@ -10,7 +10,7 @@ from repro.analysis.stalls import (
     stall_rows,
     stalls_per_kilocycle,
 )
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import Technique, run_benchmark
 
 from tests.conftest import TEST_SCALE
 
@@ -19,7 +19,7 @@ from tests.conftest import TEST_SCALE
 def runs():
     return {
         technique.value: run_benchmark(
-            "hotspot", TechniqueConfig(technique), scale=TEST_SCALE)
+            "hotspot", technique, scale=TEST_SCALE)
         for technique in (Technique.BASELINE, Technique.CONV_PG,
                           Technique.NAIVE_BLACKOUT)
     }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.timeline import TIMELINE_HEADERS, PowerTimeline
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 
@@ -13,7 +13,7 @@ from tests.conftest import SMALL_SM
 def run_with_timeline(technique=Technique.WARPED_GATES, epoch=100,
                       names=None):
     kernel = build_kernel("hotspot", scale=0.2)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=SMALL_SM,
+    sm = build_sm(kernel, technique, sm_config=SMALL_SM,
                   dram_latency=get_profile("hotspot").dram_latency)
     timeline = PowerTimeline(sm, epoch_cycles=epoch, names=names)
     result = sm.run()
@@ -83,14 +83,12 @@ class TestDerived:
 class TestValidation:
     def test_epoch_must_be_positive(self):
         kernel = build_kernel("hotspot", scale=0.1)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.BASELINE, sm_config=SMALL_SM)
         with pytest.raises(ValueError):
             PowerTimeline(sm, epoch_cycles=0)
 
     def test_unknown_pipeline(self):
         kernel = build_kernel("hotspot", scale=0.1)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.BASELINE, sm_config=SMALL_SM)
         with pytest.raises(KeyError):
             PowerTimeline(sm, names=("XYZ",))

@@ -7,7 +7,7 @@ from repro.analysis.warps import (
     occupancy_tail_fraction,
     summarize_warps,
 )
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.sim.sm import WarpRecord
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -18,7 +18,7 @@ from tests.conftest import SMALL_SM
 @pytest.fixture(scope="module")
 def hotspot_result():
     kernel = build_kernel("hotspot", scale=0.25)
-    sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
+    sm = build_sm(kernel, Technique.BASELINE,
                   sm_config=SMALL_SM,
                   dram_latency=get_profile("hotspot").dram_latency)
     return kernel, sm.run()
@@ -48,8 +48,7 @@ class TestWarpRecords:
         kernel = build_kernel("nw", scale=0.5)
         runs = []
         for _ in range(2):
-            sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                          sm_config=SMALL_SM)
+            sm = build_sm(kernel, Technique.BASELINE, sm_config=SMALL_SM)
             runs.append(sm.run().warp_records)
         assert runs[0] == runs[1]
 
@@ -107,8 +106,7 @@ class TestHistogramAndTail:
 
     def test_tail_fraction_tiny_kernel_is_one(self):
         kernel = build_kernel("nw", scale=0.1)
-        sm = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.BASELINE, sm_config=SMALL_SM)
         result = sm.run()
         if len(result.warp_records) <= 4:
             assert occupancy_tail_fraction(result) == 1.0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.instructions import fp_op, int_op, load_op
 from repro.isa.optypes import OpClass
@@ -56,11 +55,3 @@ def small_runner() -> ExperimentRunner:
     settings = ExperimentSettings(
         scale=TEST_SCALE, benchmarks=("hotspot", "bfs", "sgemm"))
     return ExperimentRunner(settings)
-
-
-def run_tiny(kernel: KernelTrace, technique: Technique,
-             sm_config: SMConfig = SMALL_SM, **kwargs):
-    """Helper: build+run an SM over a kernel under one technique."""
-    sm = build_sm(kernel, TechniqueConfig(technique, **kwargs),
-                  sm_config=sm_config)
-    return sm.run()

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,7 @@ from repro.core.spec import (
     techniques_by_group,
     validate_names,
 )
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.power.params import GatingParams
 from repro.sim.config import MemoryConfig, SMConfig
 
@@ -450,19 +451,11 @@ class TestAsSpec:
         assert as_spec("warped_gates") == expected
         assert as_spec(Technique.WARPED_GATES) == expected
 
-    def test_technique_config_lowers_via_to_spec(self):
-        config = TechniqueConfig(Technique.WARPED_GATES)
-        assert as_spec(config).spec_hash() == \
-            technique_spec("warped_gates").spec_hash()
-
-    def test_config_overrides_reach_the_spec(self):
-        config = TechniqueConfig(Technique.GATES,
-                                 gating=GatingParams(bet=19),
-                                 max_priority_cycles=512)
-        spec = as_spec(config)
-        assert spec.gating.bet == 19
-        assert spec.scheduler.param_dict() == {"max_priority_cycles": 512}
-        assert spec.spec_hash() != technique_spec("gates").spec_hash()
+    def test_rejects_to_spec_duck_type(self):
+        # Three forms only: an object exposing ``to_spec()`` is not one.
+        with pytest.raises(TypeError, match="cannot resolve"):
+            as_spec(SimpleNamespace(
+                to_spec=lambda: technique_spec("gates")))
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeError, match="cannot resolve"):

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine.cache import MAGIC, RunCache
 from repro.obs.telemetry import (
     CacheEvicted,
@@ -21,6 +21,7 @@ from repro.engine.jobs import (
     load_or_build_kernel,
     trace_cache_key,
 )
+from repro.workloads.registry import build_kernel
 
 from tests.engine.faults import corrupt_cache_entry, plant_stale_tmp
 
@@ -128,7 +129,7 @@ class TestJanitor:
         # per-job directory scan would grow with cache size.
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
         job = JobRequest(benchmark="hotspot",
-                         technique=TechniqueConfig(Technique.BASELINE),
+                         technique=Technique.BASELINE,
                          scale=0.2)
         execute_job(job, cache_dir=str(tmp_path))
         assert orphan.exists()
@@ -137,7 +138,7 @@ class TestJanitor:
         from repro.engine import ParallelEngine
         orphan = plant_stale_tmp(tmp_path, age_seconds=7200.0)
         job = JobRequest(benchmark="hotspot",
-                         technique=TechniqueConfig(Technique.BASELINE),
+                         technique=Technique.BASELINE,
                          scale=0.2)
         with ParallelEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
             engine.run_sim_jobs([job])
@@ -286,10 +287,16 @@ class TestTraceMemoisation:
         kernel = load_or_build_kernel("hotspot", 0, 0.2, cache=None)
         assert kernel.n_warps > 0
 
+    def test_no_cache_shares_build_kernels_memo(self):
+        # Every technique of one benchmark replays the same trace
+        # object instead of regenerating it per cell.
+        assert load_or_build_kernel("hotspot", 0, 0.1) is \
+            build_kernel("hotspot", seed=0, scale=0.1)
+
 
 class TestResultCache:
     JOB = JobRequest(benchmark="hotspot",
-                     technique=TechniqueConfig(Technique.CONV_PG), scale=0.2)
+                     technique=Technique.CONV_PG, scale=0.2)
 
     def test_execute_job_round_trip(self, tmp_path):
         cold = execute_job(self.JOB, cache_dir=str(tmp_path))
@@ -315,10 +322,10 @@ class TestResultCache:
         base = self.JOB.key(True)
         assert self.JOB.key(False) != base
         assert JobRequest(benchmark="hotspot",
-                          technique=TechniqueConfig(Technique.WARPED_GATES),
+                          technique=Technique.WARPED_GATES,
                           scale=0.2).key(True) != base
         assert JobRequest(benchmark="hotspot",
-                          technique=TechniqueConfig(Technique.CONV_PG),
+                          technique=Technique.CONV_PG,
                           scale=0.2, seed=7).key(True) != base
 
     def test_no_cache_dir_runs_fresh(self, tmp_path, monkeypatch):

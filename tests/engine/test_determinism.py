@@ -7,7 +7,7 @@ the inline path.  The cache is disabled throughout so a stale entry
 cannot mask a divergence.
 """
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.isa.optypes import ExecUnitKind
@@ -19,8 +19,7 @@ SETTINGS = ExperimentSettings(scale=SCALE)
 
 
 def _grid():
-    return [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
-                       scale=SCALE)
+    return [JobRequest(benchmark=name, technique=technique, scale=SCALE)
             for name in BENCHMARKS for technique in Technique]
 
 

@@ -15,7 +15,7 @@ The contract under test (the tentpole of this PR):
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import FaultPolicy, JobRequest, JobStatus, ParallelEngine
 from repro.engine.faults import JobFailedError
 
@@ -198,7 +198,7 @@ class TestSimJobGrid:
     VICTIM = "bfs/warped_gates/s0"
 
     def _grid(self):
-        jobs = [JobRequest(benchmark=name, technique=TechniqueConfig(technique),
+        jobs = [JobRequest(benchmark=name, technique=technique,
                            scale=self.SCALE)
                 for name in ("hotspot", "bfs") for technique in Technique]
         assert len(jobs) >= 20
@@ -228,7 +228,7 @@ class TestSimJobGrid:
 
     def test_permanent_failure_leaves_survivors_intact(self):
         jobs = [JobRequest(benchmark="hotspot",
-                           technique=TechniqueConfig(technique), scale=self.SCALE)
+                           technique=technique, scale=self.SCALE)
                 for technique in (Technique.BASELINE, Technique.CONV_PG,
                                   Technique.WARPED_GATES)]
         victim = sim_job_key(jobs[1])

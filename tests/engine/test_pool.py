@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 
 
@@ -42,7 +42,7 @@ class TestMap:
 class TestSimJobs:
     def test_pool_attributes_worker_processes(self):
         jobs = [JobRequest(benchmark="hotspot",
-                           technique=TechniqueConfig(technique), scale=0.2)
+                           technique=technique, scale=0.2)
                 for technique in (Technique.BASELINE, Technique.CONV_PG)]
         with ParallelEngine(jobs=2, cache_dir=None) as engine:
             outcomes = engine.run_sim_jobs(jobs)
@@ -55,7 +55,7 @@ class TestSimJobs:
         engine = ParallelEngine(jobs=1, cache_dir=None)
         outcome = engine.run_sim_job(
             JobRequest(benchmark="hotspot",
-                       technique=TechniqueConfig(Technique.BASELINE), scale=0.2))
+                       technique=Technique.BASELINE, scale=0.2))
         assert outcome.manifest.worker == "MainProcess"
 
     def test_open_cache_follows_cache_dir(self, tmp_path):

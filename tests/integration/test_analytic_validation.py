@@ -7,9 +7,11 @@ break-even accounting and wakeup timing — a regression here means the
 timing conventions in docs/architecture.md changed.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -21,9 +23,9 @@ CONFIG = SMConfig(max_resident_warps=2, fetch_width=8,
 GATING = GatingParams(idle_detect=3, bet=6, wakeup_delay=2)
 
 
-def run(kernel, technique, **kwargs):
-    sm = build_sm(kernel, TechniqueConfig(technique, gating=GATING,
-                                          **kwargs), sm_config=CONFIG)
+def run(kernel, technique):
+    sm = build_sm(kernel, replace(technique.spec, gating=GATING),
+                  sm_config=CONFIG)
     return sm.run()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -14,7 +14,7 @@ ALL_TECHNIQUES = list(Technique)
 
 def run(technique: Technique, benchmark: str = "hotspot"):
     kernel = build_kernel(benchmark, scale=TEST_SCALE)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=SMALL_SM,
+    sm = build_sm(kernel, technique, sm_config=SMALL_SM,
                   dram_latency=get_profile(benchmark).dram_latency)
     return kernel, sm.run()
 
@@ -118,8 +118,7 @@ class TestCrossTechnique:
 
     def test_integer_only_benchmark_never_wakes_fp(self):
         kernel = build_kernel("lavaMD", scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.WARPED_GATES, sm_config=SMALL_SM)
         result = sm.run()
         fp = result.gating_totals(ExecUnitKind.FP)
         assert fp.wakeups == 0

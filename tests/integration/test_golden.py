@@ -15,12 +15,11 @@ across numpy versions (NEP 19), so these values are portable.
 Re-record with::
 
     python - <<'PY'
-    from repro.core.techniques import Technique, TechniqueConfig, \
-        run_benchmark
+    from repro.core.techniques import Technique, run_benchmark
     for name in ("hotspot", "bfs", "nw"):
         for tech in (Technique.BASELINE, Technique.CONV_PG,
                      Technique.WARPED_GATES):
-            r = run_benchmark(name, TechniqueConfig(tech), scale=0.25)
+            r = run_benchmark(name, tech, scale=0.25)
             gated = sum(s.gated_cycles for s in r.domain_stats.values())
             print(name, tech.value, r.cycles,
                   r.stats.instructions_retired, gated)
@@ -29,7 +28,7 @@ Re-record with::
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import Technique, run_benchmark
 
 #: (benchmark, technique) -> (cycles, instructions retired, total gated
 #: cycles across domains), at seed 0 / scale 0.25.
@@ -50,7 +49,7 @@ GOLDEN = {
 def test_golden_run(key):
     name, technique = key
     expected_cycles, expected_insts, expected_gated = GOLDEN[key]
-    result = run_benchmark(name, TechniqueConfig(technique), scale=0.25)
+    result = run_benchmark(name, technique, scale=0.25)
     gated = sum(s.gated_cycles for s in result.domain_stats.values())
     assert (result.cycles, result.stats.instructions_retired, gated) == \
         (expected_cycles, expected_insts, expected_gated), (

@@ -8,7 +8,7 @@ the real SM under GATES and check who actually issues each cycle.
 
 
 from repro.core.gates import GatesScheduler
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.optypes import OpClass
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -58,8 +58,7 @@ class TestDualIssueInTheSM:
             WarpTrace(i, tuple(int_op(dest=j % 8) for j in range(16)))
             for i in range(2))
         kernel = KernelTrace(name="k", warps=warps, max_resident_warps=2)
-        sm = build_sm(kernel, TechniqueConfig(Technique.GATES_NO_PG),
-                      sm_config=CONFIG)
+        sm = build_sm(kernel, Technique.GATES_NO_PG, sm_config=CONFIG)
         result = sm.run()
         # 32 instructions; near-perfect dual issue after warm-up.
         assert result.cycles <= 16 + 8
@@ -80,8 +79,7 @@ class TestDualIssueInTheSM:
                  WarpTrace(1, (fp_op(dest=0),)),
                  warps[2])
         kernel = KernelTrace(name="k", warps=warps, max_resident_warps=3)
-        sm = build_sm(kernel, TechniqueConfig(Technique.GATES_NO_PG),
-                      sm_config=CONFIG)
+        sm = build_sm(kernel, Technique.GATES_NO_PG, sm_config=CONFIG)
         result = sm.run()
         assert result.pipeline_issues["INT0"] == 16
         assert result.pipeline_issues["INT1"] == 0

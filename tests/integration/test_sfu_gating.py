@@ -6,9 +6,9 @@ sufficient to recover most of the wasted leakage energy in SFUs" (they
 are 2.5% of execution-unit static power).  The `gate_sfu` flag enables
 exactly that; these tests check it behaves as the paper expects.
 """
+from dataclasses import replace
 
-
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import Technique, run_benchmark
 from repro.isa.optypes import ExecUnitKind
 
 from tests.conftest import TEST_SCALE
@@ -16,7 +16,7 @@ from tests.conftest import TEST_SCALE
 
 def run(technique, gate_sfu, benchmark="hotspot", scale=TEST_SCALE):
     return run_benchmark(benchmark,
-                         TechniqueConfig(technique, gate_sfu=gate_sfu),
+                         replace(technique.spec, gate_sfu=gate_sfu),
                          scale=scale)
 
 
@@ -60,7 +60,7 @@ class TestSFUGating:
 
     def test_sfu_gating_small_performance_effect(self):
         base = run_benchmark("hotspot",
-                             TechniqueConfig(Technique.BASELINE),
+                             Technique.BASELINE,
                              scale=TEST_SCALE)
         gated = run(Technique.CONV_PG, gate_sfu=True)
         assert base.cycles / gated.cycles > 0.9

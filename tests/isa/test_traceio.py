@@ -90,15 +90,14 @@ class TestKernelRoundTrip:
         assert json.loads(text)["name"] == "tiny"
 
     def test_loaded_kernel_simulates_identically(self, tmp_path):
-        from repro.core.techniques import (Technique, TechniqueConfig,
-                                           build_sm)
+        from repro.core.techniques import Technique, build_sm
         kernel = build_kernel("hotspot", scale=0.1)
         path = tmp_path / "h.json"
         save_kernel(kernel, path)
         loaded = load_kernel(path)
         r1 = build_sm(kernel,
-                      TechniqueConfig(Technique.WARPED_GATES)).run()
+                      Technique.WARPED_GATES).run()
         r2 = build_sm(loaded,
-                      TechniqueConfig(Technique.WARPED_GATES)).run()
+                      Technique.WARPED_GATES).run()
         assert r1.cycles == r2.cycles
         assert r1.pipeline_issues == r2.pipeline_issues

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.engine.jobs import JobRequest
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
 from repro.obs.bus import EventBus
@@ -31,8 +31,7 @@ def _instrumented_run(technique=Technique.WARPED_GATES):
     """One golden run with an enabled bus; returns (sm, result, events)."""
     kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(technique),
-                  sm_config=SMALL_SM, bus=bus)
+    sm = build_sm(kernel, technique, sm_config=SMALL_SM, bus=bus)
     events = []
     bus.subscribe(events.append)
     result = sm.run()
@@ -128,8 +127,7 @@ class TestMetricsMatchLegacyCounters:
         # The registry is built at collection time, not from events, so
         # an uninstrumented run (the default) carries the same view.
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.WARPED_GATES, sm_config=SMALL_SM)
         result = sm.run()
         assert not sm.bus.enabled
         assert sm.bus.events_published == 0
@@ -144,8 +142,7 @@ class TestDisabledBusEquivalence:
         # not anyone is listening: observation must stay observation.
         _, instrumented, _ = golden
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
-                      sm_config=SMALL_SM)
+        sm = build_sm(kernel, Technique.WARPED_GATES, sm_config=SMALL_SM)
         plain = sm.run()
         assert plain.cycles == instrumented.cycles
         assert plain.metrics == instrumented.metrics
@@ -158,7 +155,7 @@ class TestChromeTraceAcceptance:
         # check per-domain gated-span sums against SimResult metrics.
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
         bus = EventBus(enabled=True)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, Technique.WARPED_GATES,
                       sm_config=SMALL_SM, bus=bus)
         trace = ChromeTraceExporter().attach(bus)
         result = sm.run()
@@ -183,7 +180,7 @@ class TestChromeTraceAcceptance:
     def test_jsonl_log_round_trips_a_real_run(self, tmp_path):
         kernel = build_kernel("hotspot", seed=0, scale=TEST_SCALE)
         bus = EventBus(enabled=True)
-        sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+        sm = build_sm(kernel, Technique.WARPED_GATES,
                       sm_config=SMALL_SM, bus=bus)
         path = tmp_path / "events.jsonl"
         log = JsonlEventLog(path).attach(bus)
@@ -212,7 +209,8 @@ class TestRunnerProvenance:
         assert manifest.cycles == first.cycles
         assert manifest.cycles_per_sec > 0
         assert set(manifest.wall_seconds) == {"build_trace", "simulate"}
-        # The inline path runs serially, so its key is the serial one.
+        # The default in-process engine runs the serial oracle, so the
+        # key is the serial one.
         assert manifest.run_key == JobRequest(
             "hotspot", Technique.BASELINE, scale=TEST_SCALE).key(False)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 from repro.obs.ledger import (
     LedgerWriter,
@@ -20,7 +20,7 @@ from tests.engine.faults import FaultPlan, FaultyEngine
 
 def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
     return JobRequest(benchmark=benchmark,
-                      technique=TechniqueConfig(technique), scale=0.2,
+                      technique=technique, scale=0.2,
                       seed=seed)
 
 

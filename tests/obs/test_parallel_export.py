@@ -11,7 +11,7 @@ it.
 import io
 import json
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 from repro.obs.exporters import (
     EngineTraceExporter,
@@ -25,7 +25,7 @@ from tests.engine.faults import FaultPlan, FaultyEngine
 
 def _jobs(n=3, technique=Technique.BASELINE):
     return [JobRequest(benchmark="hotspot",
-                       technique=TechniqueConfig(technique), scale=0.2,
+                       technique=technique, scale=0.2,
                        seed=seed) for seed in range(n)]
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
+from repro.core.techniques import Technique
 from repro.engine import JobRequest, ParallelEngine
 from repro.engine.jobs import execute_job
 from tests.engine.faults import square
@@ -29,7 +29,7 @@ from repro.obs.telemetry import (
 
 def _job(benchmark="hotspot", technique=Technique.BASELINE, seed=0):
     return JobRequest(benchmark=benchmark,
-                      technique=TechniqueConfig(technique), scale=0.2,
+                      technique=technique, scale=0.2,
                       seed=seed)
 
 

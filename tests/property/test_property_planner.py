@@ -12,7 +12,7 @@ reference's, and the run must still equal the serial one.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.techniques import TechniqueConfig, build_sm
+from repro.core.techniques import build_sm
 from repro.isa.optypes import ExecUnitKind, OpClass
 from repro.isa.tracegen import generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
@@ -131,8 +131,7 @@ def test_plan_never_passes_the_warp_scan(spec, technique, seed,
     kernel = generate_kernel(spec, seed=seed)
 
     def build():
-        return build_sm(kernel, TechniqueConfig(technique),
-                        sm_config=config)
+        return build_sm(kernel, technique, sm_config=config)
 
     serial = canonical_result(build().run())
     sm = build()

@@ -7,7 +7,7 @@ of scheduling or gating policy.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
@@ -43,7 +43,7 @@ CONFIG = SMConfig(max_resident_warps=10, max_cycles=100_000,
 
 def run_random(spec, technique, seed):
     kernel = generate_kernel(spec, seed=seed)
-    sm = build_sm(kernel, TechniqueConfig(technique), sm_config=CONFIG)
+    sm = build_sm(kernel, technique, sm_config=CONFIG)
     return kernel, sm.run()
 
 

@@ -9,7 +9,8 @@ The headline guarantees pinned here:
   classic serial :class:`ExperimentRunner` path (the same canonical
   sha256 the golden identity suite pins).
 * **Lifecycle**: tickets move queued → running → terminal, feeds
-  replay-then-close, failures keep the classic raising contract.
+  replay-then-close, and a failed cell is memoised and raises
+  :class:`JobFailedError`, with or without an explicit engine.
 """
 
 import threading
@@ -155,23 +156,36 @@ class TestLifecycle:
         assert again is ticket and not created
         assert len(service.manifests) == 1
 
-    def test_inline_exception_is_not_memoised(self, monkeypatch):
-        service = SimulationService()
-        import repro.service.core as core
+    def test_default_service_failure_is_memoised_and_raises(self):
+        """The engine-less service fails a cell like any engine does."""
+        def raising_worker(job):
+            raise RuntimeError("injected failure")
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected inline failure")
-
-        monkeypatch.setattr(core, "build_kernel", boom)
+        service = SimulationService(worker=raising_worker)
         ticket, _ = service.submit(request())
-        with pytest.raises(RuntimeError, match="injected"):
-            service.execute(ticket)
+        service.execute(ticket)
         assert ticket.state is JobState.FAILED
-        monkeypatch.undo()
-        # The key was dropped: the next submission re-attempts fresh.
-        retry, created = service.submit(request())
-        assert created and retry is not ticket
-        assert service.run(request()).cycles > 0
+        with pytest.raises(JobFailedError, match="injected failure"):
+            ticket.result()
+        again, created = service.submit(request())
+        assert again is ticket and not created
+        assert len(service.manifests) == 1
+
+    def test_engine_exception_settles_the_batch(self, monkeypatch):
+        """An error out of the engine itself leaves no ticket running."""
+        service = SimulationService()
+
+        def broken(jobs, worker=None):
+            raise RuntimeError("engine broke")
+
+        monkeypatch.setattr(service.engine, "run_sim_jobs", broken)
+        ticket, _ = service.submit(request())
+        with pytest.raises(RuntimeError, match="engine broke"):
+            service.execute(ticket)
+        assert ticket.done and ticket.state is JobState.FAILED
+        with pytest.raises(JobFailedError, match="engine broke"):
+            ticket.result()
+        assert service.drain(timeout=1.0)
 
     def test_prefetch_is_one_batch_and_skips_settled(self, tmp_path):
         engine = ParallelEngine(jobs=1, cache_dir=str(tmp_path / "cache"))

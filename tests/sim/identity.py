@@ -68,9 +68,8 @@ def run_golden_cell(benchmark: str, technique_value: str,
     equal the serial one — those equalities are what pin the engine
     bit-identical to the serial oracle.
     """
-    from repro.core.techniques import (Technique, TechniqueConfig,
-                                       run_benchmark)
-    return run_benchmark(benchmark, TechniqueConfig(Technique(technique_value)),
+    from repro.core.techniques import Technique, run_benchmark
+    return run_benchmark(benchmark, Technique(technique_value),
                          seed=0, scale=GOLDEN_SCALE,
                          fast_forward=fast_forward, bus=bus)
 
@@ -98,7 +97,7 @@ def run_golden_device(benchmark: str, technique_value: str,
     committed reference is computed from the serial core.
     """
     from repro.core.device import device_preset
-    from repro.core.techniques import Technique, TechniqueConfig
+    from repro.core.techniques import Technique
     from repro.sim.gpu import GPU
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
@@ -106,7 +105,7 @@ def run_golden_device(benchmark: str, technique_value: str,
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     preset = device_preset(GOLDEN_DEVICE_PRESET)
     gpu = GPU(preset.n_sms,
-              config=TechniqueConfig(Technique(technique_value)),
+              config=Technique(technique_value),
               sm_config=preset.sm,
               dram_latency=get_profile(benchmark).dram_latency,
               memory_side=preset.memory_side,
@@ -124,14 +123,14 @@ def run_instrumented_golden(benchmark: str = "hotspot",
     included: a skipped span publishes its no-ready-warp stalls); both
     paths must publish the serial event stream.
     """
-    from repro.core.techniques import Technique, TechniqueConfig, build_sm
+    from repro.core.techniques import Technique, build_sm
     from repro.obs.bus import EventBus
     from repro.workloads.registry import build_kernel
     from repro.workloads.specs import get_profile
 
     kernel = build_kernel(benchmark, seed=0, scale=GOLDEN_SCALE)
     bus = EventBus(enabled=True)
-    sm = build_sm(kernel, TechniqueConfig(Technique(technique_value)),
+    sm = build_sm(kernel, Technique(technique_value),
                   dram_latency=get_profile(benchmark).dram_latency, bus=bus,
                   **kwargs)
     events = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, run_benchmark
+from repro.core.techniques import Technique, run_benchmark
 from repro.isa.optypes import OpClass
 from repro.sim.locality import LostLocalityMonitor
 from repro.sim.memory import L1Cache
@@ -163,7 +163,7 @@ class TestEndToEnd:
     def test_runs_thrashing_benchmark(self):
         # MUM has a large footprint and low locality: the thrash case.
         result = run_benchmark("MUM",
-                               TechniqueConfig(Technique.CCWS_CONV_PG),
+                               Technique.CCWS_CONV_PG,
                                scale=0.25)
         assert result.technique == "ccws_conv_pg"
         assert result.stats.instructions_retired > 0
@@ -175,7 +175,7 @@ class TestEndToEnd:
         from repro.workloads.registry import build_kernel
         from repro.workloads.specs import get_profile
         kernel = build_kernel("MUM", scale=0.25)
-        sm = build_sm(kernel, TechniqueConfig(Technique.CCWS_CONV_PG),
+        sm = build_sm(kernel, Technique.CCWS_CONV_PG,
                       dram_latency=get_profile("MUM").dram_latency)
         sm.run()
         monitor = sm.scheduler.monitor

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig
 from repro.sim.config import MemoryConfig, SMConfig
 from repro.sim.memory import MemoryStats
 
@@ -63,20 +62,6 @@ class TestSMConfig:
 
     def test_rf_disabled_by_zero(self):
         assert SMConfig(rf_banks=0).rf_banks == 0
-
-
-class TestTechniqueConfig:
-    def test_label(self):
-        assert TechniqueConfig(Technique.CONV_PG).label == "conv_pg"
-
-    def test_defaults(self):
-        config = TechniqueConfig()
-        assert config.technique is Technique.WARPED_GATES
-        assert config.gate_sfu is False
-        assert config.max_priority_cycles is None
-
-    def test_hashable_for_runner_cache(self):
-        assert hash(TechniqueConfig()) == hash(TechniqueConfig())
 
 
 class TestMemoryStats:

@@ -10,7 +10,7 @@ it should and disables itself where it must.
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
 
@@ -20,7 +20,7 @@ SCALE = 0.2
 def _run(benchmark: str, technique: Technique, fast_forward: bool,
          scale: float = SCALE):
     kernel = build_kernel(benchmark, seed=0, scale=scale)
-    sm = build_sm(kernel, TechniqueConfig(technique),
+    sm = build_sm(kernel, technique,
                   dram_latency=get_profile(benchmark).dram_latency,
                   fast_forward=fast_forward)
     return sm, sm.run()
@@ -74,7 +74,7 @@ def _run_observed(benchmark: str, technique: Technique,
     events = []
     bus.subscribe(events.append)
     sm = build_sm(build_kernel(benchmark, seed=0, scale=SCALE),
-                  TechniqueConfig(technique),
+                  technique,
                   dram_latency=get_profile(benchmark).dram_latency,
                   bus=bus, fast_forward=fast_forward)
     return sm, sm.run(), events
@@ -107,7 +107,7 @@ def test_max_cycles_overrun_raises_identically():
     errors = []
     for fast_forward in (False, True):
         sm = build_sm(build_kernel("hotspot", seed=0, scale=SCALE),
-                      TechniqueConfig(Technique.CONV_PG),
+                      Technique.CONV_PG,
                       sm_config=config,
                       dram_latency=get_profile("hotspot").dram_latency,
                       fast_forward=fast_forward)

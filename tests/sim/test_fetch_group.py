@@ -70,11 +70,9 @@ class TestGrouping:
 
 class TestEndToEnd:
     def test_runs_full_benchmark(self):
-        from repro.core.techniques import (Technique, TechniqueConfig,
-                                           run_benchmark)
+        from repro.core.techniques import Technique, run_benchmark
         result = run_benchmark("hotspot",
-                               TechniqueConfig(
-                                   Technique.FETCH_GROUP_CONV_PG),
+                               Technique.FETCH_GROUP_CONV_PG,
                                scale=0.25)
         assert result.stats.instructions_retired > 0
         assert result.technique == "fetch_group_conv_pg"

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.device import MemorySideConfig
+from repro.core.digest import device_result_digest
+from repro.core.techniques import Technique
+from repro.engine.pool import ParallelEngine
 from repro.isa.instructions import int_op
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -43,27 +46,24 @@ class TestSplitKernel:
             split_kernel(make_kernel(2), n_sms=0)
 
 
-class TestGPU:
-    def _factory(self, technique=Technique.BASELINE):
-        def build(kernel):
-            return build_sm(kernel, TechniqueConfig(technique),
-                            sm_config=SMALL_SM)
-        return build
+def device(n_sms: int, technique=Technique.BASELINE, **kwargs) -> GPU:
+    return GPU(n_sms, technique, sm_config=SMALL_SM, **kwargs)
 
+
+class TestGPU:
     def test_aggregates_instructions(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
-        gpu = GPU(n_sms=3, sm_factory=self._factory())
-        result = gpu.run(kernel)
+        result = device(3).run(kernel)
         assert result.total_instructions == kernel.total_instructions
 
     def test_device_cycles_is_slowest_sm(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
-        result = GPU(n_sms=2, sm_factory=self._factory()).run(kernel)
+        result = device(2).run(kernel)
         assert result.cycles == max(r.cycles for r in result.sm_results)
 
     def test_unit_activity_sums_over_sms(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
-        result = GPU(n_sms=2, sm_factory=self._factory()).run(kernel)
+        result = device(2).run(kernel)
         per_sm = [r.unit_activity(ExecUnitKind.INT)
                   for r in result.sm_results]
         total = result.unit_activity(ExecUnitKind.INT)
@@ -72,7 +72,7 @@ class TestGPU:
 
     def test_idle_histogram_merges(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
-        result = GPU(n_sms=2, sm_factory=self._factory()).run(kernel)
+        result = device(2).run(kernel)
         merged = result.idle_histogram(ExecUnitKind.INT)
         per_sm_total = sum(sum(r.idle_histogram(ExecUnitKind.INT).values())
                            for r in result.sm_results)
@@ -80,13 +80,28 @@ class TestGPU:
 
     def test_technique_label_propagates(self, balanced_spec):
         kernel = generate_kernel(balanced_spec, seed=1)
-        gpu = GPU(n_sms=2,
-                  sm_factory=self._factory(Technique.WARPED_GATES))
+        gpu = device(2, Technique.WARPED_GATES)
         assert gpu.run(kernel).technique == "warped_gates"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GPU(n_sms=0, sm_factory=self._factory())
+            device(0)
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_engine_fan_out_matches_in_process(self, balanced_spec,
+                                               fast_forward):
+        # Every part is one SMPartJob either way; the engine only
+        # changes where it runs, never what it returns.
+        kernel = generate_kernel(balanced_spec, seed=1)
+        gpu = device(3, Technique.WARPED_GATES, dram_latency=400,
+                     memory_side=MemorySideConfig(),
+                     fast_forward=fast_forward)
+        digests = {device_result_digest(gpu.run(kernel))}
+        for jobs in (1, 2):
+            with ParallelEngine(jobs=jobs, cache_dir=None) as engine:
+                digests.add(device_result_digest(
+                    gpu.run(kernel, engine=engine)))
+        assert len(digests) == 1
 
 
 class TestDeviceScale:
@@ -104,46 +119,28 @@ class TestDeviceScale:
         with pytest.raises(ValueError, match="did you mean 'gtx480'"):
             GPU.from_preset("gtx48", "baseline")
 
-    def test_memory_side_requires_config_path(self):
-        from repro.core.device import MemorySideConfig
-
-        with pytest.raises(ValueError, match="config-based"):
-            GPU(n_sms=2, sm_factory=lambda k: None,
-                memory_side=MemorySideConfig())
-
     def test_contention_inflates_device_runtime(self, balanced_spec):
-        from repro.core.device import MemorySideConfig
-
         kernel = generate_kernel(balanced_spec, seed=1)
-        free = GPU(n_sms=4, config=TechniqueConfig(Technique.BASELINE),
-                   sm_config=SMALL_SM, dram_latency=400).run(kernel)
-        contended = GPU(n_sms=4,
-                        config=TechniqueConfig(Technique.BASELINE),
-                        sm_config=SMALL_SM, dram_latency=400,
-                        memory_side=MemorySideConfig(
-                            n_partitions=1, queue_alpha=1.0)).run(kernel)
+        free = device(4, dram_latency=400).run(kernel)
+        contended = device(4, dram_latency=400,
+                           memory_side=MemorySideConfig(
+                               n_partitions=1, queue_alpha=1.0)).run(kernel)
         assert contended.cycles > free.cycles
 
     def test_single_sm_device_ignores_memory_side(self, balanced_spec):
-        from repro.core.device import MemorySideConfig
-
         kernel = generate_kernel(balanced_spec, seed=1)
-        base = GPU(n_sms=1, config=TechniqueConfig(Technique.BASELINE),
-                   sm_config=SMALL_SM, dram_latency=400).run(kernel)
-        with_side = GPU(n_sms=1,
-                        config=TechniqueConfig(Technique.BASELINE),
-                        sm_config=SMALL_SM, dram_latency=400,
-                        memory_side=MemorySideConfig(
-                            n_partitions=1, queue_alpha=1.0)).run(kernel)
+        base = device(1, dram_latency=400).run(kernel)
+        with_side = device(1, dram_latency=400,
+                           memory_side=MemorySideConfig(
+                               n_partitions=1, queue_alpha=1.0)).run(kernel)
         assert with_side.cycles == base.cycles
 
     def test_energy_breakdown_aggregates_all_sms(self, balanced_spec):
         from repro.sim.gpu import GPUResult
 
         kernel = generate_kernel(balanced_spec, seed=1)
-        result = GPU(n_sms=3,
-                     config=TechniqueConfig(Technique.WARPED_GATES),
-                     sm_config=SMALL_SM, dram_latency=400).run(kernel)
+        result = device(3, Technique.WARPED_GATES,
+                        dram_latency=400).run(kernel)
         breakdown = result.energy_breakdown()
         for kind in (ExecUnitKind.INT, ExecUnitKind.FP):
             chip = breakdown[kind]

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.sim.fastforward import SpanFastForwarder
 from repro.sim.kernel import DenseStepKernel
 from repro.workloads.registry import build_kernel
@@ -22,7 +22,7 @@ SCALE = 0.2
 
 def _build(benchmark: str, technique: Technique, **kwargs):
     kernel = build_kernel(benchmark, seed=0, scale=SCALE)
-    return build_sm(kernel, TechniqueConfig(technique),
+    return build_sm(kernel, technique,
                     dram_latency=get_profile(benchmark).dram_latency,
                     **kwargs)
 

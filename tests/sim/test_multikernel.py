@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -68,8 +68,7 @@ class TestLauncherUnit:
 class TestEndToEnd:
     def test_all_kernels_complete(self):
         kernels = [make_kernel("a", 3), make_kernel("b", 2)]
-        sm = build_sm(kernels, TechniqueConfig(Technique.BASELINE),
-                      sm_config=CONFIG)
+        sm = build_sm(kernels, Technique.BASELINE, sm_config=CONFIG)
         result = sm.run()
         total = sum(k.total_instructions for k in kernels)
         assert result.stats.instructions_retired == total
@@ -78,16 +77,16 @@ class TestEndToEnd:
     def test_gap_adds_idle_cycles(self):
         kernels = [make_kernel("a", 2), make_kernel("b", 2)]
         fast = build_sm([k for k in kernels],
-                        TechniqueConfig(Technique.BASELINE),
+                        Technique.BASELINE,
                         sm_config=CONFIG).run()
         slow = build_sm([k for k in kernels],
-                        TechniqueConfig(Technique.BASELINE),
+                        Technique.BASELINE,
                         sm_config=CONFIG, kernel_gap_cycles=100).run()
         assert slow.cycles >= fast.cycles + 100
 
     def test_gap_creates_sm_wide_idle_window(self):
         kernels = [make_kernel("a", 2), make_kernel("b", 2)]
-        sm = build_sm(kernels, TechniqueConfig(Technique.BASELINE),
+        sm = build_sm(kernels, Technique.BASELINE,
                       sm_config=CONFIG, kernel_gap_cycles=60)
         result = sm.run()
         tracker = result.stats.idle_trackers[
@@ -98,7 +97,7 @@ class TestEndToEnd:
     def test_gating_sleeps_through_the_gap(self):
         kernels = [make_kernel("a", 2), make_kernel("b", 2)]
         sm = build_sm(kernels,
-                      TechniqueConfig(Technique.NAIVE_BLACKOUT),
+                      Technique.NAIVE_BLACKOUT,
                       sm_config=CONFIG, kernel_gap_cycles=200)
         result = sm.run()
         for stats in result.domain_stats.values():
@@ -106,14 +105,11 @@ class TestEndToEnd:
 
     def test_single_kernel_path_unchanged(self):
         kernel = make_kernel("solo", 2)
-        a = build_sm(kernel, TechniqueConfig(Technique.BASELINE),
-                     sm_config=CONFIG).run()
-        b = build_sm([kernel], TechniqueConfig(Technique.BASELINE),
-                     sm_config=CONFIG).run()
+        a = build_sm(kernel, Technique.BASELINE, sm_config=CONFIG).run()
+        b = build_sm([kernel], Technique.BASELINE, sm_config=CONFIG).run()
         assert a.cycles == b.cycles
         assert a.kernel_name == b.kernel_name == "solo"
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            build_sm([], TechniqueConfig(Technique.BASELINE),
-                     sm_config=CONFIG)
+            build_sm([], Technique.BASELINE, sm_config=CONFIG)

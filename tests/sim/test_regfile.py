@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.instructions import int_op
 from repro.isa.trace import KernelTrace, WarpTrace
 from repro.sim.config import MemoryConfig, SMConfig
@@ -77,10 +77,10 @@ class TestInTheSM:
         rf_cfg = SMConfig(max_resident_warps=2, rf_banks=8,
                           memory=MemoryConfig(dram_jitter=0.0))
         fast = build_sm(self._kernel(),
-                        TechniqueConfig(Technique.BASELINE),
+                        Technique.BASELINE,
                         sm_config=base_cfg).run()
         slow_sm = build_sm(self._kernel(),
-                           TechniqueConfig(Technique.BASELINE),
+                           Technique.BASELINE,
                            sm_config=rf_cfg)
         slow = slow_sm.run()
         assert slow.cycles > fast.cycles
@@ -88,7 +88,7 @@ class TestInTheSM:
         assert slow_sm.regfile.total_conflict_cycles >= 6
 
     def test_disabled_by_default(self):
-        sm = build_sm(self._kernel(), TechniqueConfig(Technique.BASELINE))
+        sm = build_sm(self._kernel(), Technique.BASELINE)
         assert sm.regfile is None
 
     def test_invariants_hold_with_rf_model(self):
@@ -96,7 +96,7 @@ class TestInTheSM:
         from repro.workloads.registry import build_kernel
         kernel = build_kernel("hotspot", scale=0.15)
         result = build_sm(kernel,
-                          TechniqueConfig(Technique.WARPED_GATES),
+                          Technique.WARPED_GATES,
                           sm_config=rf_cfg).run()
         assert result.stats.instructions_retired == \
             kernel.total_instructions

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.digest import result_digest
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ExecUnitKind
 from repro.sim.memory import MemoryStats
 from repro.sim.sm import SimResult
@@ -35,7 +35,7 @@ DEVICE_CELL = ("hotspot", "warped_gates")
 @pytest.fixture(scope="module")
 def warped_result():
     kernel = build_kernel("hotspot", scale=0.25)
-    sm = build_sm(kernel, TechniqueConfig(Technique.WARPED_GATES),
+    sm = build_sm(kernel, Technique.WARPED_GATES,
                   sm_config=SMALL_SM,
                   dram_latency=get_profile("hotspot").dram_latency)
     return sm.run()

@@ -7,9 +7,12 @@ operand-collector bank arbitration (``rf_banks > 0``), GATES with a
 produce the serial oracle's canonical result.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.techniques import Technique, TechniqueConfig, build_sm
+from repro.core.spec import SchedulerSpec
+from repro.core.techniques import Technique, build_sm
 from repro.sim.config import SMConfig
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -17,17 +20,21 @@ from tests.sim.identity import canonical_result
 
 SCALE = 0.2
 
-#: name -> (technique config, SM config).  A 512-cycle priority bound
-#: never fires on these traces (the forwarder is off all the same); a
+
+def _gates_bounded(max_priority_cycles: int):
+    """GATES with a ``max_priority_cycles`` priority bound."""
+    return replace(Technique.GATES.spec, scheduler=SchedulerSpec(
+        "gates", {"max_priority_cycles": max_priority_cycles}))
+
+
+#: name -> (technique, SM config).  A 512-cycle priority bound never
+#: fires on these traces (the forwarder is off all the same); a
 #: 16-cycle one forces priority swaps on both benchmarks.
 CONFIGS = {
-    "rf_banks": (TechniqueConfig(Technique.WARPED_GATES),
-                 SMConfig(rf_banks=4)),
-    "gates_max_priority_512": (TechniqueConfig(
-        Technique.GATES, max_priority_cycles=512), SMConfig()),
-    "gates_max_priority_16": (TechniqueConfig(
-        Technique.GATES, max_priority_cycles=16), SMConfig()),
-    "ccws": (TechniqueConfig(Technique.CCWS_CONV_PG), SMConfig()),
+    "rf_banks": (Technique.WARPED_GATES, SMConfig(rf_banks=4)),
+    "gates_max_priority_512": (_gates_bounded(512), SMConfig()),
+    "gates_max_priority_16": (_gates_bounded(16), SMConfig()),
+    "ccws": (Technique.CCWS_CONV_PG, SMConfig()),
 }
 
 
