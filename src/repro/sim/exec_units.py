@@ -19,19 +19,10 @@ and the SM enforces that before asking a controller to gate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.optypes import ExecUnitKind
-
-
-@dataclass(frozen=True)
-class Completion:
-    """An instruction leaving a pipeline this cycle."""
-
-    warp_slot: int
-    inst: Instruction
 
 
 class ExecPipeline:
@@ -57,8 +48,9 @@ class ExecPipeline:
         self.name = name
         self.initiation_interval = initiation_interval
         self._port_free_at = 0
-        # Min-heap of (finish_cycle, seq, completion) to drain in order.
-        self._in_flight: List[Tuple[int, int, Completion]] = []
+        # Min-heap of (finish_cycle, seq, warp_slot, inst) to drain in
+        # order; plain tuples, so an issue builds no Python object.
+        self._in_flight: List[Tuple[int, int, int, Instruction]] = []
         self._seq = 0
         self.issued_count = 0
         #: Accumulated active-lane fractions of issued instructions; the
@@ -108,7 +100,7 @@ class ExecPipeline:
                 :meth:`port_available` first — issuing into a held port
                 would silently break the structural-hazard model).
         """
-        if not self.port_available(cycle):
+        if cycle < self._port_free_at:
             raise RuntimeError(
                 f"{self.name}: port busy until {self._port_free_at}, "
                 f"issue attempted at {cycle}")
@@ -131,22 +123,23 @@ class ExecPipeline:
         if new_until > until:
             until = new_until
         self.busy_until = until
-        heapq.heappush(self._in_flight,
-                       (finish, self._seq, Completion(warp_slot, inst)))
+        heapq.heappush(self._in_flight, (finish, self._seq, warp_slot, inst))
         self._seq += 1
         self.issued_count += 1
-        self.lane_work += inst.lane_fraction
+        self.lane_work += inst.active_lanes / 32.0  # lane_fraction, inlined
         return finish
 
     # ------------------------------------------------------------------
     # completion side
     # ------------------------------------------------------------------
 
-    def drain(self, cycle: int) -> List[Completion]:
-        """Pop every instruction whose exit cycle has arrived."""
-        done: List[Completion] = []
-        while self._in_flight and self._in_flight[0][0] <= cycle:
-            done.append(heapq.heappop(self._in_flight)[2])
+    def drain(self, cycle: int) -> List[Tuple[int, Instruction]]:
+        """Pop every ``(warp_slot, inst)`` whose exit cycle has arrived."""
+        flight = self._in_flight
+        done: List[Tuple[int, Instruction]] = []
+        while flight and flight[0][0] <= cycle:
+            _, _, slot, inst = heapq.heappop(flight)
+            done.append((slot, inst))
         return done
 
     # ------------------------------------------------------------------

@@ -74,13 +74,13 @@ need no bulk update at all: they accumulate busy/idle *spans* between
 absolute cycle marks, so a skipped stretch lands in the right period
 when the next issue — or the end-of-run flush — integrates it.)
 
-A failed plan arms an exponential backoff, capped at
-:data:`PLAN_BACKOFF_CAP` cycles between attempts and escalating to
-:data:`ADAPTIVE_BACKOFF_CAP` while the skip fraction stays low, so
-issue-bound stretches degrade to a handful of attribute checks per
-cycle.  Planning *timing* cannot affect results — a missed span start
-only shrinks the skipped span — so the backoff trades at most a few
-cycles of coverage for plan cost, never correctness.
+The planner runs on every cycle the kernel would otherwise step.  It
+reads the kernel's aggregates, so a refused plan costs a few attribute
+checks.  (An earlier exponential backoff between failed plans saved
+little of that and kept skippable cycles stepped: 6.8% of the stepped
+cycles of the 108-cell trace-seed-1 grid.)  Planning *timing* cannot
+affect results anyway: a missed span start only shrinks the skipped
+span.
 
 Skipping statistics (``skipped_cycles``, ``skips``, ``plans``) live on
 the forwarder, *not* in the run's metrics — results stay byte-identical
@@ -93,33 +93,9 @@ from __future__ import annotations
 
 from heapq import heappop
 
-from repro.isa.optypes import ALL_OP_CLASSES, ExecUnitKind, OpClass
+from repro.isa.optypes import ExecUnitKind, OpClass
 from repro.obs.events import IssueStall
 from repro.power.gating import GatingPolicy
-
-#: Floor of the failed-plan backoff cap: after repeated failures the
-#: planner re-arms at most this many cycles later.  Tuned on the
-#: device-scale bench: tiny against the spans worth skipping (a DRAM
-#: round trip is hundreds of cycles), so the coverage loss stays in the
-#: low percent, while issue-bound stretches still shed most of the
-#: planning cost.
-PLAN_BACKOFF_CAP = 4
-
-#: Ceiling the backoff cap may *adaptively* grow to while the observed
-#: skip fraction stays low (a dense regime keeps failing plans — paying
-#: a plan every 5 cycles there is pure overhead).  Any skip success
-#: walks the cap back down toward :data:`PLAN_BACKOFF_CAP`, so a regime
-#: change costs at most a few shortened spans.
-ADAPTIVE_BACKOFF_CAP = 64
-
-#: Observation window (cycles) over which the skip fraction is measured
-#: before the cap escalates.
-ADAPT_WINDOW = 256
-
-#: Skip-fraction threshold: below this, failed plans cost more than the
-#: few spans they find, so the backoff cap escalates.
-DENSE_SKIP_FRACTION = 0.25
-
 
 class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
@@ -139,14 +115,6 @@ class SpanFastForwarder:
         self.skips = 0
         #: Number of planning attempts (diagnostics only).
         self.plans = 0
-        self._next_plan = 0
-        self._backoff = 0
-        #: Adaptive ceiling of the failed-plan backoff: grows toward
-        #: ADAPTIVE_BACKOFF_CAP while the observed skip fraction stays
-        #: low, shrinks on success.
-        self._backoff_cap = PLAN_BACKOFF_CAP
-        self._window_mark = 0
-        self._window_skipped = 0
         self.supported = self._check_supported()
 
     # ------------------------------------------------------------------
@@ -189,49 +157,14 @@ class SpanFastForwarder:
         when no skip is possible).  On a skip, all bulk accounting for
         the span [cycle, returned) has been applied.
         """
-        if not self.supported or cycle < self._next_plan:
+        if not self.supported:
             return cycle
         target = self._plan(cycle)
         if target > cycle:
             self._apply(cycle, target)
-            self._backoff = 0
-            self._window_skipped += target - cycle
-            cap = self._backoff_cap
-            if cap > PLAN_BACKOFF_CAP:
-                # Success: walk the adaptive cap back down so a regime
-                # change re-arms frequent planning within a few skips.
-                self._backoff_cap = max(PLAN_BACKOFF_CAP, cap >> 1)
             return target
-        # Failed plan: back off exponentially.  Timing only moves span
-        # *starts* (a span begun mid-backoff is picked up at the next
-        # attempt), never what a skipped span replays.
         self.sm.stats.planner_overhead_cycles += 1
-        backoff = self._backoff
-        self._next_plan = cycle + 1 + backoff
-        if backoff < self._backoff_cap:
-            self._backoff = backoff + backoff if backoff else 1
-        else:
-            self._adapt(cycle)
         return cycle
-
-    def _adapt(self, cycle: int) -> None:
-        """Adapt to a persistently unskippable stretch (backoff at cap).
-
-        Measures the skip fraction over the trailing observation window
-        and, while it stays under :data:`DENSE_SKIP_FRACTION`, doubles
-        the backoff cap up to :data:`ADAPTIVE_BACKOFF_CAP` (cheaper
-        probing).  Adaptation timing, like backoff timing, can only move
-        span starts, never what any cycle computes.
-        """
-        elapsed = cycle - self._window_mark
-        if elapsed < ADAPT_WINDOW:
-            return
-        fraction = self._window_skipped / elapsed
-        self._window_mark = cycle
-        self._window_skipped = 0
-        if fraction < DENSE_SKIP_FRACTION \
-                and self._backoff_cap < ADAPTIVE_BACKOFF_CAP:
-            self._backoff_cap <<= 1
 
     # ------------------------------------------------------------------
     # planning
@@ -347,17 +280,11 @@ class SpanFastForwarder:
         if bound <= cycle:
             return cycle
 
-        # The view stage 4 would hand the scheduler this cycle.
+        # The view stage 4 would hand the scheduler this cycle: the
+        # kernel keeps its lists and counts bound to it.
         view = sm._view
-        actv = view.actv_counts
-        actv4 = kernel._actv4
-        for index, cls in enumerate(ALL_OP_CLASSES):
-            actv[cls] = actv4[index]
         if sm._has_blackout:
             sm._blackout_flags(cycle, view.type_in_blackout)
-        view.active = kernel._active_all
-        view.ready = ready
-        view.ready_by_class = kernel._ready_cls
         if sm.scheduler.idle_flip_pending(cycle, view):
             return cycle
 

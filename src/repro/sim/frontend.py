@@ -112,8 +112,10 @@ class WarpContext:
         return self.ibuffer[0] if self.ibuffer else None
 
     def pop_head(self) -> Instruction:
-        """Remove the head instruction at issue and queue a refill."""
-        self.refill.add(self.slot)
+        """Remove the head instruction at issue; queue a refill while
+        the trace has instructions left."""
+        if self.fetch_pc < self.trace_len:
+            self.refill.add(self.slot)
         return self.ibuffer.popleft()
 
     def release(self) -> None:
@@ -131,13 +133,14 @@ class FetchEngine:
     """Round-robin fetch/decode feeding the per-warp I-buffers.
 
     Fetch visits only the slots of its *refill set*: a superset of the
-    slots whose buffer has room and whose trace has instructions left.
-    A slot enters the set when issue pops its head (``pop_head``) or
-    when it is assigned (the next ``tick`` rebuilds the set from a full
-    scan, keyed on :attr:`WarpContext.assign_generation`); a visit that
-    finds it full or trace-exhausted drops it.  Every slot outside the
-    set would fetch nothing, so visiting the set in round-robin order
-    fetches exactly what a scan of every slot would.
+    slots whose buffer has room and whose trace has instructions left
+    (equal to it on a running SM).  A slot enters the set when issue
+    pops its head with trace left (``pop_head``) or when it is assigned
+    (the next ``tick`` rebuilds the set from a full scan, keyed on
+    :attr:`WarpContext.assign_generation`); a visit that finds it full
+    or trace-exhausted drops it.  Every slot outside the set would
+    fetch nothing, so visiting the set in round-robin order fetches
+    exactly what a scan of every slot would.
     """
 
     def __init__(self, fetch_width: int, ibuffer_entries: int) -> None:
@@ -186,13 +189,30 @@ class FetchEngine:
         refill = self._refill
         if not refill:
             return 0
+        fetched = 0
+        width = self.fetch_width
+        entries = self.ibuffer_entries
+        if len(refill) * entries <= width:
+            # Every slot takes at most ``entries``, so each fills in
+            # full (or exhausts its trace) and leaves the set: the
+            # visiting order cannot matter.
+            for slot in refill:
+                warp = warps[slot]
+                pc = warp.fetch_pc
+                take = entries - len(warp.ibuffer)
+                room = warp.trace_len - pc
+                if room < take:
+                    take = room
+                if take > 0:
+                    warp.ibuffer.extend(warp.trace_insts[pc:pc + take])
+                    warp.fetch_pc = pc + take
+                    fetched += take
+            refill.clear()
+            return fetched
         order = sorted(refill)
         first = bisect_left(order, start)
         if first:
             order = order[first:] + order[:first]
-        fetched = 0
-        width = self.fetch_width
-        entries = self.ibuffer_entries
         for slot in order:
             warp = warps[slot]
             pc = warp.fetch_pc
@@ -236,11 +256,9 @@ class WarpLauncher:
         self.kernel = kernel
         self.max_resident = min(max_resident, kernel.max_resident_warps)
         self._next = 0
-
-    @property
-    def remaining(self) -> int:
-        """Warps not yet launched."""
-        return self.kernel.n_warps - self._next
+        #: Warps not yet launched (a plain attribute: the SM reads it
+        #: every cycle).
+        self.remaining = kernel.n_warps
 
     def pop_next(self, cycle: int = 0,
                  resident: int = 0) -> Optional[WarpTrace]:
@@ -251,10 +269,11 @@ class WarpLauncher:
         :class:`MultiKernelLauncher`, whose launch decisions depend on
         both.
         """
-        if self._next >= self.kernel.n_warps:
+        if not self.remaining:
             return None
         trace = self.kernel.warps[self._next]
         self._next += 1
+        self.remaining -= 1
         return trace
 
     def launch_blocked_until(self, cycle: int, resident: int) -> float:
@@ -265,22 +284,17 @@ class WarpLauncher:
         the planner then refuses to skip (a free slot plus a queued warp
         means the next cycle does real work).
         """
-        if self._next >= self.kernel.n_warps:
-            return float("inf")
-        return cycle
+        return cycle if self.remaining else float("inf")
 
     def launch_into(self, warps: List[WarpContext]) -> int:
         """Fill free slots (up to the residency cap) with queued warps."""
         launched = 0
         resident = sum(1 for w in warps if w.occupied)
         for warp in warps:
-            if self._next >= self.kernel.n_warps:
-                break
-            if resident >= self.max_resident:
+            if not self.remaining or resident >= self.max_resident:
                 break
             if not warp.occupied:
-                warp.assign(self.kernel.warps[self._next])
-                self._next += 1
+                warp.assign(self.pop_next())
                 resident += 1
                 launched += 1
         return launched

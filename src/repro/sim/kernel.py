@@ -29,12 +29,15 @@ What the kernel owns:
   An unchanged warp costs two integer compares.
 * **Per cycle** — each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts (active,
-  pending, unresolved), the per-class ACTV counters and the sorted
-  active, ready and per-class ready slot lists change only when a
-  slot's category does.  Those lists become the scheduler view's
-  ``active``/``ready``/``ready_by_class``.  Time-driven changes (a
-  pending window expiring at ``mem_until``, a ready flip at
-  ``ready_at``) come from a min-heap of per-slot transition events;
+  pending, unresolved), the per-class ACTV counters, the active slot
+  set and the sorted ready and per-class ready slot lists change only
+  when a slot's category does.  They are bound to the scheduler view
+  (``actv_counts``, ``active``, ``ready``, ``ready_by_class``) at each
+  sync, so a cycle copies none of them.  Issued slots re-sync after
+  the power update, so the view holds still from classification to
+  the end of the cycle, as the serial step's does.  Time-driven
+  changes (a pending window expiring at ``mem_until``, a ready flip
+  at ``ready_at``) come from a min-heap of per-slot transition events;
   state-driven changes come from exactly the events that can
   invalidate the head cache.
 
@@ -71,8 +74,6 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heappop, heappush
 from typing import List, Set
-
-from repro.isa.optypes import ALL_OP_CLASSES
 
 #: Per-slot categories of the incremental classification.  Ordered so
 #: ``cat >= CAT_WAIT`` means "in the active set".
@@ -114,11 +115,13 @@ class DenseStepKernel:
         #: unresolved ones among them.
         self._n_pending = 0
         self._n_unresolved = 0
-        self._actv4: List[int] = [0, 0, 0, 0]
-        #: Active slots, ready slots and ready slots per op-class index,
-        #: each ascending: the scheduler view's ``active``, ``ready``
-        #: and ``ready_by_class``.
-        self._active_all: List[int] = []
+        #: Active slots per op-class index: the view's own ACTV list,
+        #: which ``sm.actv_counts`` is too.
+        self._actv4: List[int] = sm._view.actv_counts
+        #: Active slots, and the ready slots overall and per op-class
+        #: index (both ascending): the view's ``active``, ``ready`` and
+        #: ``ready_by_class``.
+        self._active: Set[int] = set()
         self._ready_all: List[int] = []
         self._ready_cls: List[List[int]] = [[], [], [], []]
 
@@ -133,12 +136,16 @@ class DenseStepKernel:
         hands the cycle back to be stepped here.  Returns the first
         cycle not yet executed.
         """
-        drained = self.sm._drained
+        sm = self.sm
+        launcher = sm.launcher
         advance = forwarder.advance
         step = self._cycle
         cycle = start
         stepped = 0
-        while cycle < end and not drained():
+        while cycle < end:
+            if not sm._resident and not sm._retry \
+                    and not launcher.remaining:
+                break  # drained (``sm._drained``, inlined)
             target = advance(cycle)
             if target != cycle:
                 cycle = target
@@ -169,10 +176,11 @@ class DenseStepKernel:
         self._n_active = 0
         self._n_pending = 0
         self._n_unresolved = 0
-        self._actv4 = [0, 0, 0, 0]
-        self._ready_all = []
-        self._ready_cls = [[], [], [], []]
-        self._active_all = []
+        self._actv4[:] = (0, 0, 0, 0)
+        view = sm._view
+        view.active = self._active = set()
+        view.ready = self._ready_all = []
+        view.ready_by_class = self._ready_cls = [[], [], [], []]
         empty = self._empty
         empty.clear()
         self._dirty.clear()
@@ -217,7 +225,7 @@ class DenseStepKernel:
             return
         self._n_active += 1
         self._actv4[opx] += 1
-        insort(self._active_all, slot)
+        self._active.add(slot)
         ready_at = warp.head_ready_at
         if cycle >= ready_at:
             self._cat[slot] = CAT_READY
@@ -234,7 +242,7 @@ class DenseStepKernel:
             self._n_active -= 1
             opx = self._opx[slot]
             self._actv4[opx] -= 1
-            self._active_all.remove(slot)
+            self._active.remove(slot)
             if cat == CAT_READY:
                 self._ready_all.remove(slot)
                 self._ready_cls[opx].remove(slot)
@@ -295,20 +303,22 @@ class DenseStepKernel:
         heap = self._heap
         if heap and heap[0][0] <= cycle:
             gen = self._gen
+            cat = self._cat
             warps = sm.warps
             while heap and heap[0][0] <= cycle:
                 slot = heap[0][1]
-                if heappop(heap)[2] == gen[slot]:
+                if heappop(heap)[2] != gen[slot]:
+                    continue  # orphaned
+                if cat[slot] == CAT_WAIT:
+                    # ready_at reached: the active slot turns ready.
+                    cat[slot] = CAT_READY
+                    insort(self._ready_all, slot)
+                    insort(self._ready_cls[self._opx[slot]], slot)
+                else:
                     self._remove(slot)
                     self._classify_slot(warps[slot], cycle)
-        view = sm._view
-        actv = view.actv_counts
-        actv4 = self._actv4
-        for index, cls in enumerate(ALL_OP_CLASSES):
-            actv[cls] = actv4[index]
-        sm.actv_counts = actv
         if sm._has_blackout:
-            sm._blackout_flags(cycle, view.type_in_blackout)
+            sm._blackout_flags(cycle, sm._view.type_in_blackout)
         stats = sm.stats
         n_active = self._n_active
         stats.active_warp_sum += n_active
@@ -316,13 +326,18 @@ class DenseStepKernel:
         if n_active > stats.active_warp_max:
             stats.active_warp_max = n_active
 
-        # stage 5: the scheduler orders the maintained slot lists, then
-        # the SM's issue walk; an issue pops the buffer and bumps the
-        # version, so issued slots re-sync.
-        view.active = self._active_all
-        view.ready = self._ready_all
-        view.ready_by_class = self._ready_cls
-        issued = sm._walk(cycle, sm.scheduler.order(cycle, view))
+        # stage 5: the scheduler orders the view, then the SM's issue
+        # walk.
+        issued = sm._walk(cycle, sm.scheduler.order(cycle, sm._view))
+
+        # stage 6: power update, cycle count, hooks
+        sm._update_power(cycle)
+        stats.cycles += 1
+        for hook in sm.hooks:
+            hook.on_cycle(cycle)
+
+        # An issue pops the buffer and bumps the version: issued slots
+        # re-sync once the cycle is done with the view.
         if issued:
             warps = sm.warps
             for slot in issued:
@@ -333,12 +348,6 @@ class DenseStepKernel:
                     self._invalidate(slot)
                     if warp.fetch_pc < warp.trace_len:
                         empty.add(slot)
-
-        # stage 6: power update, cycle count, hooks
-        sm._update_power(cycle)
-        stats.cycles += 1
-        for hook in sm.hooks:
-            hook.on_cycle(cycle)
 
 
 __all__ = ["DenseStepKernel", "CAT_NONE", "CAT_UNRES", "CAT_PEND",

@@ -10,7 +10,8 @@ Model summary:
 * Set-associative, LRU L1 with allocate-on-read-miss; stores are
   write-through / no-allocate and never block the issuing warp.
 * Misses to the same line merge into one MSHR entry; a full MSHR file
-  back-pressures the LDST pipeline (the access retries next cycle).
+  back-pressures the LDST pipeline (the SM retries the access in its
+  writeback stage, first in the cycle it is rejected).
 * Latencies are additive constants per outcome: hit, shared, or miss
   (DRAM round trip, set per benchmark profile).
 """
@@ -71,14 +72,6 @@ class L1Cache:
             cache_set.clear()
 
 
-@dataclass(frozen=True)
-class MemoryCompletion:
-    """A load whose value arrives this cycle."""
-
-    warp_slot: int
-    dest_reg: int
-
-
 @dataclass
 class MemoryStats:
     """Counters exposed by the memory subsystem."""
@@ -116,8 +109,8 @@ class MemorySubsystem:
         self._fill_owner: Dict[int, int] = {}
         # line -> completion cycle of the outstanding fill.
         self._outstanding: Dict[int, int] = {}
-        # Min-heap of (ready_cycle, seq, completion).
-        self._pending: List[Tuple[int, int, MemoryCompletion]] = []
+        # Min-heap of (ready_cycle, seq, warp_slot) load deliveries.
+        self._pending: List[Tuple[int, int, int]] = []
         self._seq = 0
         #: Earliest cycle at which :meth:`tick` has any work to do —
         #: exactly ``min`` over scheduled deliveries and outstanding
@@ -140,7 +133,7 @@ class MemorySubsystem:
             must retry.  Stores always complete immediately from the
             warp's point of view.
         """
-        if not inst.is_mem:
+        if not (inst.is_load or inst.is_store):
             raise ValueError(f"{inst.opcode} is not a memory instruction")
 
         if inst.is_store:
@@ -154,7 +147,7 @@ class MemorySubsystem:
             self.stats.loads += 1
             self.stats.shared_accesses += 1
             ready = cycle + self.config.shared_latency
-            self._schedule(ready, warp_slot, inst)
+            self._schedule(ready, warp_slot)
             return ready
 
         line = inst.line_addr
@@ -163,19 +156,21 @@ class MemorySubsystem:
             self.stats.loads += 1
             self.stats.merged_misses += 1
             ready = self._outstanding[line]
-            self._schedule(ready, warp_slot, inst)
+            self._schedule(ready, warp_slot)
             return ready
 
         if self.l1.lookup(line, allocate=False):
             self.stats.loads += 1
             self.stats.hits += 1
             ready = cycle + self.config.l1_hit_latency
-            self._schedule(ready, warp_slot, inst)
+            self._schedule(ready, warp_slot)
             return ready
 
         if len(self._outstanding) >= self.config.mshr_entries:
-            # Rejected: the access retries next cycle and is only
-            # counted once it is actually accepted.
+            # Rejected: counted here on every attempt, as a load only
+            # once it is accepted.  The SM's writeback stage retries a
+            # freshly rejected access once more in the same cycle, so
+            # that first rejection counts twice.
             self.stats.mshr_stalls += 1
             return None
 
@@ -186,23 +181,26 @@ class MemorySubsystem:
             self._fill_owner[line] = warp_slot
         ready = cycle + self._miss_latency(line, cycle)
         self._outstanding[line] = ready
-        self._schedule(ready, warp_slot, inst)
+        self._schedule(ready, warp_slot)
         return ready
 
     # ------------------------------------------------------------------
     # completion side
     # ------------------------------------------------------------------
 
-    def tick(self, cycle: int) -> List[MemoryCompletion]:
+    def tick(self, cycle: int) -> List[int]:
         """Retire every request whose value arrives at ``cycle``.
 
-        Fills the L1 for completed misses and frees their MSHR entries.
+        Returns the warp slots of the delivered loads, in delivery
+        order.  Fills the L1 for completed misses and frees their MSHR
+        entries.
         """
-        done: List[MemoryCompletion] = []
+        done: List[int] = []
         if cycle < self.next_event:
             return done
-        while self._pending and self._pending[0][0] <= cycle:
-            done.append(heapq.heappop(self._pending)[2])
+        pending = self._pending
+        while pending and pending[0][0] <= cycle:
+            done.append(heapq.heappop(pending)[2])
         finished_lines = [line for line, ready in self._outstanding.items()
                           if ready <= cycle]
         for line in finished_lines:
@@ -271,12 +269,8 @@ class MemorySubsystem:
         scale = 1.0 + jitter * (2.0 * unit - 1.0)
         return max(1, round(self.dram_latency * scale))
 
-    def _schedule(self, ready: int, warp_slot: int,
-                  inst: Instruction) -> None:
-        assert inst.dest is not None  # loads always have a destination
-        heapq.heappush(self._pending,
-                       (ready, self._seq,
-                        MemoryCompletion(warp_slot, inst.dest)))
+    def _schedule(self, ready: int, warp_slot: int) -> None:
+        heapq.heappush(self._pending, (ready, self._seq, warp_slot))
         self._seq += 1
         if ready < self.next_event:
             self.next_event = ready

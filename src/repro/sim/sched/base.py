@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Collection, Dict, List, Sequence
 
 from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.obs.bus import NULL_BUS, EventBus
@@ -36,7 +36,8 @@ class SchedulerView:
     Attributes:
         actv_counts: Active-set occupancy per instruction type — the
             hardware INT_ACTV / FP_ACTV counters (kept for all four
-            types here; GATES only consults INT and FP).
+            types here, a list indexed by ``OpClass``; GATES only
+            consults INT and FP).
         type_in_blackout: For each CUDA-core type, True when *every*
             cluster of that type is in un-wakeable blackout; GATES'
             extended priority switch consults this (section 5).
@@ -44,18 +45,19 @@ class SchedulerView:
             ascending.
         ready_by_class: The ready slots split by head instruction type:
             four ascending lists indexed by ``int(OpClass)``.
-        active: Active slots, ready or not, ascending.
+        active: Active slots, ready or not, as a collection to size,
+            iterate or test (the serial step's ascending list, the
+            dense kernel's set).
         ages: Per-slot launch sequence numbers (lower = older), the
             SM's own list, bound once when the SM is built.
     """
 
-    actv_counts: Dict[OpClass, int] = field(
-        default_factory=lambda: dict.fromkeys(ALL_OP_CLASSES, 0))
+    actv_counts: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
     type_in_blackout: Dict[OpClass, bool] = field(
         default_factory=lambda: dict.fromkeys(ALL_OP_CLASSES, False))
     ready: Sequence[int] = ()
     ready_by_class: Sequence[Sequence[int]] = ((), (), (), ())
-    active: Sequence[int] = ()
+    active: Collection[int] = ()
     ages: Sequence[int] = ()
 
 

@@ -19,22 +19,13 @@ responds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.isa.instructions import Instruction
 
 #: Sentinel completion cycle for producers whose latency is not yet known
 #: (loads between LDST issue and cache access).
 UNRESOLVED = -1
-
-
-@dataclass(slots=True)
-class _Producer:
-    """In-flight producer of one register."""
-
-    ready_cycle: int  # cycle the value becomes readable, or UNRESOLVED
-    is_memory: bool   # produced by a load (long-latency candidate)
 
 
 class Scoreboard:
@@ -47,12 +38,15 @@ class Scoreboard:
     __slots__ = ("_busy", "_mem_count", "version")
 
     def __init__(self) -> None:
-        #: Producer per register.  A completed producer stays until the
+        #: Producer per register, a two-item list ``[ready_cycle,
+        #: is_memory]``: the cycle the value becomes readable (or
+        #: UNRESOLVED), and whether a load produces it (a long-latency
+        #: candidate).  A completed producer stays until the
         #: register is written again or the slot resets: it blocks
         #: nothing and classifies as nothing (every readiness predicate
         #: compares the current cycle against its ready cycle), and the
         #: map never holds more entries than the warp has registers.
-        self._busy: Dict[int, _Producer] = {}
+        self._busy: Dict[int, List] = {}
         # Count of load producers in the map; lets blocking_memory
         # skip the scan for warps with none.
         self._mem_count = 0
@@ -101,11 +95,11 @@ class Scoreboard:
             return False
         for reg in self._operand_registers(inst):
             producer = self._busy.get(reg)
-            if producer is None or not producer.is_memory:
+            if producer is None or not producer[1]:
                 continue
-            if producer.ready_cycle == UNRESOLVED:
+            if producer[0] == UNRESOLVED:
                 return True
-            if producer.ready_cycle - cycle > pending_threshold:
+            if producer[0] - cycle > pending_threshold:
                 return True
         return False
 
@@ -119,17 +113,16 @@ class Scoreboard:
         if inst.dest is None:
             return
         self.version += 1
+        busy = self._busy
+        previous = busy.get(inst.dest)
         if inst.is_load:
-            previous = self._busy.get(inst.dest)
-            if previous is None or not previous.is_memory:
+            if previous is None or not previous[1]:
                 self._mem_count += 1
-            self._busy[inst.dest] = _Producer(UNRESOLVED, is_memory=True)
+            busy[inst.dest] = [UNRESOLVED, True]
         else:
-            previous = self._busy.get(inst.dest)
-            if previous is not None and previous.is_memory:
+            if previous is not None and previous[1]:
                 self._mem_count -= 1
-            self._busy[inst.dest] = _Producer(cycle + inst.latency,
-                                              is_memory=False)
+            busy[inst.dest] = [cycle + inst.latency, False]
 
     # ------------------------------------------------------------------
     # completion-side interface
@@ -138,9 +131,9 @@ class Scoreboard:
     def resolve_memory(self, reg: int, ready_cycle: int) -> None:
         """Set the writeback time of an outstanding load's destination."""
         producer = self._busy.get(reg)
-        if producer is None or not producer.is_memory:
+        if producer is None or not producer[1]:
             raise KeyError(f"register r{reg} has no outstanding load")
-        producer.ready_cycle = ready_cycle
+        producer[0] = ready_cycle
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -179,17 +172,19 @@ class Scoreboard:
         busy = self._busy
         if busy:
             get = busy.get
-            for reg in self._operand_registers(inst):
+            dest = inst.dest
+            # The operands, inlined: sources, then the destination.
+            for reg in (inst.srcs if dest is None else inst.srcs + (dest,)):
                 producer = get(reg)
                 if producer is None:
                     continue
-                ready = producer.ready_cycle
+                ready, is_memory = producer
                 if ready == UNRESOLVED:
                     unresolved = True
                     continue
                 if ready > ready_at:
                     ready_at = ready
-                if producer.is_memory:
+                if is_memory:
                     limit = ready - pending_threshold
                     if limit > mem_until:
                         mem_until = limit
@@ -217,15 +212,15 @@ class Scoreboard:
         Debug-only accessor — see :meth:`busy_registers`.
         """
         return tuple(sorted(reg for reg, p in self._busy.items()
-                            if p.is_memory))
+                            if p[1]))
 
     def _is_busy(self, reg: int, cycle: int) -> bool:
         producer = self._busy.get(reg)
         if producer is None:
             return False
-        if producer.ready_cycle == UNRESOLVED:
+        if producer[0] == UNRESOLVED:
             return True
-        return producer.ready_cycle > cycle
+        return producer[0] > cycle
 
     @staticmethod
     def _operand_registers(inst: Instruction) -> Iterable[int]:

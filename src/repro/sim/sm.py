@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.optypes import (ALL_OP_CLASSES, CUDA_CORE_CLASSES,
-                               ExecUnitKind, OpClass, UNIT_FOR_OP_CLASS)
+from repro.isa.optypes import (CUDA_CORE_CLASSES, ExecUnitKind, OpClass,
+                               UNIT_FOR_OP_CLASS)
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
 from repro.obs.events import IssueStall, KernelBoundary
@@ -265,9 +265,10 @@ class StreamingMultiprocessor:
             RegisterFileModel(config.rf_banks, config.rf_ports_per_bank)
             if config.rf_banks else None)
         self.stats = SMStats()
-        #: Active-set occupancy per type this cycle; Coordinated Blackout
-        #: policies read this (the hardware INT_ACTV / FP_ACTV counters).
-        self.actv_counts: Dict[OpClass, int] = {cls: 0 for cls in OpClass}
+        #: Active-set occupancy per type this cycle, indexed by
+        #: ``OpClass`` (the view's list); Coordinated Blackout policies
+        #: read this (the hardware INT_ACTV / FP_ACTV counters).
+        self.actv_counts: List[int] = [0, 0, 0, 0]
         self._retry: List[Tuple[int, Instruction]] = []
         self._ran = False
         self._kernel_index_seen = 0
@@ -301,8 +302,9 @@ class StreamingMultiprocessor:
         #: zeroed in place each cycle rather than reallocated, and the
         #: age list is the SM's own.
         self._view = SchedulerView(ages=self._ages)
-        # OpClass -> (pipes, domains, n_pipes, is_ldst) issue dispatch.
-        self._unit_table: Dict[OpClass, tuple] = {}
+        # int(OpClass) -> (pipes, domains, n_pipes, is_ldst) issue
+        # dispatch.
+        self._unit_table: List[tuple] = []
         # (pipe, domain) pairs in pipeline order (gated pipes only).
         self._gated_pipes: List[Tuple[ExecPipeline, GatingDomain]] = []
         # OpClass -> domains consulted for the type-in-blackout flags.
@@ -383,13 +385,13 @@ class StreamingMultiprocessor:
         created them.
         """
         domains = self.domains
-        table: Dict[OpClass, tuple] = {}
-        for cls in OpClass:
+        table: List[tuple] = []
+        for cls in OpClass:  # indexed by int(OpClass)
             kind = UNIT_FOR_OP_CLASS[cls]
             pipes = tuple(self._by_kind[kind])
             doms = tuple(domains.get(p.name) for p in pipes)
-            table[cls] = (pipes, doms, len(pipes),
-                          kind is ExecUnitKind.LDST)
+            table.append((pipes, doms, len(pipes),
+                          kind is ExecUnitKind.LDST))
         self._unit_table = table
         self._gated_pipes = [(p, domains[p.name]) for p in self.pipelines
                              if p.name in domains]
@@ -451,18 +453,17 @@ class StreamingMultiprocessor:
         """
         memory = self.memory
         if cycle >= memory.next_event:
-            for completion in memory.tick(cycle):
-                self._retire(completion.warp_slot)
+            for slot in memory.tick(cycle):
+                self._retire(slot)
         for pipe in self.pipelines:
             flight = pipe._in_flight
             if flight and flight[0][0] <= cycle:
-                for done in pipe.drain(cycle):
-                    inst = done.inst
-                    if inst.is_mem:
-                        self._access_memory(cycle, done.warp_slot, inst,
+                for slot, inst in pipe.drain(cycle):
+                    if inst.is_load or inst.is_store:
+                        self._access_memory(cycle, slot, inst,
                                             resolved=resolved)
                     else:
-                        self._retire(done.warp_slot)
+                        self._retire(slot)
         if self._retry:
             still_waiting: List[Tuple[int, Instruction]] = []
             for slot, inst in self._retry:
@@ -477,10 +478,12 @@ class StreamingMultiprocessor:
                        resolved: Optional[Set[int]] = None) -> bool:
         """Hand a drained LDST instruction to the memory model.
 
-        Returns False when the MSHR file rejected the access (it will
-        retry next cycle and hold the LDST port via back-pressure).  A
-        load's slot is added to ``resolved`` (when given) once its
-        scoreboard entry resolves.
+        Returns False when the MSHR file rejected the access: it joins
+        ``_retry``, which ``_writeback`` walks right after the drains,
+        so it is retried (and counted) once more in the same cycle and
+        then every cycle until accepted, holding the LDST port via
+        back-pressure meanwhile.  A load's slot is added to
+        ``resolved`` (when given) once its scoreboard entry resolves.
         """
         ready = self.memory.access(cycle, slot, inst)
         if ready is None:
@@ -576,8 +579,7 @@ class StreamingMultiprocessor:
         """
         view = self._view
         actv = view.actv_counts
-        for cls in ALL_OP_CLASSES:
-            actv[cls] = 0
+        actv[:] = (0, 0, 0, 0)
         active: List[int] = []
         ready: List[int] = []
         ready_by_class: Tuple[List[int], ...] = ([], [], [], [])
@@ -595,7 +597,7 @@ class StreamingMultiprocessor:
                 continue
             slot = warp.slot
             active.append(slot)
-            actv[warp.head_inst.op_class] += 1
+            actv[warp.head_opx] += 1
             if cycle >= warp.head_ready_at:
                 ready.append(slot)
                 ready_by_class[warp.head_opx].append(slot)
@@ -604,7 +606,6 @@ class StreamingMultiprocessor:
         view.ready_by_class = ready_by_class
         if self._has_blackout:
             self._blackout_flags(cycle, view.type_in_blackout)
-        self.actv_counts = actv
         stats = self.stats
         n_active = len(active)
         stats.active_warp_sum += n_active
@@ -689,13 +690,16 @@ class StreamingMultiprocessor:
         stalls = stats.stalls
         unit_table = self._unit_table
         warps = self.warps
+        retry = self._retry
+        on_issue = self.scheduler.on_issue
+        # The two stalls a long walk meets most, counted locally.
+        held = structural = 0
         for slot in ordered:
             warp = warps[slot]
-            inst = warp.head_inst
-            pipes, doms, n_pipes, is_ldst = unit_table[inst.op_class]
-            if is_ldst and self._retry:
+            pipes, doms, n_pipes, is_ldst = unit_table[warp.head_opx]
+            if is_ldst and retry:
                 # MSHR back-pressure holds the LDST port for retries.
-                stalls.mshr_full += 1
+                held += 1
                 if publish_events:
                     bus.publish(IssueStall(cycle, "mshr_full"))
                 continue
@@ -722,10 +726,11 @@ class StreamingMultiprocessor:
                         bus.publish(IssueStall(cycle, "unit_waking"))
                 continue
             if cycle < pipe._port_free_at:
-                stalls.structural += 1
+                structural += 1
                 if publish_events:
                     bus.publish(IssueStall(cycle, "structural"))
                 continue
+            inst = warp.head_inst
             warp.pop_head()
             # Operand-collector bank conflicts delay both the dispatch
             # port and the result; the scoreboard sees the late start.
@@ -748,10 +753,12 @@ class StreamingMultiprocessor:
             warp.outstanding += 1
             stats.instructions_issued += 1
             stats.issued_by_class[inst.op_class] += 1
-            self.scheduler.on_issue(cycle, slot)
+            on_issue(cycle, slot)
             issued.append(slot)
             if len(issued) == width:
                 break
+        stalls.mshr_full += held
+        stalls.structural += structural
         return issued
 
     # ------------------------------------------------------------------

@@ -101,20 +101,18 @@ fetch_steps = st.lists(
     max_size=200)
 
 
-@given(steps=fetch_steps,
-       n_slots=st.integers(min_value=1, max_value=48),
-       fetch_width=st.integers(min_value=1, max_value=8),
-       buffer_size=st.integers(min_value=1, max_value=4))
-@settings(max_examples=400, deadline=None)
-def test_refill_set_matches_full_scan(steps, n_slots, fetch_width,
-                                      buffer_size):
-    """The refill-set fetch fetches exactly what a scan of every slot
-    fetches, under any interleaving of assign, issue pops and release;
-    every step ends with a tick."""
+def run_against_full_scan(steps, n_slots, fetch_width, buffer_size):
+    """Drive the refill-set fetch and the full-scan reference through
+    ``steps`` (assign, issue pops, release; every step ends with a
+    tick) and assert they fetch the same.  A pop must queue its slot
+    for refill exactly while the slot's trace has instructions left.
+    Returns how many ticks took the fill-every-slot path and how many
+    the round-robin path."""
     warps = [WarpContext(i) for i in range(n_slots)]
     ref = [WarpContext(i) for i in range(n_slots)]
     fetch = FetchEngine(fetch_width, buffer_size)
     rr = 0
+    paths = [0, 0]
     for op, index, length in steps:
         slot = index % n_slots
         if op == "assign":
@@ -128,17 +126,51 @@ def test_refill_set_matches_full_scan(steps, n_slots, fetch_width,
             buffered = [w.slot for w in ref if w.ibuffer]
             if buffered:
                 slot = buffered[index % len(buffered)]
-                popped = warps[slot].pop_head()
+                warp = warps[slot]
+                queued = slot in fetch._refill
+                popped = warp.pop_head()
                 assert popped is ref[slot].pop_head()
+                assert (slot in fetch._refill) == (
+                    queued or warp.fetch_pc < warp.trace_len)
         elif op == "release":
             warps[slot].release()
             ref[slot].release()
+        if fetch._gen != WarpContext.assign_generation:
+            fetch._rebuild(warps)  # as the tick would, to see its set
+        if fetch._refill:
+            paths[len(fetch._refill) * buffer_size > fetch_width] += 1
         expected, rr = reference_tick(rr, ref, fetch_width, buffer_size)
         assert fetch.tick(warps) == expected
         assert fetch._rr_start == rr
         for warp, want in zip(warps, ref):
             assert warp.fetch_pc == want.fetch_pc
             assert list(warp.ibuffer) == list(want.ibuffer)
+    return tuple(paths)
+
+
+@given(steps=fetch_steps,
+       n_slots=st.integers(min_value=1, max_value=48),
+       fetch_width=st.integers(min_value=1, max_value=8),
+       buffer_size=st.integers(min_value=1, max_value=4))
+@settings(max_examples=400, deadline=None)
+def test_refill_set_matches_full_scan(steps, n_slots, fetch_width,
+                                      buffer_size):
+    """The refill-set fetch fetches exactly what a scan of every slot
+    fetches, under any interleaving of assign, issue pops and release."""
+    run_against_full_scan(steps, n_slots, fetch_width, buffer_size)
+
+
+def test_both_fetch_paths_match_full_scan():
+    """A one-wide fetch queues more than it can fill (round-robin
+    path); a four-wide one refills the popped slots in full
+    (fill-every-slot path).  Both run until the traces run out, so
+    slots whose last instruction was fetched stop being queued."""
+    steps = [("assign", slot, 12) for slot in range(6)]
+    steps += [("pop", k, 0) for k in range(80)]
+    fast, slow = run_against_full_scan(steps, 6, 1, 2)
+    assert slow and not fast
+    fast, slow = run_against_full_scan(steps, 6, 4, 2)
+    assert fast
 
 
 @given(groups=st.lists(warp_lengths, min_size=1, max_size=4),

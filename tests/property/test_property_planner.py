@@ -154,3 +154,34 @@ def test_plan_never_passes_the_warp_scan(spec, technique, seed,
             core._cycle(cycle)
             cycle += 1
     assert canonical_result(sm._collect(cycle)) == serial
+
+
+@given(spec=small_specs(), technique=TECHNIQUES,
+       seed=st.integers(min_value=0, max_value=50),
+       mshr_entries=st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_no_skippable_cycle_is_stepped(spec, technique, seed, mshr_entries):
+    """The run loop asks the planner about every cycle: on each cycle
+    the kernel steps, the forwarder's own plan says "step"."""
+    config = SMConfig(max_resident_warps=10, max_cycles=100_000,
+                      memory=MemoryConfig(mshr_entries=mshr_entries,
+                                          dram_latency=120))
+    kernel = generate_kernel(spec, seed=seed)
+    serial = canonical_result(build_sm(kernel, technique,
+                                       sm_config=config).run())
+    sm = build_sm(kernel, technique, sm_config=config, fast_forward=True)
+    sm._ran = True
+    sm.scheduler.reset()
+    sm._prepare()
+    core = DenseStepKernel(sm)
+    forwarder = SpanFastForwarder(sm, core)
+    step = core._cycle
+
+    def checked_step(cycle):
+        if forwarder.supported:
+            assert forwarder._plan(cycle) <= cycle
+        step(cycle)
+
+    core._cycle = checked_step
+    end = core.run(0, config.max_cycles, forwarder)
+    assert canonical_result(sm._collect(end)) == serial

@@ -40,14 +40,15 @@ class TestDrain:
         assert pipe.drain(13) == []
         done = pipe.drain(14)
         assert len(done) == 1
-        assert done[0].warp_slot == 3
+        slot, inst = done[0]
+        assert slot == 3 and inst.dest == 0
 
     def test_drain_is_ordered_and_exhaustive(self):
         pipe = ExecPipeline(ExecUnitKind.INT, "INT0")
         pipe.issue(0, 0, int_op(dest=0, latency=8))
         pipe.issue(1, 1, int_op(dest=0, latency=2))
         done = pipe.drain(20)
-        assert [c.warp_slot for c in done] == [1, 0]
+        assert [slot for slot, _ in done] == [1, 0]
         assert pipe.drain(21) == []
 
     def test_next_completion_cycle(self):

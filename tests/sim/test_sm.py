@@ -139,6 +139,42 @@ class TestAccounting:
         assert activity.issues == result.pipeline_issues["INT0"] + \
             result.pipeline_issues["INT1"]
 
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_fresh_mshr_rejection_counts_twice(self, fast_forward):
+        """Pins today's retry timing: ``_writeback`` retries an access
+        the MSHR file just rejected once more in the same cycle, so
+        ``mshr_stalls`` counts that first rejection twice, then one
+        rejection per cycle until a fill frees the entry.
+
+        Warp 0's miss (issued at 0, at the memory at 2) holds the one
+        MSHR until 52; warp 1's load (issued at 1) reaches the memory
+        at 3, so it is rejected twice at 3 and once at each of 4..51.
+        Changing this moves the golden digests and the benchmark
+        references."""
+        warps = (WarpTrace(0, (load_op(0, line_addr=1),)),
+                 WarpTrace(1, (load_op(0, line_addr=2),)))
+        kernel = KernelTrace(name="k", warps=warps, max_resident_warps=4)
+        config = SMConfig(max_resident_warps=4,
+                          memory=MemoryConfig(mshr_entries=1,
+                                              dram_latency=50,
+                                              dram_jitter=0.0))
+        sm = make_sm(kernel, config, fast_forward=fast_forward)
+        access = sm.memory.access
+        rejected = []
+
+        def spy(cycle, slot, inst):
+            ready = access(cycle, slot, inst)
+            if ready is None:
+                rejected.append(cycle)
+            return ready
+
+        sm.memory.access = spy
+        result = sm.run()
+        if not fast_forward:  # a skipped span replays the count in bulk
+            assert rejected == [3] + list(range(3, 52))
+        assert result.memory.mshr_stalls == 50
+        assert result.memory.misses == 2
+
 
 class TestDeterminism:
     def test_same_kernel_same_result(self, balanced_spec):
