@@ -19,10 +19,10 @@ Priority switching (section 4.1):
 * With Coordinated Blackout, the priority also swaps when both clusters
   of the highest type are in un-wakeable blackout (section 5) — there is
   no point prioritising a type whose units cannot accept work.
-* An optional ``max_priority_cycles`` bound forces a swap after a long
-  hold, the designer-set anti-starvation threshold the paper mentions;
-  the default (None) relies on INT/FP dependencies for liveness, as the
-  paper's configuration does.
+* Nothing else swaps them: the paper's optional designer-set
+  anti-starvation threshold is not modelled (no figure uses it), so
+  liveness rests on INT/FP dependencies, as in the paper's
+  configuration.
 
 Within a type, warps issue in the same loose round-robin order as the
 baseline, so GATES changes only *type* priority, not fairness.
@@ -49,28 +49,22 @@ class GatesScheduler(WarpScheduler):
     """Gating-aware two-level warp scheduler."""
 
     name = "gates"
+    # Span fast-forward: on cycles that issue nothing, ``order``'s only
+    # mutation is ``_update_priority``, whose triggers are exposed
+    # through ``idle_flip_pending`` (the planner steps those cycles).
+    supports_idle_skip = True
 
     def __init__(self, n_slots: int = 48,
-                 max_priority_cycles: Optional[int] = None,
                  blackout_aware: bool = False) -> None:
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        if max_priority_cycles is not None and max_priority_cycles < 1:
-            raise ValueError("max_priority_cycles must be >= 1 or None")
         self.n_slots = n_slots
-        self.max_priority_cycles = max_priority_cycles
         #: When True, consult the view's per-type blackout status for the
         #: extended priority switch (enabled for Blackout techniques).
         self.blackout_aware = blackout_aware
-        # Span fast-forward: on cycles that issue nothing, ``order``'s
-        # only mutation is ``_update_priority``, whose drained/blackout
-        # triggers are exposed through ``idle_flip_pending`` (the
-        # planner steps those cycles).  The timeout trigger depends on wall cycle
-        # count, so a timeout-bounded GATES cannot be skipped.
-        self.supports_idle_skip = max_priority_cycles is None
         self._highest = OpClass.INT
+        self._lowest = OpClass.FP
         self._last_slot = n_slots - 1
-        self._priority_since = 0
         self.priority_switches = 0
 
     # ------------------------------------------------------------------
@@ -101,47 +95,41 @@ class GatesScheduler(WarpScheduler):
 
     def reset(self) -> None:
         self._highest = OpClass.INT
+        self._lowest = OpClass.FP
         self._last_slot = self.n_slots - 1
-        self._priority_since = 0
         self.priority_switches = 0
 
     def idle_flip_pending(self, cycle: int, view: SchedulerView) -> bool:
-        """Would ``_update_priority`` flip given ``view``, ignoring the
-        timeout trigger?  (``supports_idle_skip`` is False whenever the
-        timeout trigger is armed, so it never fires on a skipped span.)"""
-        hi = self._highest
-        lo = OpClass.FP if hi is OpClass.INT else OpClass.INT
-        if view.actv_counts[hi] == 0 and view.actv_counts[lo] > 0:
-            return True
-        return (self.blackout_aware and view.type_in_blackout[hi]
-                and not view.type_in_blackout[lo])
+        """Would ``_update_priority`` flip given ``view``?"""
+        return self._flip_reason(view) is not None
 
     # ------------------------------------------------------------------
     # priority logic
     # ------------------------------------------------------------------
 
-    def _update_priority(self, cycle: int, view: SchedulerView) -> None:
+    def _flip_reason(self, view: SchedulerView) -> Optional[str]:
+        """Why the two priority ends swap on ``view``, or None."""
         hi = self._highest
-        lo = OpClass.FP if hi is OpClass.INT else OpClass.INT
-        reason = None
-        if view.actv_counts[hi] == 0 and view.actv_counts[lo] > 0:
+        lo = self._lowest
+        actv = view.actv_counts
+        if actv[hi] == 0 and actv[lo] > 0:
             # The highest type's active subset drained: hand the top
             # slot to the other type (dynamic priority switching).
-            reason = "drained"
-        elif (self.blackout_aware and view.type_in_blackout[hi]
-              and not view.type_in_blackout[lo]):
+            return "drained"
+        if (self.blackout_aware and view.type_in_blackout[hi]
+                and not view.type_in_blackout[lo]):
             # Coordinated Blackout extension: both clusters of the
             # highest type are asleep past waking, so let the other
             # type's warps drain meanwhile.
-            reason = "blackout"
-        elif (self.max_priority_cycles is not None
-              and cycle - self._priority_since >= self.max_priority_cycles
-              and view.actv_counts[lo] > 0):
-            # Designer-set anti-starvation bound.
-            reason = "timeout"
+            return "blackout"
+        return None
+
+    def _update_priority(self, cycle: int, view: SchedulerView) -> None:
+        reason = self._flip_reason(view)
         if reason is not None:
+            lo = self._lowest
+            self._lowest = self._highest
             self._highest = lo
-            self._priority_since = cycle
             self.priority_switches += 1
             if self.bus.enabled:
                 self.bus.publish(PriorityFlip(cycle, lo.name, reason))

@@ -398,15 +398,12 @@ def _build_ccws(n_slots: int, score_per_excluded_warp: float = 64.0,
 
 
 @register_scheduler(
-    "gates", params=("max_priority_cycles",), supports_blackout_aware=True,
+    "gates", supports_blackout_aware=True,
     description="GATES gating-aware two-level scheduler: per-type "
                 "dynamic issue priority (paper section 4)")
-def _build_gates(n_slots: int, blackout_aware: bool = False,
-                 max_priority_cycles: Optional[int] = None):
+def _build_gates(n_slots: int, blackout_aware: bool = False):
     from repro.core.gates import GatesScheduler
-    return GatesScheduler(n_slots=n_slots,
-                          max_priority_cycles=max_priority_cycles,
-                          blackout_aware=blackout_aware)
+    return GatesScheduler(n_slots=n_slots, blackout_aware=blackout_aware)
 
 
 # ----------------------------------------------------------------------

@@ -82,10 +82,6 @@ class Instruction:
         """True for any instruction that touches memory."""
         return self.is_load or self.is_store
 
-    def registers_read(self) -> Tuple[int, ...]:
-        """Registers whose values this instruction consumes."""
-        return self.srcs
-
     def registers_written(self) -> Tuple[int, ...]:
         """Registers this instruction produces (empty for stores)."""
         return (self.dest,) if self.dest is not None else ()

@@ -119,9 +119,8 @@ class BlackoutBlocked(Event):
 class PriorityFlip(Event):
     """GATES swapped the INT/FP priority ends at ``cycle``.
 
-    ``reason`` is one of ``"drained"`` (the highest type's active subset
-    emptied), ``"blackout"`` (Coordinated Blackout extension) or
-    ``"timeout"`` (the anti-starvation bound fired).
+    ``reason`` is ``"drained"`` (the highest type's active subset
+    emptied) or ``"blackout"`` (Coordinated Blackout extension).
     """
 
     new_highest: str

@@ -82,10 +82,6 @@ class SMConfig:
         ldst_initiation_interval: 16 LD/ST units serve a fully coalesced
             warp access in one issue cycle (half-warp per core clock at
             the double-clocked units).
-        rf_banks: Register-file banks for the operand-collector
-            conflict model (:mod:`repro.sim.regfile`); 0 disables the
-            model (default, matching the calibrated headline results).
-        rf_ports_per_bank: Read ports per register-file bank.
         memory: Memory-path parameters.
         max_cycles: Hard safety cap; the simulator raises if a kernel
             fails to drain (deadlock guard, not a tuning knob).
@@ -100,8 +96,6 @@ class SMConfig:
     fp_initiation_interval: int = 1
     sfu_initiation_interval: int = 8
     ldst_initiation_interval: int = 1
-    rf_banks: int = 0
-    rf_ports_per_bank: int = 1
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     max_cycles: int = 4_000_000
 
@@ -120,9 +114,5 @@ class SMConfig:
                      "sfu_initiation_interval", "ldst_initiation_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.rf_banks < 0:
-            raise ValueError("rf_banks must be >= 0 (0 disables)")
-        if self.rf_ports_per_bank < 1:
-            raise ValueError("rf_ports_per_bank must be >= 1")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")

@@ -8,7 +8,8 @@ in flight behind it:
   issue cycle — and a 4-cycle result latency (GPGPU-Sim Fermi default
   quoted in section 3.1 of the paper).
 * The **SFU group** (4 units) occupies its port for 8 cycles per warp.
-* The **LDST group** (16 units) occupies its port for 2 cycles per warp;
+* The **LDST group** (16 units) occupies its port for 1 cycle per warp
+  (a fully coalesced access; ``SMConfig.ldst_initiation_interval``);
   leaving the LDST pipeline hands the access to the memory model.
 
 A pipeline is *busy* while any instruction is in flight or its port is
@@ -87,13 +88,8 @@ class ExecPipeline:
         """True when the dispatch port can accept an instruction."""
         return cycle >= self._port_free_at
 
-    def issue(self, cycle: int, warp_slot: int, inst: Instruction,
-              extra_hold: int = 0) -> int:
+    def issue(self, cycle: int, warp_slot: int, inst: Instruction) -> int:
         """Dispatch ``inst``; returns its pipeline-exit cycle.
-
-        ``extra_hold`` lengthens the port occupancy and result latency
-        by structural stalls outside the pipeline itself (register-file
-        bank conflicts from the operand collector).
 
         Raises:
             RuntimeError: if the port is still held (caller must check
@@ -104,11 +100,9 @@ class ExecPipeline:
             raise RuntimeError(
                 f"{self.name}: port busy until {self._port_free_at}, "
                 f"issue attempted at {cycle}")
-        if extra_hold < 0:
-            raise ValueError("extra_hold must be >= 0")
-        port_free = cycle + self.initiation_interval + extra_hold
+        port_free = cycle + self.initiation_interval
         self._port_free_at = port_free
-        finish = cycle + inst.latency + extra_hold
+        finish = cycle + inst.latency
         until = self.busy_until
         if cycle >= until:
             # A new busy period opens here: integrate the previous busy
@@ -176,10 +170,6 @@ class ExecPipeline:
     def in_flight_count(self) -> int:
         """Number of instructions currently in the pipeline."""
         return len(self._in_flight)
-
-    def next_completion_cycle(self) -> Optional[int]:
-        """Exit cycle of the oldest in-flight instruction, if any."""
-        return self._in_flight[0][0] if self._in_flight else None
 
     def next_state_change(self, cycle: int) -> Optional[int]:
         """Next cycle at which this pipeline acts on the outside world.

@@ -125,9 +125,6 @@ class SpanFastForwarder:
         sm = self.sm
         if not sm.scheduler.supports_idle_skip:
             return False
-        if sm.regfile is not None:
-            # Operand-collector arbitration state has no bulk replay.
-            return False
         if not hasattr(sm.launcher, "launch_blocked_until"):
             return False
         for hook in sm.hooks:

@@ -19,7 +19,7 @@ responds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -35,7 +35,7 @@ class Scoreboard:
     via :meth:`reset` when a new warp becomes resident.
     """
 
-    __slots__ = ("_busy", "_mem_count", "version")
+    __slots__ = ("_busy", "version")
 
     def __init__(self) -> None:
         #: Producer per register, a two-item list ``[ready_cycle,
@@ -47,9 +47,6 @@ class Scoreboard:
         #: compares the current cycle against its ready cycle), and the
         #: map never holds more entries than the warp has registers.
         self._busy: Dict[int, List] = {}
-        # Count of load producers in the map; lets blocking_memory
-        # skip the scan for warps with none.
-        self._mem_count = 0
         #: Bumped whenever the producer set changes in a way that can
         #: alter a head instruction's readiness summary (issue, memory
         #: resolution, slot reset).  The SM caches :meth:`head_status`
@@ -60,48 +57,11 @@ class Scoreboard:
     def reset(self) -> None:
         """Forget all producers (new warp occupies the slot)."""
         self._busy.clear()
-        self._mem_count = 0
         self.version += 1
 
     # ------------------------------------------------------------------
     # issue-side interface
     # ------------------------------------------------------------------
-
-    def is_ready(self, inst: Instruction, cycle: int) -> bool:
-        """True when ``inst`` could issue at ``cycle`` (RAW/WAW clean).
-
-        A register is *available* once the current cycle has reached its
-        producer's ready cycle.
-        """
-        if not self._busy:
-            return True
-        for reg in inst.srcs:
-            if self._is_busy(reg, cycle):
-                return False
-        if inst.dest is not None and self._is_busy(inst.dest, cycle):
-            return False
-        return True
-
-    def blocking_memory(self, inst: Instruction, cycle: int,
-                        pending_threshold: int) -> bool:
-        """True when ``inst`` waits on a long-latency memory producer.
-
-        This is the two-level scheduler's pending-set criterion: the warp
-        is blocked on a producer that is a memory load and either still
-        unresolved or more than ``pending_threshold`` cycles from writing
-        back.
-        """
-        if self._mem_count == 0:
-            return False
-        for reg in self._operand_registers(inst):
-            producer = self._busy.get(reg)
-            if producer is None or not producer[1]:
-                continue
-            if producer[0] == UNRESOLVED:
-                return True
-            if producer[0] - cycle > pending_threshold:
-                return True
-        return False
 
     def record_issue(self, inst: Instruction, cycle: int) -> None:
         """Mark ``inst``'s destination busy at issue time.
@@ -113,16 +73,10 @@ class Scoreboard:
         if inst.dest is None:
             return
         self.version += 1
-        busy = self._busy
-        previous = busy.get(inst.dest)
         if inst.is_load:
-            if previous is None or not previous[1]:
-                self._mem_count += 1
-            busy[inst.dest] = [UNRESOLVED, True]
+            self._busy[inst.dest] = [UNRESOLVED, True]
         else:
-            if previous is not None and previous[1]:
-                self._mem_count -= 1
-            busy[inst.dest] = [cycle + inst.latency, False]
+            self._busy[inst.dest] = [cycle + inst.latency, False]
 
     # ------------------------------------------------------------------
     # completion-side interface
@@ -147,9 +101,13 @@ class Scoreboard:
         Returns ``(ready_at, mem_until, unresolved)`` such that, for any
         cycle while :attr:`version` is unchanged:
 
-        * ``is_ready(inst, c)``  ⇔  ``not unresolved and c >= ready_at``
-        * ``blocking_memory(inst, c, t)``  ⇔  ``unresolved or
-          c < mem_until`` (with the same ``pending_threshold`` ``t``).
+        * *ready* (RAW/WAW clean: every operand register's producer
+          has reached its ready cycle) ⇔ ``not unresolved and
+          c >= ready_at``;
+        * *pending* (waits on a load producer that is still unresolved
+          or more than ``pending_threshold`` cycles from writing back,
+          the two-level scheduler's pending-set criterion) ⇔
+          ``unresolved or c < mem_until``.
 
         This is what lets the SM classify a warp per cycle with two
         integer compares: the summary only changes when a producer is
@@ -189,41 +147,3 @@ class Scoreboard:
                     if limit > mem_until:
                         mem_until = limit
         return ready_at, mem_until, unresolved
-
-    # ------------------------------------------------------------------
-    # introspection (debug-only: never called from the cycle loop)
-    # ------------------------------------------------------------------
-
-    def busy_registers(self) -> Tuple[int, ...]:
-        """Registers with a recorded producer, completed or not
-        (diagnostics/tests).
-
-        Debug-only accessor: builds a sorted tuple on every call, so it
-        must stay out of the per-cycle path — the simulator itself only
-        consults :meth:`head_status` / :meth:`is_ready` /
-        :meth:`blocking_memory`.
-        """
-        return tuple(sorted(self._busy))
-
-    def outstanding_memory_registers(self) -> Tuple[int, ...]:
-        """Registers whose recorded producer is a load, completed or
-        not (diagnostics/tests).
-
-        Debug-only accessor — see :meth:`busy_registers`.
-        """
-        return tuple(sorted(reg for reg, p in self._busy.items()
-                            if p[1]))
-
-    def _is_busy(self, reg: int, cycle: int) -> bool:
-        producer = self._busy.get(reg)
-        if producer is None:
-            return False
-        if producer[0] == UNRESOLVED:
-            return True
-        return producer[0] > cycle
-
-    @staticmethod
-    def _operand_registers(inst: Instruction) -> Iterable[int]:
-        yield from inst.srcs
-        if inst.dest is not None:
-            yield inst.dest

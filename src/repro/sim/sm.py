@@ -49,7 +49,6 @@ from repro.sim.frontend import (
 )
 from repro.sim.kernel import DenseStepKernel
 from repro.sim.memory import MemoryStats, MemorySubsystem
-from repro.sim.regfile import RegisterFileModel
 from repro.sim.sched.base import SchedulerView, WarpScheduler
 from repro.sim.stats import SMStats
 
@@ -261,9 +260,6 @@ class StreamingMultiprocessor:
 
         self.domains: Dict[str, GatingDomain] = {}
         self.hooks: List[CycleHook] = []
-        self.regfile: Optional[RegisterFileModel] = (
-            RegisterFileModel(config.rf_banks, config.rf_ports_per_bank)
-            if config.rf_banks else None)
         self.stats = SMStats()
         #: Active-set occupancy per type this cycle, indexed by
         #: ``OpClass`` (the view's list); Coordinated Blackout policies
@@ -672,9 +668,6 @@ class StreamingMultiprocessor:
         """
         width = self._issue_width
         issued: List[int] = []
-        regfile = self.regfile
-        if regfile is not None:
-            regfile.begin_cycle()
         bus = self.bus
         publish_events = bus.enabled
         if not ordered:
@@ -732,12 +725,8 @@ class StreamingMultiprocessor:
                 continue
             inst = warp.head_inst
             warp.pop_head()
-            # Operand-collector bank conflicts delay both the dispatch
-            # port and the result; the scoreboard sees the late start.
-            conflict = (regfile.charge(slot, inst)
-                        if regfile is not None else 0)
-            warp.scoreboard.record_issue(inst, cycle + conflict)
-            pipe.issue(cycle, slot, inst, extra_hold=conflict)
+            warp.scoreboard.record_issue(inst, cycle)
+            pipe.issue(cycle, slot, inst)
             # SM-wide busy watermark (span-based SM_WIDE tracker).
             until = self._sm_busy_until
             if cycle >= until:

@@ -95,26 +95,10 @@ class TestBlackoutAwareSwitching:
         assert sched.highest_priority is OpClass.INT
 
 
-class TestAntiStarvation:
-    def test_forced_switch_after_threshold(self):
-        sched = GatesScheduler(n_slots=8, max_priority_cycles=10)
-        for cycle in range(10):
-            sched.order(cycle, view(int_actv=2, fp_actv=2))
-            assert sched.highest_priority is OpClass.INT
-        sched.order(10, view(int_actv=2, fp_actv=2))
-        assert sched.highest_priority is OpClass.FP
-
-    def test_no_forced_switch_without_waiters(self):
-        sched = GatesScheduler(n_slots=8, max_priority_cycles=5)
-        for cycle in range(20):
-            sched.order(cycle, view(int_actv=2, fp_actv=0))
-        assert sched.highest_priority is OpClass.INT
-
+class TestValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             GatesScheduler(n_slots=0)
-        with pytest.raises(ValueError):
-            GatesScheduler(n_slots=8, max_priority_cycles=0)
 
 
 class TestReset:

@@ -386,6 +386,20 @@ class TestSpecValidationErrors:
             TechniqueSpec.from_dict({
                 "name": "x", "sm_overrides": {"warp_count": 64}})
 
+    def test_removed_options_are_refused(self):
+        # GATES' priority timeout and the register-file bank model are
+        # not modelled: specs naming them fail and list what is known.
+        with pytest.raises(ValueError, match="accepted: none"):
+            TechniqueSpec.from_dict({
+                "name": "x",
+                "scheduler": {"name": "gates",
+                              "params": {"max_priority_cycles": 16}}})
+        with pytest.raises(ValueError,
+                           match=r"unknown SMConfig field 'rf_banks' "
+                                 r"\(known: .*issue_width"):
+            TechniqueSpec.from_dict({
+                "name": "x", "sm_overrides": {"rf_banks": 4}})
+
     def test_unknown_memory_override_field(self):
         with pytest.raises(ValueError, match="unknown MemoryConfig"):
             TechniqueSpec.from_dict({
@@ -417,8 +431,6 @@ class TestSMConfigGuards:
         ({"max_resident_warps": 0}, "max_resident_warps"),
         ({"int_initiation_interval": 0}, "int_initiation_interval"),
         ({"sfu_initiation_interval": 0}, "sfu_initiation_interval"),
-        ({"rf_banks": -1}, "rf_banks"),
-        ({"rf_ports_per_bank": 0}, "rf_ports_per_bank"),
         ({"max_cycles": 0}, "max_cycles"),
     ])
     def test_post_init_guards(self, kwargs, match):

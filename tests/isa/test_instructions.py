@@ -44,13 +44,13 @@ class TestValidation:
 class TestRegisterSets:
     def test_alu_reads_and_writes(self):
         inst = int_op(dest=5, srcs=(1, 2))
-        assert inst.registers_read() == (1, 2)
+        assert inst.srcs == (1, 2)
         assert inst.registers_written() == (5,)
 
     def test_store_writes_nothing(self):
         inst = store_op(line_addr=7, srcs=(3,))
         assert inst.registers_written() == ()
-        assert inst.registers_read() == (3,)
+        assert inst.srcs == (3,)
         assert inst.is_mem and inst.is_store and not inst.is_load
 
     def test_load_is_memory(self):

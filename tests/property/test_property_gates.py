@@ -191,7 +191,8 @@ def test_gates_flip_pending_agrees_with_update(raw, blackout, aware,
     """On views that issue nothing, GATES reports a pending flip exactly
     when ``_update_priority`` flips."""
     sched = GatesScheduler(n_slots=16, blackout_aware=aware)
-    sched._highest = highest
+    if highest is OpClass.FP:
+        sched._highest, sched._lowest = OpClass.FP, OpClass.INT
     view = _blocked_view(raw, blackout)
     pending = sched.idle_flip_pending(5, view)
     sched._update_priority(5, view)

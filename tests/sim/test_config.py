@@ -53,15 +53,10 @@ class TestSMConfig:
         ("sfu_initiation_interval", 0),
         ("ldst_initiation_interval", 0),
         ("max_cycles", 0),
-        ("rf_banks", -1),
-        ("rf_ports_per_bank", 0),
     ])
     def test_field_validation(self, field, value):
         with pytest.raises(ValueError):
             SMConfig(**{field: value})
-
-    def test_rf_disabled_by_zero(self):
-        assert SMConfig(rf_banks=0).rf_banks == 0
 
 
 class TestMemoryStats:

@@ -53,9 +53,9 @@ class TestDrain:
 
     def test_next_completion_cycle(self):
         pipe = ExecPipeline(ExecUnitKind.INT, "INT0")
-        assert pipe.next_completion_cycle() is None
+        assert pipe.next_state_change(0) is None
         pipe.issue(0, 0, int_op(dest=0, latency=4))
-        assert pipe.next_completion_cycle() == 4
+        assert pipe.next_state_change(0) == 4
 
 
 class TestBusy:
