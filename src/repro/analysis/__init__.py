@@ -4,12 +4,11 @@
   (Figure 3) and summary statistics.
 * :mod:`repro.analysis.correlation` -- Pearson correlation between
   critical wakeups and runtime (Figure 6).
-* :mod:`repro.analysis.granularity` -- per-unit vs whole-SM gating
-  opportunity (the related-work positioning of section 8).
 * :mod:`repro.analysis.occupancy` -- per-cycle busy/idle strip charts
   (Figure 4's view, as an attachable recorder).
 * :mod:`repro.analysis.timeline` -- epoch-binned power traces per
   gating domain.
+* :mod:`repro.analysis.stalls` -- issue-stall breakdowns per run.
 * :mod:`repro.analysis.paper` -- the paper-reported reference values.
 * :mod:`repro.analysis.report` -- plain-text table rendering for the
   benchmark harness output.
@@ -21,11 +20,9 @@ from repro.analysis.idle_periods import (
     histogram_series,
 )
 from repro.analysis.correlation import pearson_r
-from repro.analysis.granularity import gating_opportunity
 from repro.analysis.occupancy import OccupancyRecorder
 from repro.analysis.timeline import PowerTimeline
 from repro.analysis.stalls import stall_profile, stalls_per_kilocycle
-from repro.analysis.warps import summarize_warps
 from repro.analysis.report import format_table, format_fraction
 
 __all__ = [
@@ -33,12 +30,10 @@ __all__ = [
     "region_fractions",
     "histogram_series",
     "pearson_r",
-    "gating_opportunity",
     "OccupancyRecorder",
     "PowerTimeline",
     "stall_profile",
     "stalls_per_kilocycle",
-    "summarize_warps",
     "format_table",
     "format_fraction",
 ]

@@ -153,21 +153,19 @@ for _spec, _group in (
 del _spec, _group
 
 
-def build_sm(kernel, config,
+def build_sm(kernel: KernelTrace, config,
              sm_config: Optional[SMConfig] = None,
              dram_latency: Optional[int] = None,
-             kernel_gap_cycles: int = 0,
              bus: Optional["EventBus"] = None,
              fast_forward: bool = False) -> StreamingMultiprocessor:
     """Assemble an SM wired for one technique.
 
     ``config`` is anything :func:`repro.core.spec.as_spec` resolves: a
     :class:`TechniqueSpec`, a registered technique name or a
-    :class:`Technique` member.  ``kernel`` is a :class:`KernelTrace` or
-    a sequence of them (run back to back with barriers and
-    ``kernel_gap_cycles`` of idle gap).  The wiring mirrors Figure 7: the scheduler plugin, the per-cluster gating
-    domains with their policy, and — when the spec enables adaptation —
-    the per-type adaptive idle-detect hooks.
+    :class:`Technique` member.  The wiring mirrors Figure 7: the
+    scheduler plugin, the per-cluster gating domains with their policy,
+    and — when the spec enables adaptation — the per-type adaptive
+    idle-detect hooks.
 
     ``bus`` is an optional observability bus shared by the SM, its
     gating domains, the scheduler and the epoch hooks; omitted, the SM
@@ -183,9 +181,7 @@ def build_sm(kernel, config,
     spec = as_spec(config)
     sm_config = spec.apply_sm_overrides(sm_config or SMConfig())
 
-    kernels = [kernel] if isinstance(kernel, KernelTrace) else list(kernel)
-    n_slots = min([sm_config.max_resident_warps]
-                  + [k.max_resident_warps for k in kernels])
+    n_slots = min(sm_config.max_resident_warps, kernel.max_resident_warps)
     sched_plugin = scheduler_plugin(spec.scheduler.name)
     scheduler = sched_plugin.build(n_slots, spec.scheduler,
                                    blackout_aware=spec.blackout_aware)
@@ -193,7 +189,6 @@ def build_sm(kernel, config,
     sm = StreamingMultiprocessor(kernel, sm_config, scheduler,
                                  dram_latency=dram_latency,
                                  technique=spec.name,
-                                 kernel_gap_cycles=kernel_gap_cycles,
                                  bus=bus, fast_forward=fast_forward)
     if sched_plugin.attach is not None:
         sched_plugin.attach(sm, scheduler)

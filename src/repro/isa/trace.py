@@ -11,7 +11,7 @@ the paper compares techniques on identical benchmark runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.optypes import OpClass
@@ -97,20 +97,3 @@ class KernelTrace:
         if total == 0:
             return {cls: 0.0 for cls in OpClass}
         return {cls: n / total for cls, n in counts.items()}
-
-
-def concatenate_kernels(name: str, kernels: List[KernelTrace]) -> KernelTrace:
-    """Merge several kernel traces into one back-to-back launch.
-
-    Warp ids are renumbered to stay unique.  Useful for modelling
-    benchmarks that consist of several kernel invocations.
-    """
-    merged: List[WarpTrace] = []
-    next_id = 0
-    for kernel in kernels:
-        for warp in kernel.warps:
-            merged.append(WarpTrace(warp_id=next_id,
-                                    instructions=warp.instructions))
-            next_id += 1
-    cap = max(k.max_resident_warps for k in kernels)
-    return KernelTrace(name=name, warps=merged, max_resident_warps=cap)

@@ -23,9 +23,8 @@ The subsystem has four pieces, all usable independently:
   recorder behind ``repro runs list|show``.
 * :mod:`repro.obs.progress` — the TTY-aware live progress renderer
   behind ``--progress``.
-* :mod:`repro.obs.subscribe` — pull-style subscriptions over the push
-  machinery: replayable :class:`Feed`\\ s (the service's per-job event
-  streams), queue-backed bus taps, and live run-ledger following.
+* :mod:`repro.obs.subscribe` — replayable :class:`Feed`\\ s, the
+  service's per-job event streams.
 """
 
 from repro.obs.bus import NULL_BUS, EventBus
@@ -70,12 +69,7 @@ from repro.obs.metrics import (
     metric_key,
 )
 from repro.obs.progress import ProgressReporter
-from repro.obs.subscribe import (
-    FEED_CLOSED,
-    EventTap,
-    Feed,
-    iter_ledger_records,
-)
+from repro.obs.subscribe import FEED_CLOSED, Feed
 from repro.obs.telemetry import (
     ENGINE_EVENT_TYPES,
     CacheEvicted,
@@ -110,5 +104,5 @@ __all__ = [
     "LedgerWriter", "ledger_dir_for", "list_runs", "load_run",
     "new_run_id", "summarize_run",
     "ProgressReporter",
-    "FEED_CLOSED", "EventTap", "Feed", "iter_ledger_records",
+    "FEED_CLOSED", "Feed",
 ]

@@ -30,9 +30,9 @@ event                   published by / meaning
 :class:`IssueStall`     ``StreamingMultiprocessor`` — an issue slot went
                         unused; ``reason`` matches the ``IssueStalls``
                         counter names.
-:class:`KernelBoundary` ``StreamingMultiprocessor`` — a kernel started
-                        launching warps (index 0 at run start, higher
-                        indices for back-to-back multi-kernel runs).
+:class:`KernelBoundary` ``StreamingMultiprocessor`` — the run's kernel
+                        started launching warps (cycle 0; ``index`` is
+                        always 0).
 ======================  ================================================
 
 Events deliberately carry *names* (domain / unit / kernel strings), not
@@ -146,7 +146,11 @@ class IssueStall(Event):
 
 @dataclass(slots=True)
 class KernelBoundary(Event):
-    """Kernel ``index`` (name ``kernel``) began launching warps."""
+    """The run's kernel (name ``kernel``) began launching warps.
+
+    An SM runs one kernel, so ``index`` is always 0; the field stays so
+    that recorded event streams keep their bytes.
+    """
 
     kernel: str
     index: int

@@ -1,4 +1,4 @@
-"""Subscription primitives over the event bus and the run ledger.
+"""A replayable event feed for subscribers that arrive late.
 
 The bus (:mod:`repro.obs.bus`) delivers events synchronously to
 callbacks registered *before* the run; the simulation service needs the
@@ -12,26 +12,13 @@ pace, and disconnect without affecting the producer:
   one, which is what the HTTP ``/stream`` endpoint serves.  Dropping a
   subscriber never perturbs the feed — a client disconnecting
   mid-stream cannot cancel the job producing it.
-* :class:`EventTap` — a thread-safe, queue-backed subscription over an
-  :class:`~repro.obs.bus.EventBus`.  The bus calls subscribers on the
-  publishing thread; the tap buffers events so another thread (an
-  asyncio executor, a test) can drain them with a timeout.
-* :func:`iter_ledger_records` — follow one run-ledger JSONL as it is
-  written, yielding records until the ``end`` footer (or a timeout):
-  the same records ``repro runs show`` prints, as a live stream.
 """
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
-import time
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
-
-from repro.obs.bus import EventBus
-from repro.obs.events import Event
+from typing import Callable, Iterator, List, Optional
 
 #: Sentinel a Feed delivers (and ``iter()`` swallows) at end-of-stream.
 FEED_CLOSED = object()
@@ -139,100 +126,4 @@ class Feed:
             unsubscribe()
 
 
-class EventTap:
-    """Queue-backed, thread-safe subscription over an :class:`EventBus`.
-
-    The bus delivers synchronously on the publishing thread; the tap
-    buffers into a queue so any other thread can drain at leisure::
-
-        with EventTap(bus, JobFinished) as tap:
-            run_batch()
-            done = tap.drain()
-
-    Detaching (``close`` / context exit) is idempotent and never
-    disturbs the bus's other subscribers.
-    """
-
-    def __init__(self, bus: EventBus, *event_types: type) -> None:
-        self.bus = bus
-        self._queue: "queue.Queue[Event]" = queue.Queue()
-        self._attached = True
-        # The bus dispatches by exact event type; no types at all means
-        # the subscribe-to-all list, which is what an untyped tap wants.
-        bus.subscribe(self._queue.put, *event_types)
-
-    def drain(self) -> List[Event]:
-        """Every buffered event, without waiting."""
-        events: List[Event] = []
-        while True:
-            try:
-                events.append(self._queue.get_nowait())
-            except queue.Empty:
-                return events
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Event]:
-        """The next event, or None when ``timeout`` expires."""
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:
-        """Detach from the bus; idempotent, buffered events stay drainable."""
-        if not self._attached:
-            return
-        self._attached = False
-        self.bus.unsubscribe(self._queue.put)
-
-    def __enter__(self) -> "EventTap":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def iter_ledger_records(path: Union[str, Path],
-                        poll: float = 0.05,
-                        timeout: Optional[float] = None,
-                        ) -> Iterator[Dict[str, object]]:
-    """Follow one run-ledger JSONL file as it is written.
-
-    Yields each parsed record (``batch`` header, ``job`` lines, ``end``
-    footer) in file order, polling for growth, and returns after the
-    ``end`` record — the writer flushes per line, so a live batch
-    streams record by record.  ``timeout`` bounds the total wait for
-    *new* data; expiry ends the iteration quietly (an unfinished ledger
-    from a killed batch then yields whatever was flushed).
-    """
-    path = Path(path)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    position = 0
-    while True:
-        try:
-            with path.open(encoding="utf-8") as handle:
-                handle.seek(position)
-                chunk = handle.read()
-        except OSError:
-            chunk = ""
-        consumed = 0
-        for line in chunk.splitlines(keepends=True):
-            if not line.endswith("\n"):
-                break  # torn tail: re-read once the writer finishes it
-            consumed += len(line)
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except ValueError:
-                continue
-            yield record
-            if record.get("record") == "end":
-                return
-        position += consumed
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        time.sleep(poll)
-
-
-__all__ = ["FEED_CLOSED", "EventTap", "Feed", "iter_ledger_records"]
+__all__ = ["FEED_CLOSED", "Feed"]

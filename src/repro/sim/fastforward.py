@@ -54,8 +54,8 @@ stateful component, each reporting its next *state-changing* cycle:
 * cycle hooks — e.g. the adaptive-epoch controller's epoch-closing
   cycle (``idle_next_event``); a hook without that method disables
   fast-forwarding entirely;
-* the launcher — the earliest cycle a queued warp could launch
-  (``launch_blocked_until``);
+* warp launch — a queued warp and a free slot mean a launch this
+  cycle, so the cycle is stepped;
 * the scheduler — a state change ``order`` would make although nothing
   issues, such as a pending GATES priority flip under the frozen view
   (``idle_flip_pending``), forces a stepped cycle so the change happens
@@ -125,8 +125,6 @@ class SpanFastForwarder:
         sm = self.sm
         if not sm.scheduler.supports_idle_skip:
             return False
-        if not hasattr(sm.launcher, "launch_blocked_until"):
-            return False
         for hook in sm.hooks:
             if not hasattr(hook, "idle_next_event"):
                 return False
@@ -189,6 +187,8 @@ class SpanFastForwarder:
             # with buffer room and trace left, the kernel's empty
             # buffers among them.
             return cycle
+        if sm._unlaunched and len(sm._resident) < len(sm.warps):
+            return cycle  # a queued warp launches into the free slot
         retry = sm._retry
         ready = kernel._ready_all
         if ready and (not retry
@@ -261,14 +261,6 @@ class SpanFastForwarder:
 
         for hook in sm.hooks:
             event = hook.idle_next_event(cycle)
-            if event <= cycle:
-                return cycle
-            if event < bound:
-                bound = event
-
-        resident = len(sm._resident)
-        if sm.launcher.remaining and resident < len(sm.warps):
-            event = sm.launcher.launch_blocked_until(cycle, resident)
             if event <= cycle:
                 return cycle
             if event < bound:

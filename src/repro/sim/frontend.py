@@ -5,10 +5,6 @@ a small per-warp instruction buffer (I-buffer) whose head is the entry
 the issue stage sees, carrying the valid bit, decoded bits — including
 the two-bit instruction type GATES relies on — and the ready bit driven
 by the scoreboard.
-
-Warp launch is also handled here: a kernel may launch more warps than the
-SM can host (48 on Fermi); finished warp slots are refilled from the
-launch queue, the way successive thread blocks refill a real SM.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from collections import deque
 from typing import Deque, List, Optional, Sequence, Set
 
 from repro.isa.instructions import Instruction
-from repro.isa.trace import KernelTrace, WarpTrace
+from repro.isa.trace import WarpTrace
 from repro.sim.scoreboard import Scoreboard
 
 
@@ -41,7 +37,8 @@ class WarpContext:
     #: Class-wide assignment generation, bumped on every ``assign``.
     #: A fetch engine rebuilds its refill set whenever this moved since
     #: its last rebuild, so a newly assigned warp is fetched no matter
-    #: who assigned it — no wiring between launcher and fetch engine.
+    #: who assigned it — no wiring between the SM's launch stage and
+    #: the fetch engine.
     assign_generation = 0
 
     def __init__(self, slot: int) -> None:
@@ -247,152 +244,3 @@ class FetchEngine:
         """
         if n_warps:
             self._rr_start = (self._rr_start + span) % n_warps
-
-
-class WarpLauncher:
-    """Feeds kernel warps into SM slots as residency frees up."""
-
-    def __init__(self, kernel: KernelTrace, max_resident: int) -> None:
-        self.kernel = kernel
-        self.max_resident = min(max_resident, kernel.max_resident_warps)
-        self._next = 0
-        #: Warps not yet launched (a plain attribute: the SM reads it
-        #: every cycle).
-        self.remaining = kernel.n_warps
-
-    def pop_next(self, cycle: int = 0,
-                 resident: int = 0) -> Optional[WarpTrace]:
-        """Take the next queued warp trace, or None when exhausted.
-
-        ``cycle`` and ``resident`` are accepted (and ignored) so the
-        single-kernel launcher is interface-compatible with
-        :class:`MultiKernelLauncher`, whose launch decisions depend on
-        both.
-        """
-        if not self.remaining:
-            return None
-        trace = self.kernel.warps[self._next]
-        self._next += 1
-        self.remaining -= 1
-        return trace
-
-    def launch_blocked_until(self, cycle: int, resident: int) -> float:
-        """Earliest cycle a queued warp could launch (fast-forward bound).
-
-        For the single-kernel launcher a queued warp launches whenever a
-        slot frees up, so with warps still queued the answer is "now" —
-        the planner then refuses to skip (a free slot plus a queued warp
-        means the next cycle does real work).
-        """
-        return cycle if self.remaining else float("inf")
-
-    def launch_into(self, warps: List[WarpContext]) -> int:
-        """Fill free slots (up to the residency cap) with queued warps."""
-        launched = 0
-        resident = sum(1 for w in warps if w.occupied)
-        for warp in warps:
-            if not self.remaining or resident >= self.max_resident:
-                break
-            if not warp.occupied:
-                warp.assign(self.pop_next())
-                resident += 1
-                launched += 1
-        return launched
-
-
-class MultiKernelLauncher:
-    """Back-to-back kernel launches with barriers and idle gaps.
-
-    Real GPGPU applications launch kernels in sequence: kernel ``k+1``
-    cannot start until every thread block of kernel ``k`` has retired
-    (a device-level barrier), and host-side work often leaves the SM
-    idle for a while in between.  Those inter-kernel windows are where
-    *SM-granular* power gating (Wang et al., the paper's section 8
-    comparison) earns its keep, so modelling them lets the granularity
-    analysis cover both regimes.
-
-    Interface-compatible with :class:`WarpLauncher` as the SM uses it:
-    ``remaining`` plus ``pop_next(cycle, resident)``.
-    """
-
-    def __init__(self, kernels: "List[KernelTrace]", max_resident: int,
-                 gap_cycles: int = 0) -> None:
-        if not kernels:
-            raise ValueError("need at least one kernel")
-        if gap_cycles < 0:
-            raise ValueError("gap_cycles must be >= 0")
-        self.kernels = list(kernels)
-        self.max_resident_cap = max_resident
-        self.gap_cycles = gap_cycles
-        self._index = 0
-        self._inner = WarpLauncher(self.kernels[0], max_resident)
-        self._gap_until: Optional[int] = None
-        # Warps in kernels after the current one; ``remaining`` is read
-        # every cycle, so the suffix sum is cached and refreshed only on
-        # kernel advance.
-        self._later_warps = sum(k.n_warps for k in self.kernels[1:])
-        #: Cycles at which each kernel's first warp launched (stats).
-        self.kernel_start_cycles: List[int] = []
-
-    @property
-    def max_resident(self) -> int:
-        """Residency cap applied to the current kernel."""
-        return self._inner.max_resident
-
-    @property
-    def remaining(self) -> int:
-        """Warps not yet launched, across all queued kernels."""
-        return self._inner.remaining + self._later_warps
-
-    @property
-    def current_kernel_index(self) -> int:
-        """Index of the kernel currently launching."""
-        return self._index
-
-    def pop_next(self, cycle: int = 0,
-                 resident: int = 0) -> Optional[WarpTrace]:
-        """Next warp to launch at ``cycle``, or None.
-
-        Returns None while (a) the current kernel is fully launched but
-        its warps still occupy slots (the barrier), or (b) the
-        inter-kernel gap has not elapsed.
-        """
-        if self._inner.remaining:
-            if not self.kernel_start_cycles or \
-                    self._inner.remaining == self.kernels[self._index].n_warps:
-                if len(self.kernel_start_cycles) <= self._index:
-                    self.kernel_start_cycles.append(cycle)
-            return self._inner.pop_next()
-        if self._index + 1 >= len(self.kernels):
-            return None
-        if resident > 0:
-            return None  # barrier: previous kernel still draining
-        if self._gap_until is None:
-            self._gap_until = cycle + self.gap_cycles
-        if cycle < self._gap_until:
-            return None
-        self._index += 1
-        self._inner = WarpLauncher(self.kernels[self._index],
-                                   self.max_resident_cap)
-        self._later_warps = sum(k.n_warps
-                                for k in self.kernels[self._index + 1:])
-        self._gap_until = None
-        return self.pop_next(cycle, resident)
-
-    def launch_blocked_until(self, cycle: int, resident: int) -> float:
-        """Earliest cycle a launch attempt could do something
-        (fast-forward bound; mirrors :meth:`pop_next` without mutating).
-
-        Note the ``_gap_until is None`` case returns ``cycle``: the next
-        ``pop_next`` call *starts* the gap countdown (a mutation), so the
-        planner must real-step it rather than skip over it.
-        """
-        if self._inner.remaining:
-            return cycle
-        if self._index + 1 >= len(self.kernels):
-            return float("inf")
-        if resident > 0:
-            return float("inf")  # barrier: launch waits on retirements
-        if self._gap_until is None:
-            return cycle
-        return max(cycle, self._gap_until)

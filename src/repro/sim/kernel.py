@@ -137,14 +137,13 @@ class DenseStepKernel:
         cycle not yet executed.
         """
         sm = self.sm
-        launcher = sm.launcher
         advance = forwarder.advance
         step = self._cycle
         cycle = start
         stepped = 0
         while cycle < end:
             if not sm._resident and not sm._retry \
-                    and not launcher.remaining:
+                    and not sm._unlaunched:
                 break  # drained (``sm._drained``, inlined)
             target = advance(cycle)
             if target != cycle:

@@ -41,12 +41,7 @@ from repro.power.gating import DomainState, GatingDomain, GatingStats
 from repro.sim.config import SMConfig
 from repro.sim.exec_units import ExecPipeline
 from repro.sim.fastforward import SpanFastForwarder
-from repro.sim.frontend import (
-    FetchEngine,
-    MultiKernelLauncher,
-    WarpContext,
-    WarpLauncher,
-)
+from repro.sim.frontend import FetchEngine, WarpContext
 from repro.sim.kernel import DenseStepKernel
 from repro.sim.memory import MemoryStats, MemorySubsystem
 from repro.sim.sched.base import SchedulerView, WarpScheduler
@@ -60,24 +55,8 @@ class CycleHook(Protocol):
     def on_cycle(self, cycle: int) -> None: ...
 
 
-@dataclass(frozen=True)
-class WarpRecord:
-    """Lifetime of one launched warp (load-imbalance analysis)."""
-
-    warp_id: int
-    launch_cycle: int
-    finish_cycle: int
-    instructions: int
-
-    @property
-    def lifetime(self) -> int:
-        """Cycles between the warp's launch and final completion."""
-        return self.finish_cycle - self.launch_cycle
-
-
 #: One launched warp's lifetime as stored in :attr:`SimResult.warp_rows`:
-#: ``(warp_id, launch_cycle, finish_cycle, instructions)``, the field
-#: order of :class:`WarpRecord`.
+#: ``(warp_id, launch_cycle, finish_cycle, instructions)``.
 WarpRow = Tuple[int, int, int, int]
 
 
@@ -86,10 +65,10 @@ class SimResult:
     """Everything a finished SM run exposes to analysis and harness.
 
     The fields are the run's one stored form: they are what a cache
-    entry or a pool payload carries.  :attr:`metrics` and
-    :attr:`warp_records` are views derived from them, memoised on first
-    access and left out of the pickled state, so reading them changes
-    neither the size nor the bytes of a pickled result.
+    entry or a pool payload carries.  :attr:`metrics` is a view derived
+    from them, memoised on first access and left out of the pickled
+    state, so reading it changes neither the size nor the bytes of a
+    pickled result.
     """
 
     kernel_name: str
@@ -103,11 +82,6 @@ class SimResult:
     pipeline_lane_work: Dict[str, float]
     pipelines_by_kind: Dict[ExecUnitKind, Tuple[str, ...]]
     warp_rows: Tuple[WarpRow, ...] = ()
-
-    @cached_property
-    def warp_records(self) -> Tuple[WarpRecord, ...]:
-        """Per-warp lifetimes, one :class:`WarpRecord` per stored row."""
-        return tuple(WarpRecord(*row) for row in self.warp_rows)
 
     @cached_property
     def metrics(self) -> Dict[str, object]:
@@ -126,7 +100,7 @@ class SimResult:
 
     def __getstate__(self) -> Dict[str, object]:
         return {key: value for key, value in self.__dict__.items()
-                if key not in ("metrics", "warp_records")}
+                if key != "metrics"}
 
     def pipeline_names(self, kind: ExecUnitKind) -> Tuple[str, ...]:
         """Names of the pipelines of one unit kind."""
@@ -199,28 +173,21 @@ class SimResult:
 
 
 class StreamingMultiprocessor:
-    """Trace-driven cycle model of one GTX480-like SM.
+    """Trace-driven cycle model of one GTX480-like SM running one kernel.
 
-    ``kernel`` may be a single :class:`KernelTrace` or a sequence of
-    them; a sequence runs back to back with device-level barriers (and
-    optional idle gaps of ``kernel_gap_cycles``) between kernels, the
-    way a host application launches dependent kernels.
+    The kernel may launch more warps than the SM hosts at once (48 on
+    Fermi, fewer when the kernel caps its residency); finished warp
+    slots are refilled in warp order, the way successive thread blocks
+    refill a real SM.
     """
 
-    def __init__(self, kernel, config: SMConfig,
+    def __init__(self, kernel: KernelTrace, config: SMConfig,
                  scheduler: WarpScheduler,
                  dram_latency: Optional[int] = None,
                  technique: str = "baseline",
-                 kernel_gap_cycles: int = 0,
                  bus: Optional[EventBus] = None,
                  fast_forward: bool = False) -> None:
-        if isinstance(kernel, KernelTrace):
-            self.kernels: List[KernelTrace] = [kernel]
-        else:
-            self.kernels = list(kernel)
-            if not self.kernels:
-                raise ValueError("need at least one kernel")
-        self.kernel = self.kernels[0]
+        self.kernel = kernel
         self.config = config
         self.scheduler = scheduler
         self.technique = technique
@@ -232,14 +199,12 @@ class StreamingMultiprocessor:
         self.memory = MemorySubsystem(config.memory, dram_latency)
         self.fetch = FetchEngine(config.fetch_width, config.ibuffer_entries)
 
-        n_slots = min([config.max_resident_warps]
-                      + [k.max_resident_warps for k in self.kernels])
+        n_slots = min(config.max_resident_warps, kernel.max_resident_warps)
         self.warps: List[WarpContext] = [WarpContext(i) for i in range(n_slots)]
-        if len(self.kernels) == 1 and kernel_gap_cycles == 0:
-            self.launcher = WarpLauncher(self.kernel, n_slots)
-        else:
-            self.launcher = MultiKernelLauncher(
-                self.kernels, n_slots, gap_cycles=kernel_gap_cycles)
+        #: The kernel's warps in launch order, taken as slots free up.
+        self._queue = iter(kernel.warps)
+        #: Warps not yet launched (read every cycle).
+        self._unlaunched = kernel.n_warps
         self._ages: List[int] = [0] * n_slots
         self._age_counter = 0
         self._launch_cycles: List[int] = [0] * n_slots
@@ -267,7 +232,6 @@ class StreamingMultiprocessor:
         self.actv_counts: List[int] = [0, 0, 0, 0]
         self._retry: List[Tuple[int, Instruction]] = []
         self._ran = False
-        self._kernel_index_seen = 0
         #: When True, run() steps cycles through a DenseStepKernel and
         #: lets a SpanFastForwarder jump over provably-quiescent idle,
         #: busy and MSHR-stalled spans (bit-identical results; see
@@ -281,11 +245,6 @@ class StreamingMultiprocessor:
         # --- hot-loop state (frozen by _prepare at run start) ---------
         self._pending_threshold = config.memory.pending_threshold
         self._issue_width = config.issue_width
-        #: Whether the launcher exposes multi-kernel boundaries (the
-        #: per-cycle KernelBoundary check reads this instead of paying a
-        #: getattr on every instrumented cycle).
-        self._multi_kernel = hasattr(self.launcher,
-                                     "current_kernel_index")
         #: Occupied warp contexts in slot order; rebuilt by
         #: _manage_warps only when residency changes, so the per-cycle
         #: stages iterate exactly the live warps instead of all slots.
@@ -421,7 +380,7 @@ class StreamingMultiprocessor:
 
     def _drained(self) -> bool:
         return (not self._resident and not self._retry
-                and self.launcher.remaining == 0)
+                and self._unlaunched == 0)
 
     def _step(self, cycle: int) -> None:
         self._writeback(cycle)
@@ -528,31 +487,22 @@ class StreamingMultiprocessor:
                     warp.release()
                     released += 1
         launched = 0
-        if self.launcher.remaining:
-            resident = len(self._resident) - released
-            if resident < len(self.warps):
-                for warp in self.warps:
-                    if warp.trace is not None:
-                        continue
-                    trace = self.launcher.pop_next(cycle, resident)
-                    if trace is None:
-                        break
-                    warp.assign(trace)
-                    if not warp.trace_len:
-                        # A zero-instruction warp is finished already.
-                        self._finish_check = True
-                    self._ages[warp.slot] = self._age_counter
-                    self._launch_cycles[warp.slot] = cycle
-                    self._age_counter += 1
-                    resident += 1
-                    launched += 1
-            if self.bus.enabled:
-                index = (self.launcher.current_kernel_index
-                         if self._multi_kernel else 0)
-                if index != self._kernel_index_seen:
-                    self._kernel_index_seen = index
-                    self.bus.publish(KernelBoundary(
-                        cycle, self.kernels[index].name, index))
+        if self._unlaunched and \
+                len(self._resident) - released < len(self.warps):
+            for warp in self.warps:
+                if warp.trace is not None:
+                    continue
+                warp.assign(next(self._queue))
+                if not warp.trace_len:
+                    # A zero-instruction warp is finished already.
+                    self._finish_check = True
+                self._ages[warp.slot] = self._age_counter
+                self._launch_cycles[warp.slot] = cycle
+                self._age_counter += 1
+                launched += 1
+                self._unlaunched -= 1
+                if not self._unlaunched:
+                    break
         if released or launched:
             self._resident = [w for w in self.warps
                               if w.trace is not None]
@@ -803,10 +753,8 @@ class StreamingMultiprocessor:
         self.stats.finalize()
         for domain in self.domains.values():
             domain.finalize(cycles)
-        name = "+".join(k.name for k in self.kernels) \
-            if len(self.kernels) > 1 else self.kernel.name
         return SimResult(
-            kernel_name=name,
+            kernel_name=self.kernel.name,
             technique=self.technique,
             cycles=cycles,
             stats=self.stats,

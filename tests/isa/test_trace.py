@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.instructions import fp_op, int_op
 from repro.isa.optypes import OpClass
-from repro.isa.trace import KernelTrace, WarpTrace, concatenate_kernels
+from repro.isa.trace import KernelTrace, WarpTrace
 
 
 def make_warp(warp_id: int, n_int: int = 2, n_fp: int = 1) -> WarpTrace:
@@ -61,18 +61,3 @@ class TestKernelTrace:
         assert mix[OpClass.INT] == pytest.approx(0.5)
         assert mix[OpClass.FP] == pytest.approx(0.5)
 
-
-class TestConcatenate:
-    def test_renumbers_warps(self):
-        k1 = KernelTrace(name="a", warps=(make_warp(0), make_warp(1)))
-        k2 = KernelTrace(name="b", warps=(make_warp(0),))
-        merged = concatenate_kernels("ab", [k1, k2])
-        assert merged.n_warps == 3
-        assert [w.warp_id for w in merged.warps] == [0, 1, 2]
-
-    def test_takes_max_residency(self):
-        k1 = KernelTrace(name="a", warps=(make_warp(0),),
-                         max_resident_warps=8)
-        k2 = KernelTrace(name="b", warps=(make_warp(0),),
-                         max_resident_warps=32)
-        assert concatenate_kernels("ab", [k1, k2]).max_resident_warps == 32

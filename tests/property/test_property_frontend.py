@@ -1,15 +1,10 @@
-"""Property tests: fetch engine and warp launchers."""
+"""Property tests: the fetch engine."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import int_op
 from repro.isa.trace import KernelTrace, WarpTrace
-from repro.sim.frontend import (
-    FetchEngine,
-    MultiKernelLauncher,
-    WarpContext,
-    WarpLauncher,
-)
+from repro.sim.frontend import FetchEngine, WarpContext
 
 
 def make_kernel(name: str, lengths):
@@ -17,6 +12,13 @@ def make_kernel(name: str, lengths):
         WarpTrace(i, tuple(int_op(dest=j % 8) for j in range(n)))
         for i, n in enumerate(lengths))
     return KernelTrace(name=name, warps=warps, max_resident_warps=48)
+
+
+def launch(queue, warps):
+    """Assign queued warp traces to the free slots, in slot order."""
+    for warp in warps:
+        if queue and not warp.occupied:
+            warp.assign(queue.pop(0))
 
 
 warp_lengths = st.lists(st.integers(min_value=1, max_value=12),
@@ -32,7 +34,7 @@ def test_fetch_delivers_every_instruction_exactly_once(
         lengths, fetch_width, buffer_size, n_slots):
     kernel = make_kernel("k", lengths)
     warps = [WarpContext(i) for i in range(n_slots)]
-    launcher = WarpLauncher(kernel, max_resident=n_slots)
+    queue = list(kernel.warps)
     fetch = FetchEngine(fetch_width, buffer_size)
     delivered = 0
     for _ in range(5000):
@@ -44,9 +46,9 @@ def test_fetch_delivers_every_instruction_exactly_once(
                 delivered += 1
             if warp.occupied and warp.trace_exhausted:
                 warp.release()
-        launcher.launch_into(warps)
+        launch(queue, warps)
         fetched = fetch.tick(warps)
-        if (launcher.remaining == 0 and fetched == 0
+        if (not queue and fetched == 0
                 and all(not w.ibuffer for w in warps)
                 and all(not w.occupied or w.trace_exhausted
                         for w in warps)):
@@ -65,7 +67,7 @@ def test_fetch_delivers_every_instruction_exactly_once(
 def test_buffers_never_exceed_capacity(lengths, fetch_width, buffer_size):
     kernel = make_kernel("k", lengths)
     warps = [WarpContext(i) for i in range(len(lengths))]
-    WarpLauncher(kernel, max_resident=len(lengths)).launch_into(warps)
+    launch(list(kernel.warps), warps)
     fetch = FetchEngine(fetch_width, buffer_size)
     for _ in range(50):
         fetched = fetch.tick(warps)
@@ -172,31 +174,3 @@ def test_both_fetch_paths_match_full_scan():
     fast, slow = run_against_full_scan(steps, 6, 4, 2)
     assert fast
 
-
-@given(groups=st.lists(warp_lengths, min_size=1, max_size=4),
-       gap=st.integers(min_value=0, max_value=30))
-@settings(max_examples=100, deadline=None)
-def test_multikernel_launches_in_program_order(groups, gap):
-    kernels = [make_kernel(f"k{i}", lengths)
-               for i, lengths in enumerate(groups)]
-    launcher = MultiKernelLauncher(kernels, max_resident=48,
-                                   gap_cycles=gap)
-    launched = []
-    cycle = 0
-    resident = 0
-    for _ in range(5000):
-        trace = launcher.pop_next(cycle, resident)
-        if trace is not None:
-            launched.append((launcher.current_kernel_index,
-                             trace.warp_id))
-            resident += 1
-        else:
-            # Model instant completion of everything resident.
-            resident = 0
-            cycle += 1
-        if launcher.remaining == 0:
-            break
-    # Every warp of every kernel launched, kernels in order.
-    expected = [(i, w.warp_id) for i, k in enumerate(kernels)
-                for w in k.warps]
-    assert launched == expected

@@ -50,13 +50,11 @@ def reference_plan(sm, cycle: int) -> int:
     ready, active = [], []
     ready_by_class = ([], [], [], [])
     unresolved_any = False
-    resident = 0
     free_slot = False
     for warp in sm.warps:
         if warp.trace is None:
             free_slot = True
             continue
-        resident += 1
         if warp.finished():
             return cycle
         buffered = len(warp.ibuffer)
@@ -102,11 +100,8 @@ def reference_plan(sm, cycle: int) -> int:
         if event <= cycle:
             return cycle
         bound = min(bound, event)
-    if sm.launcher.remaining and free_slot:
-        event = sm.launcher.launch_blocked_until(cycle, resident)
-        if event <= cycle:
-            return cycle
-        bound = min(bound, event)
+    if sm._unlaunched and free_slot:
+        return cycle  # a queued warp launches into the free slot
     if bound <= cycle:
         return cycle
 

@@ -37,7 +37,7 @@ def test_fast_forward_bit_identical(bench_name, technique):
     assert forwarded.domain_stats == serial.domain_stats
     assert forwarded.idle_detect_final == serial.idle_detect_final
     assert forwarded.pipeline_issues == serial.pipeline_issues
-    assert forwarded.warp_records == serial.warp_records
+    assert forwarded.warp_rows == serial.warp_rows
 
 
 def test_forwarder_actually_skips():

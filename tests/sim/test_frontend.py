@@ -1,23 +1,15 @@
-"""Tests for warp contexts, instruction buffers, fetch and launch."""
+"""Tests for warp contexts, instruction buffers and fetch."""
 
 import pytest
 
 from repro.isa.instructions import int_op
-from repro.isa.trace import KernelTrace, WarpTrace
-from repro.sim.frontend import FetchEngine, WarpContext, WarpLauncher
+from repro.isa.trace import WarpTrace
+from repro.sim.frontend import FetchEngine, WarpContext
 
 
 def make_trace(warp_id: int, n: int = 4) -> WarpTrace:
     return WarpTrace(warp_id=warp_id,
                      instructions=tuple(int_op(dest=i % 8) for i in range(n)))
-
-
-def make_kernel(n_warps: int, per_warp: int = 4,
-                cap: int = 48) -> KernelTrace:
-    return KernelTrace(name="k",
-                       warps=tuple(make_trace(i, per_warp)
-                                   for i in range(n_warps)),
-                       max_resident_warps=cap)
 
 
 class TestWarpContext:
@@ -116,35 +108,3 @@ class TestFetchEngine:
         with pytest.raises(ValueError):
             FetchEngine(fetch_width=1, ibuffer_entries=0)
 
-
-class TestWarpLauncher:
-    def test_launch_into_respects_cap(self):
-        kernel = make_kernel(10, cap=48)
-        launcher = WarpLauncher(kernel, max_resident=4)
-        warps = [WarpContext(i) for i in range(8)]
-        launched = launcher.launch_into(warps)
-        assert launched == 4
-        assert launcher.remaining == 6
-
-    def test_kernel_cap_wins_when_smaller(self):
-        kernel = make_kernel(10, cap=2)
-        launcher = WarpLauncher(kernel, max_resident=8)
-        warps = [WarpContext(i) for i in range(8)]
-        assert launcher.launch_into(warps) == 2
-
-    def test_pop_next_exhausts(self):
-        kernel = make_kernel(2)
-        launcher = WarpLauncher(kernel, max_resident=4)
-        assert launcher.pop_next() is kernel.warps[0]
-        assert launcher.pop_next() is kernel.warps[1]
-        assert launcher.pop_next() is None
-        assert launcher.remaining == 0
-
-    def test_refill_after_release(self):
-        kernel = make_kernel(3)
-        launcher = WarpLauncher(kernel, max_resident=1)
-        warps = [WarpContext(0)]
-        assert launcher.launch_into(warps) == 1
-        warps[0].release()
-        assert launcher.launch_into(warps) == 1
-        assert launcher.remaining == 1

@@ -57,7 +57,7 @@ def test_forced_kernel_bit_identical(bench_name, technique):
     assert forced.cycles == serial.cycles
     assert forced.metrics == serial.metrics
     assert forced.domain_stats == serial.domain_stats
-    assert forced.warp_records == serial.warp_records
+    assert forced.warp_rows == serial.warp_rows
     assert canonical_result(forced) == canonical_result(serial)
 
 

@@ -143,8 +143,8 @@ class TestStoredForm:
     def test_reading_views_keeps_pickled_bytes(self, stored_results):
         for label, (result, blob) in stored_results.items():
             loaded = pickle.loads(blob)
-            assert loaded.metrics and loaded.warp_records, label
-            assert result.metrics and result.warp_records, label
+            assert loaded.metrics, label
+            assert result.metrics, label
             assert pickle.dumps(loaded) == blob, label
             assert pickle.dumps(result) == blob, label
 
@@ -154,13 +154,11 @@ class TestStoredForm:
 
     def test_payload_holds_no_derived_views(self, stored_results):
         for label, (result, _) in stored_results.items():
-            assert result.metrics and result.warp_records  # memoised
+            assert result.metrics  # memoised
             strings = {arg for _, arg, _ in
                        pickletools.genops(pickle.dumps(result))
                        if isinstance(arg, str)}
-            assert "WarpRecord" not in strings, label
             assert "metrics" not in strings, label
-            assert "warp_records" not in strings, label
             assert "warp_rows" in strings, label
 
     def test_metrics_equal_pinned_stored_dict(self, warped_result):
@@ -169,4 +167,40 @@ class TestStoredForm:
 
     def test_views_are_memoised(self, warped_result):
         assert warped_result.metrics is warped_result.metrics
-        assert warped_result.warp_records is warped_result.warp_records
+
+
+@pytest.fixture(scope="module")
+def hotspot_baseline():
+    kernel = build_kernel("hotspot", scale=0.25)
+    sm = build_sm(kernel, Technique.BASELINE, sm_config=SMALL_SM,
+                  dram_latency=get_profile("hotspot").dram_latency)
+    return kernel, sm.run()
+
+
+class TestWarpRows:
+    """``warp_rows``: one ``(warp_id, launch_cycle, finish_cycle,
+    instructions)`` row per launched warp, in finish order."""
+
+    def test_every_launched_warp_recorded(self, hotspot_baseline):
+        kernel, result = hotspot_baseline
+        assert len(result.warp_rows) == kernel.n_warps
+        assert sorted(row[0] for row in result.warp_rows) == \
+            sorted(w.warp_id for w in kernel.warps)
+
+    def test_instruction_counts_match_traces(self, hotspot_baseline):
+        kernel, result = hotspot_baseline
+        by_id = {w.warp_id: len(w) for w in kernel.warps}
+        for warp_id, _, _, instructions in result.warp_rows:
+            assert instructions == by_id[warp_id]
+
+    def test_lifetimes_positive_and_within_run(self, hotspot_baseline):
+        _, result = hotspot_baseline
+        for _, launch, finish, _ in result.warp_rows:
+            assert 0 <= launch < finish <= result.cycles
+
+    def test_rows_deterministic(self):
+        kernel = build_kernel("nw", scale=0.5)
+        runs = [build_sm(kernel, Technique.BASELINE,
+                         sm_config=SMALL_SM).run().warp_rows
+                for _ in range(2)]
+        assert runs[0] == runs[1]

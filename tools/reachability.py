@@ -33,7 +33,10 @@ when the first one starts with a flag (``-- "--scale 0.25 figures
 dense kernel.  ``--exclude service/ --exclude cli.py`` drops whole
 files or directories from the report.  A finding is a candidate for
 deletion, not a verdict: a path no listed command takes may still be
-a product path.  This is a diagnostic, not a CI gate.
+a product path.  This is a diagnostic, not a CI gate.  A command that
+fails (a non-zero exit or an exception, whose traceback goes to
+stderr) does not stop the others; the report still prints, and the
+tool exits 1.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -118,7 +122,11 @@ def _wait_for_port(host: str, port: int, thread: threading.Thread,
 
 
 def run_commands(commands: List[str]) -> Dict[str, int]:
-    """Run each ``repro`` command line in-process; returns exit codes."""
+    """Run each ``repro`` command line in-process; returns exit codes.
+
+    A command that raises gets exit code 1 and its traceback on stderr,
+    and the next command runs.
+    """
     from repro.cli import build_parser, main
 
     codes: Dict[str, int] = {}
@@ -137,6 +145,10 @@ def run_commands(commands: List[str]) -> Dict[str, int]:
                 codes[line] = main(argv)
         except SystemExit as exc:
             codes[line] = exc.code if isinstance(exc.code, int) else 1
+        except Exception:
+            # One failing command must not lose the others' recording.
+            traceback.print_exc(file=sys.stderr)
+            codes[line] = 1
     return codes
 
 
