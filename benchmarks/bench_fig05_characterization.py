@@ -1,8 +1,9 @@
 """Figure 5: workload characterisation (instruction mix, active warps).
 
-Regenerates 5a (instruction-type mix per benchmark, from the generated
-traces) and 5b (average / maximum active-warp population, from baseline
-simulator runs, next to the values read off the paper's figure).
+Regenerates 5a (instruction-type mix per benchmark, from the baseline
+runs' issue counts) and 5b (average / maximum active-warp population,
+from the same baseline runs, next to the values read off the paper's
+figure).
 """
 
 from repro.analysis.report import format_table

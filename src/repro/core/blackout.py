@@ -21,7 +21,10 @@ makes every gating event energy-non-negative by construction.
 
 Both plug into :class:`repro.power.gating.GatingDomain` as policies; the
 state machine itself is unchanged, matching the paper's "only the
-transitions differ" framing.
+transitions differ" framing.  Naive Blackout keeps the base gate rule
+(idle-detect) and changes only the wake side; Coordinated Blackout
+overrides :meth:`~repro.power.gating.GatingPolicy.gate_threshold`, the
+one rule that both the stepped cycle and the span planner read.
 """
 
 from __future__ import annotations
@@ -36,20 +39,8 @@ class NaiveBlackoutPolicy(GatingPolicy):
 
     name = "naive_blackout"
 
-    def want_gate(self, domain: GatingDomain, cycle: int) -> bool:
-        return domain.idle_counter >= domain.idle_detect
-
     def may_wake(self, domain: GatingDomain, cycle: int) -> bool:
         return domain.gated_length(cycle) >= domain.bet
-
-    def idle_cycles_until_gate(self, domain: GatingDomain,
-                               cycle: int) -> Optional[float]:
-        """Idle cycles until the gate fires (fast-forward planning).
-
-        Same trigger as ConventionalPolicy (the difference is wake
-        side only), and observe() increments before checking.
-        """
-        return max(0, domain.idle_detect - domain.idle_counter - 1)
 
 
 class CoordinatedBlackoutPolicy(GatingPolicy):
@@ -105,25 +96,19 @@ class CoordinatedBlackoutPolicy(GatingPolicy):
                 return True
         return False
 
-    def want_gate(self, domain: GatingDomain, cycle: int) -> bool:
+    def gate_threshold(self, domain: GatingDomain, cycle: int) -> float:
+        """Gate at once or never while a peer is gated, else idle-detect.
+
+        Both inputs (peer gating state, active-subset occupancy) are
+        frozen over a skipped span: a peer's transitions are stepped
+        cycles of its own ``next_event``, and the active counts cannot
+        change while every warp is stalled.
+        """
         if self.any_peer_gated(domain, cycle):
             # A later cluster of the type: idle-detect is disabled; the
             # active-subset occupancy decides alone.
-            return self._actv_count() == 0
-        return domain.idle_counter >= domain.idle_detect
+            return 0 if self._actv_count() == 0 else float("inf")
+        return domain.idle_detect
 
     def may_wake(self, domain: GatingDomain, cycle: int) -> bool:
         return domain.gated_length(cycle) >= domain.bet
-
-    def idle_cycles_until_gate(self, domain: GatingDomain,
-                               cycle: int) -> Optional[float]:
-        """Idle cycles until the gate fires (fast-forward planning).
-
-        Both inputs of want_gate (peer gating state, active-subset
-        occupancy) are frozen over a fast-forward span: peer
-        transitions are real-stepped via next_idle_event and the
-        active counts cannot change while every warp is stalled.
-        """
-        if self.any_peer_gated(domain, cycle):
-            return 0 if self._actv_count() == 0 else float("inf")
-        return max(0, domain.idle_detect - domain.idle_counter - 1)

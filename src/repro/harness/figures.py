@@ -130,14 +130,11 @@ FIG5B_HEADERS = ("benchmark", "avg_active", "max_active",
 
 
 def fig5a_rows(runner: ExperimentRunner) -> List[Row]:
-    """Instruction mix per benchmark (measured from generated traces)."""
-    rows: List[Row] = []
-    for entry in instruction_mix_table(runner.settings.benchmarks,
-                                       seed=runner.settings.seed,
-                                       scale=runner.settings.scale):
-        rows.append([entry["benchmark"], entry["int"], entry["fp"],
-                     entry["sfu"], entry["ldst"]])
-    return rows
+    """Instruction mix per benchmark, from baseline runs' issue counts."""
+    issued = {name: runner.baseline(name).stats.issued_by_class
+              for name in runner.settings.benchmarks}
+    return [[entry["benchmark"], entry["int"], entry["fp"], entry["sfu"],
+             entry["ldst"]] for entry in instruction_mix_table(issued)]
 
 
 def fig5b_rows(runner: ExperimentRunner) -> List[Row]:

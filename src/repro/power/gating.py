@@ -16,11 +16,17 @@ state labels is needed):
 * ``WAKING`` — the sleep switch re-opened; ``wakeup_delay`` cycles of
   leakage with no useful work before the domain is ON again.
 
-The *policy* object decides (a) when an idle domain may gate and (b)
-whether a wakeup request may be honoured — that's the entire difference
-between conventional power gating and the paper's Blackout variants, so
-the Blackout/Coordinated controllers in :mod:`repro.core.blackout` are
-just policies plugged into this machine.
+The *policy* object decides (a) the idle count at which an idle domain
+gates (:meth:`GatingPolicy.gate_threshold`) and (b) whether a wakeup
+request may be honoured — that's the entire difference between
+conventional power gating and the paper's Blackout variants, so the
+Blackout/Coordinated controllers in :mod:`repro.core.blackout` are just
+policies plugged into this machine.
+
+Time advances through one method, :meth:`GatingDomain.advance`: a
+stepped cycle advances one cycle, a skipped span its whole length.
+:meth:`GatingDomain.next_event` bounds such a span, and it reads the
+same gate rule the one-cycle advance applies.
 """
 
 from __future__ import annotations
@@ -89,28 +95,20 @@ class GatingPolicy:
 
     name = "none"
 
-    def want_gate(self, domain: "GatingDomain", cycle: int) -> bool:
-        """Should ``domain`` (idle this cycle) close its gate now?"""
-        raise NotImplementedError
+    def gate_threshold(self, domain: "GatingDomain", cycle: int) -> float:
+        """Idle count at which ``domain`` closes its gate at ``cycle``.
+
+        The one gate rule: an idle ON cycle increments the domain's idle
+        counter and gates once the counter reaches the threshold, and
+        the span planner predicts the gate-fire cycle from the same
+        number.  ``float("inf")`` means "never while the rule's inputs
+        hold".  The base rule is the domain's idle-detect window.
+        """
+        return domain.idle_detect
 
     def may_wake(self, domain: "GatingDomain", cycle: int) -> bool:
         """May a wakeup request on a gated ``domain`` be honoured now?"""
         raise NotImplementedError
-
-    def idle_cycles_until_gate(self, domain: "GatingDomain",
-                               cycle: int) -> Optional[float]:
-        """Idle cycles from ``cycle`` until :meth:`want_gate` first fires.
-
-        Contract for the idle fast-forward planner (see
-        :mod:`repro.sim.fastforward`): assuming the pipeline stays idle
-        and every other input of the decision stays frozen from
-        ``cycle`` on, return the number of further idle cycles before
-        the gate closes — 0 means "this very cycle", ``float("inf")``
-        means "never while those conditions hold".  Return ``None`` when
-        the policy cannot predict its own decision, which disables
-        fast-forwarding for the domain's SM.
-        """
-        return None
 
 
 class ConventionalPolicy(GatingPolicy):
@@ -122,19 +120,8 @@ class ConventionalPolicy(GatingPolicy):
 
     name = "conventional"
 
-    def want_gate(self, domain: "GatingDomain", cycle: int) -> bool:
-        return domain.idle_counter >= domain.idle_detect
-
     def may_wake(self, domain: "GatingDomain", cycle: int) -> bool:
         return True
-
-    def idle_cycles_until_gate(self, domain: "GatingDomain",
-                               cycle: int) -> Optional[float]:
-        # ``observe`` increments the counter *before* consulting
-        # want_gate, so the gate fires on the idle cycle that brings the
-        # counter up to idle_detect: (idle_detect - idle_counter - 1)
-        # further idle cycles from now.
-        return max(0, domain.idle_detect - domain.idle_counter - 1)
 
 
 class GatingDomain:
@@ -177,10 +164,6 @@ class GatingDomain:
             return DomainState.WAKING
         return DomainState.ON
 
-    def available_for_issue(self, cycle: int) -> bool:
-        """True when an instruction could execute here this cycle."""
-        return self.state(cycle) is DomainState.ON and self._gated_since is None
-
     def is_gated(self, cycle: int) -> bool:
         """True when the gate is closed (or closing this cycle)."""
         return self._gated_since is not None
@@ -203,87 +186,74 @@ class GatingDomain:
         return max(0, self.bet - self.gated_length(cycle))
 
     # ------------------------------------------------------------------
-    # fast-forward support
+    # time
     # ------------------------------------------------------------------
 
-    def next_idle_event(self, cycle: int):
-        """Next cycle (>= ``cycle``) at which this domain's behaviour can
-        change while its pipeline stays idle, for the fast-forward
-        planner.  Returns ``None`` when the policy cannot predict its
-        gate decision (fast-forwarding must then be disabled).
+    def advance(self, cycle: int, span: int, busy: bool) -> None:
+        """End-of-cycle controller update for ``[cycle, cycle + span)``.
 
-        The planner real-steps every returned cycle, so state
-        transitions (gate taking effect, blackout expiring, wake
-        completing, the gate-fire cycle itself) always happen inside an
-        ordinary ``_step`` and never inside a skipped span.
+        ``busy`` is the pipeline's occupancy over the whole span; it
+        must be False whenever the domain is gated — the SM never lets
+        work into a gated pipeline, and gating is only triggered here,
+        with the pipeline idle.  A stepped cycle passes ``span=1``.  A
+        longer span must end no later than :meth:`next_event`, so no
+        state transition falls inside it and the gate rule's inputs
+        stay frozen; it then accounts exactly what ``span`` one-cycle
+        advances would.
+
+        Hot path (called per gated pipeline per stepped cycle): the
+        state machine is decided from the raw timestamp fields
+        directly, with the same ordering as :meth:`state` — GATED, then
+        WAKING, then ON.
         """
-        if self._gated_since is not None:
-            # The cycle the gate takes effect changes ``state()`` and
-            # the blackout view; after that, the BET expiry flips
-            # ``in_blackout`` / ``may_wake`` for the Blackout policies.
-            if self._gated_since >= cycle:
-                return self._gated_since
-            expiry = self._gated_since + self.bet
+        gated_since = self._gated_since
+        if gated_since is not None and cycle >= gated_since:
+            if busy:
+                raise RuntimeError(
+                    f"{self.name}: pipeline busy while gated at {cycle}")
+            return  # gated accounting happens at wake/finalize
+        stats = self.stats
+        if cycle < self._wake_done:
+            stats.waking_cycles += span
+            return
+        stats.on_cycles += span
+        if busy:
+            self.idle_counter = 0
+            return
+        self.idle_counter += span
+        if self.idle_counter >= self.policy.gate_threshold(self, cycle):
+            self._gate(cycle + span - 1)
+
+    def next_event(self, cycle: int, busy: bool) -> float:
+        """First cycle (>= ``cycle``) on which this domain must be stepped
+        while its pipeline stays ``busy`` (or idle) from ``cycle`` on.
+
+        The span planner (:mod:`repro.sim.fastforward`) steps every
+        returned cycle, so each transition — the gate taking effect,
+        the BET expiry that flips ``may_wake`` under Blackout, a wake
+        completing, the gate-fire cycle itself — happens in a one-cycle
+        :meth:`advance`.  The gate-fire cycle comes from the policy's
+        :meth:`GatingPolicy.gate_threshold`: the increment precedes the
+        comparison, so ``threshold - idle_counter - 1`` further idle
+        cycles pass first.  A busy ON domain has no event (``inf``):
+        the idle counter stays pinned at zero; the busy->idle edge is
+        the caller's bound.  Busy while gated returns ``cycle``, so the
+        stepped advance raises at the exact cycle.
+        """
+        gated_since = self._gated_since
+        if gated_since is not None:
+            if busy:
+                return cycle
+            if gated_since >= cycle:
+                return gated_since
+            expiry = gated_since + self.bet
             return expiry if expiry >= cycle else float("inf")
         if cycle < self._wake_done:
             return self._wake_done
-        until = self.policy.idle_cycles_until_gate(self, cycle)
-        if until is None:
-            return None
-        return cycle + until
-
-    def skip_idle_cycles(self, cycle: int, span: int) -> None:
-        """Account ``span`` provably-idle cycles starting at ``cycle``.
-
-        Equivalent to ``span`` calls of ``observe(c, False)`` under the
-        planner's guarantee that no state transition and no gate
-        decision falls inside the span (those cycles are real-stepped).
-        """
-        state = self.state(cycle)
-        if state is DomainState.GATED:
-            return  # gated accounting happens at wake/finalize
-        if state is DomainState.WAKING:
-            self.stats.waking_cycles += span
-            return
-        self.stats.on_cycles += span
-        self.idle_counter += span
-
-    def next_busy_event(self, cycle: int):
-        """Next state-changing cycle while the pipeline stays *busy*.
-
-        Busy-span counterpart of :meth:`next_idle_event`: with work in
-        flight the controller observes ``pipeline_busy=True`` every
-        cycle, which pins the idle counter at zero and makes ON-state
-        behaviour time-invariant — only a wake completing can change
-        anything.  (The busy->idle edge itself is the caller's bound:
-        the planner never lets a span cross the pipeline's
-        ``busy_until`` watermark.)  Returns ``None`` when no event is
-        possible, or ``cycle`` itself for the busy-while-gated state
-        the serial ``observe`` treats as a hard error — forcing a real
-        step reproduces that error at the exact serial cycle.
-        """
-        if self._gated_since is not None:
-            return cycle
-        if cycle < self._wake_done:
-            return self._wake_done
-        return None
-
-    def skip_busy_cycles(self, cycle: int, span: int) -> None:
-        """Account ``span`` provably-busy cycles starting at ``cycle``.
-
-        Equivalent to ``span`` calls of ``observe(c, True)`` under the
-        planner's guarantee that the pipeline stays busy and no wake
-        completes inside the span: waking cycles accrue, or ON cycles
-        accrue with the idle counter pinned at zero.
-        """
-        if self._gated_since is not None:
-            raise RuntimeError(
-                f"{self.name}: pipeline busy while gated at {cycle}")
-        if cycle < self._wake_done:
-            self.stats.waking_cycles += span
-            return
-        self.stats.on_cycles += span
-        self.idle_counter = 0
+        if busy:
+            return float("inf")
+        threshold = self.policy.gate_threshold(self, cycle)
+        return cycle + max(0, threshold - self.idle_counter - 1)
 
     # ------------------------------------------------------------------
     # scheduler-facing actions
@@ -332,39 +302,6 @@ class GatingDomain:
             self.bus.publish(Wakeup(cycle, self.name,
                                     critical=gated_len == self.bet,
                                     delay=self.wakeup_delay))
-
-    # ------------------------------------------------------------------
-    # per-cycle update (after issue, once pipeline occupancy is known)
-    # ------------------------------------------------------------------
-
-    def observe(self, cycle: int, pipeline_busy: bool) -> None:
-        """End-of-cycle controller update.
-
-        ``pipeline_busy`` must be False whenever the domain is gated —
-        the SM never lets work into a gated pipeline, and gating is only
-        triggered from this method, which sees the pipeline idle.
-
-        Hot path (called per gated pipeline per cycle): the state
-        machine is decided from the raw timestamp fields directly, with
-        the same ordering as :meth:`state` — GATED, then WAKING, then ON.
-        """
-        gated_since = self._gated_since
-        if gated_since is not None and cycle >= gated_since:
-            if pipeline_busy:
-                raise RuntimeError(
-                    f"{self.name}: pipeline busy while gated at {cycle}")
-            return
-        stats = self.stats
-        if cycle < self._wake_done:
-            stats.waking_cycles += 1
-            return
-        stats.on_cycles += 1
-        if pipeline_busy:
-            self.idle_counter = 0
-            return
-        self.idle_counter += 1
-        if self.policy.want_gate(self, cycle):
-            self._gate(cycle)
 
     def _gate(self, cycle: int) -> None:
         # The switch closes at the end of this cycle; savings accrue

@@ -84,17 +84,13 @@ class ExecPipeline:
     # issue side
     # ------------------------------------------------------------------
 
-    def port_available(self, cycle: int) -> bool:
-        """True when the dispatch port can accept an instruction."""
-        return cycle >= self._port_free_at
-
     def issue(self, cycle: int, warp_slot: int, inst: Instruction) -> int:
         """Dispatch ``inst``; returns its pipeline-exit cycle.
 
         Raises:
-            RuntimeError: if the port is still held (caller must check
-                :meth:`port_available` first — issuing into a held port
-                would silently break the structural-hazard model).
+            RuntimeError: if the port is still held (the SM's issue
+                walk checks first — issuing into a held port would
+                silently break the structural-hazard model).
         """
         if cycle < self._port_free_at:
             raise RuntimeError(
@@ -166,10 +162,6 @@ class ExecPipeline:
         tracker.observe_busy_span(busy_end - self._span_start)
         if end_cycle > busy_end:
             tracker.observe_idle_span(end_cycle - busy_end)
-
-    def in_flight_count(self) -> int:
-        """Number of instructions currently in the pipeline."""
-        return len(self._in_flight)
 
     def next_state_change(self, cycle: int) -> Optional[int]:
         """Next cycle at which this pipeline acts on the outside world.

@@ -46,11 +46,11 @@ stateful component, each reporting its next *state-changing* cycle:
   stepped cycle);
 * fetch — the fetch engine's refill set: while it holds a slot, fetch
   may still stream and the cycle is stepped;
-* gating domains — while the attached pipeline is idle, gate taking
-  effect, blackout expiry, wakeup completion and the policy's
-  predicted gate-fire cycle (:meth:`GatingDomain.next_idle_event`);
-  while it is busy, the wake-completion edge and the pipeline's
-  busy-until watermark (:meth:`GatingDomain.next_busy_event`);
+* gating domains — gate taking effect, blackout expiry, wakeup
+  completion and, while the attached pipeline is idle, the gate-fire
+  cycle its policy's ``gate_threshold`` predicts
+  (:meth:`GatingDomain.next_event`); while the pipeline is busy, also
+  its busy-until watermark;
 * cycle hooks — e.g. the adaptive-epoch controller's epoch-closing
   cycle (``idle_next_event``); a hook without that method disables
   fast-forwarding entirely;
@@ -65,11 +65,12 @@ stateful component, each reporting its next *state-changing* cycle:
 
 When the minimum of those bounds lies beyond the current cycle, the
 span up to (but excluding) the bound is applied in bulk: rejected-retry
-counts, gating-domain idle/waking/busy counters, warp-population
-samples, the issue stalls (``mshr_full`` per held head, or
-``no_ready_warp`` per issue lane), the fetch and scheduler round-robin
-pointers, and the cycle count all advance by exactly what ``span``
-stepped cycles would have produced.  (The per-pipeline idle trackers
+counts, warp-population samples, the issue stalls (``mshr_full`` per
+held head, or ``no_ready_warp`` per issue lane), the fetch and
+scheduler round-robin pointers, the gating domains (through the SM's
+stage-6 ``_update_power``, the same advance a stepped cycle makes) and
+the cycle count all advance by exactly what ``span`` stepped cycles
+would have produced.  (The per-pipeline idle trackers
 need no bulk update at all: they accumulate busy/idle *spans* between
 absolute cycle marks, so a skipped stretch lands in the right period
 when the next issue — or the end-of-run flush — integrates it.)
@@ -95,7 +96,6 @@ from heapq import heappop
 
 from repro.isa.optypes import ExecUnitKind, OpClass
 from repro.obs.events import IssueStall
-from repro.power.gating import GatingPolicy
 
 class SpanFastForwarder:
     """Plans and applies quiescent-span skips for one SM run.
@@ -132,12 +132,6 @@ class SpanFastForwarder:
                 # The hook pins every cycle (e.g. the CCWS decay hook):
                 # no span could ever be skipped, so don't pay the
                 # planning cost either.
-                return False
-        for domain in sm.domains.values():
-            # A policy that keeps the base idle_cycles_until_gate cannot
-            # predict its own gate decision.
-            if type(domain.policy).idle_cycles_until_gate \
-                    is GatingPolicy.idle_cycles_until_gate:
                 return False
         return True
 
@@ -240,24 +234,15 @@ class SpanFastForwarder:
                 bound = due
 
         for pipe, domain in sm._gated_pipes:
-            if cycle < pipe.busy_until:
-                # Busy throughout [cycle, busy_until): the controller
-                # observes "busy" each cycle, so only a wake completion
-                # (or the busy->idle edge itself) can change behaviour.
-                event = domain.next_busy_event(cycle)
-                if event is not None:
-                    if event <= cycle:
-                        return cycle
-                    if event < bound:
-                        bound = event
-                if pipe.busy_until < bound:
-                    bound = pipe.busy_until
-            else:
-                event = domain.next_idle_event(cycle)
-                if event is None or event <= cycle:
-                    return cycle
-                if event < bound:
-                    bound = event
+            busy = cycle < pipe.busy_until
+            event = domain.next_event(cycle, busy)
+            if event <= cycle:
+                return cycle
+            if event < bound:
+                bound = event
+            if busy and pipe.busy_until < bound:
+                # The busy->idle edge is the span's bound too.
+                bound = pipe.busy_until
 
         for hook in sm.hooks:
             event = hook.idle_next_event(cycle)
@@ -328,19 +313,14 @@ class SpanFastForwarder:
                 for _ in range(per_cycle):
                     sm.bus.publish(stall)
 
-        # stage 6: gating domains.  Busy pipelines pin the idle counter
-        # at zero for the whole span (the span never crosses their
-        # busy->idle edge — busy_until bounds it); idle ones accrue
-        # idle cycles exactly as serial observation would.  The idle
-        # trackers need no work at all here: they integrate busy/idle
-        # spans from absolute cycles at the next issue (or the
-        # end-of-run flush), so a skipped span lands in the right
+        # stage 6: gating domains, through the stepped cycle's own
+        # update.  No span crosses a busy->idle edge (busy_until bounds
+        # it), so each pipe's occupancy holds for the whole span.  The
+        # idle trackers need no work at all here: they integrate
+        # busy/idle spans from absolute cycles at the next issue (or
+        # the end-of-run flush), so a skipped span lands in the right
         # period automatically.
-        for pipe, domain in sm._gated_pipes:
-            if cycle < pipe.busy_until:
-                domain.skip_busy_cycles(cycle, span)
-            else:
-                domain.skip_idle_cycles(cycle, span)
+        sm._update_power(cycle, span)
 
         stats.cycles += span
         self.skipped_cycles += span

@@ -89,25 +89,6 @@ class WarpContext:
         self.outstanding = 0
         self.cache_popped = -1
 
-    @property
-    def occupied(self) -> bool:
-        """True while a warp lives in this slot."""
-        return self.trace is not None
-
-    @property
-    def trace_exhausted(self) -> bool:
-        """True once every instruction of the warp has been fetched."""
-        return self.fetch_pc >= self.trace_len
-
-    def finished(self) -> bool:
-        """True once every instruction has issued and completed."""
-        return (self.trace is not None and self.fetch_pc >= self.trace_len
-                and not self.ibuffer and self.outstanding == 0)
-
-    def head(self) -> Optional[Instruction]:
-        """The instruction the issue stage considers for this warp."""
-        return self.ibuffer[0] if self.ibuffer else None
-
     def pop_head(self) -> Instruction:
         """Remove the head instruction at issue; queue a refill while
         the trace has instructions left."""

@@ -62,10 +62,6 @@ class L1Cache:
             cache_set[line_addr] = None
         return False
 
-    def contains(self, line_addr: int) -> bool:
-        """Non-updating probe (tests / diagnostics)."""
-        return line_addr in self._lines[line_addr & (self.sets - 1)]
-
     def flush(self) -> None:
         """Invalidate every line."""
         for cache_set in self._lines:
@@ -237,14 +233,6 @@ class MemorySubsystem:
     def attach_locality_monitor(self, monitor) -> None:
         """Enable CCWS lost-locality detection on this memory path."""
         self.locality_monitor = monitor
-
-    def outstanding_misses(self) -> int:
-        """Occupied MSHR entries (diagnostics/tests)."""
-        return len(self._outstanding)
-
-    def in_flight_requests(self) -> int:
-        """Scheduled but not yet delivered load values."""
-        return len(self._pending)
 
     def _miss_latency(self, line: int, cycle: int) -> int:
         """DRAM round trip with deterministic queueing jitter.

@@ -464,7 +464,7 @@ class StreamingMultiprocessor:
             if outstanding < 0:
                 raise RuntimeError(
                     f"warp slot {slot}: retired more than issued")
-            # The warp may now satisfy finished(); a finished warp
+            # The warp may now be finished; a finished warp
             # always reaches this state through its last retirement,
             # so _manage_warps only scans when this flag is set.
             self._finish_check = True
@@ -709,21 +709,22 @@ class StreamingMultiprocessor:
     #: gating schemes like Wang et al. [22] can exploit.
     SM_WIDE_TRACKER = "SM_WIDE"
 
-    def _update_power(self, cycle: int) -> None:
+    def _update_power(self, cycle: int, span: int = 1) -> None:
         """End-of-cycle power-gating controller updates.
 
-        Idle-period trackers no longer appear here at all: busy/idle
-        state only changes at issue boundaries, so per-pipe and SM-wide
-        spans are integrated lazily at issue (see
-        :meth:`ExecPipeline.issue`) and flushed once by
-        :meth:`_flush_spans` — a run without gating domains pays zero
-        per-cycle power/stats cost.  Gating domains still observe every
-        cycle because their policies read live cross-domain state
-        (peer gating, ACTV counts).  Post-writeback, a pipeline is busy
-        iff ``cycle < busy_until`` (the issue-maintained watermark).
+        The one stage-6 update: a stepped cycle advances every gating
+        domain by one cycle, and a skipped span (see
+        :meth:`SpanFastForwarder._apply`) by its length.  Idle-period
+        trackers do not appear here at all: busy/idle state only
+        changes at issue boundaries, so per-pipe and SM-wide spans are
+        integrated lazily at issue (see :meth:`ExecPipeline.issue`) and
+        flushed once by :meth:`_flush_spans` — a run without gating
+        domains pays zero per-cycle power/stats cost.  Post-writeback,
+        a pipeline is busy iff ``cycle < busy_until`` (the
+        issue-maintained watermark).
         """
         for pipe, domain in self._gated_pipes:
-            domain.observe(cycle, cycle < pipe.busy_until)
+            domain.advance(cycle, span, cycle < pipe.busy_until)
 
     # ------------------------------------------------------------------
     # result assembly

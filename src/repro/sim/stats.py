@@ -39,46 +39,21 @@ class IdlePeriodTracker:
         self.idle_cycles = 0
         self._finalized = False
 
-    @property
-    def finalized(self) -> bool:
-        """True once the books are closed (trailing run flushed)."""
-        return self._finalized
+    def observe_busy_span(self, span: int) -> None:
+        """Record ``span`` consecutive busy cycles in one call.
 
-    def observe(self, busy: bool) -> None:
-        """Record one cycle of pipeline state.
+        The first busy cycle closes the current idle run (one histogram
+        entry), the rest just extend the busy count.  ``span == 0`` is a
+        no-op and leaves any open idle run open.  Together with
+        :meth:`observe_idle_span` this is the tracker's whole input: the
+        SM's busy/idle state changes only at issue boundaries, so it
+        integrates whole spans there instead of touching the tracker
+        every cycle.
 
         Raises RuntimeError after :meth:`finalize` — a late observation
         would silently split the trailing idle period into two histogram
         entries and corrupt the Figure 3 distribution, so it fails loudly
         instead.
-        """
-        if self._finalized:
-            raise RuntimeError(
-                "IdlePeriodTracker.observe() after finalize(): the "
-                "trailing idle period is already flushed; build a fresh "
-                "tracker for a new run")
-        if busy:
-            self.busy_cycles += 1
-            if self._current_run:
-                self.histogram[self._current_run] = \
-                    self.histogram.get(self._current_run, 0) + 1
-                self._current_run = 0
-        else:
-            self.idle_cycles += 1
-            self._current_run += 1
-
-    def observe_busy_span(self, span: int) -> None:
-        """Record ``span`` consecutive busy cycles in one call.
-
-        Exactly equivalent to ``span`` calls of ``observe(True)``: the
-        first busy cycle closes the current idle run (one histogram
-        entry), the rest just extend the busy count.  ``span == 0`` is a
-        no-op and leaves any open idle run open.  Together with
-        :meth:`observe_idle_span` this is the span-based accumulation
-        interface the SM's zero-overhead stats path uses: busy/idle
-        state changes only happen at issue boundaries, so the SM
-        integrates whole spans there instead of touching the tracker
-        every cycle.
         """
         if self._finalized:
             raise RuntimeError(
@@ -95,9 +70,9 @@ class IdlePeriodTracker:
     def observe_idle_span(self, span: int) -> None:
         """Record ``span`` consecutive idle cycles in one call.
 
-        Exactly equivalent to ``span`` calls of ``observe(False)`` — the
-        cycles extend the current idle run without closing it — but O(1).
-        Used by the fast-forward path (:mod:`repro.sim.fastforward`).
+        The cycles extend the current idle run without closing it.
+        Raises RuntimeError after :meth:`finalize`, as
+        :meth:`observe_busy_span` does.
         """
         if self._finalized:
             raise RuntimeError(
@@ -120,15 +95,6 @@ class IdlePeriodTracker:
             self.histogram[self._current_run] = \
                 self.histogram.get(self._current_run, 0) + 1
             self._current_run = 0
-
-    @property
-    def total_periods(self) -> int:
-        """Number of completed idle periods."""
-        return sum(self.histogram.values())
-
-    def recorded_idle_cycles(self) -> int:
-        """Idle cycles accounted in completed periods (invariant hook)."""
-        return sum(length * count for length, count in self.histogram.items())
 
     def export_metrics(self, registry, unit: str) -> None:
         """Publish this tracker into a metrics registry: busy/idle
@@ -182,13 +148,6 @@ class SMStats:
 
     # name -> tracker for every pipeline in the SM.
     idle_trackers: Dict[str, IdlePeriodTracker] = field(default_factory=dict)
-
-    def sample_warp_population(self, active: int, pending: int) -> None:
-        """Record this cycle's active/pending set sizes."""
-        self.active_warp_sum += active
-        self.pending_warp_sum += pending
-        if active > self.active_warp_max:
-            self.active_warp_max = active
 
     @property
     def avg_active_warps(self) -> float:

@@ -11,7 +11,7 @@ parameterised by the characteristics the paper reports:
 
 See :mod:`repro.workloads.specs` for the table and the per-benchmark
 rationale, and :mod:`repro.workloads.characterization` for the utilities
-that regenerate Figure 5 from the models.
+that format Figure 5 from the models' baseline runs.
 """
 
 from repro.workloads.specs import (
@@ -22,10 +22,6 @@ from repro.workloads.specs import (
     iter_profiles,
 )
 from repro.workloads.registry import build_kernel, build_all_kernels
-from repro.workloads.characterization import (
-    instruction_mix_table,
-    static_mix_for,
-)
 
 __all__ = [
     "BENCHMARK_NAMES",
@@ -35,6 +31,4 @@ __all__ = [
     "iter_profiles",
     "build_kernel",
     "build_all_kernels",
-    "instruction_mix_table",
-    "static_mix_for",
 ]

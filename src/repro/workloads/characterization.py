@@ -1,47 +1,43 @@
 """Workload characterisation (Figure 5 of the paper).
 
-Two kinds of characterisation feed the paper's motivation:
+Both halves of Figure 5 are measured by the simulator's baseline runs
+and formatted here next to the workload models' specification:
 
-* **Static instruction mix** (Figure 5a) — measurable directly from the
-  generated traces; :func:`static_mix_for` / :func:`instruction_mix_table`
-  produce it.
+* **Instruction mix** (Figure 5a) — every trace instruction issues
+  exactly once, so a run's per-type issue counts are its trace's mix;
+  :func:`instruction_mix_table` turns them into fractions beside the
+  profile's specified mix.
 * **Active-warp population** (Figure 5b) — a *runtime* property (how many
-  warps sit in the active set each cycle) measured by the simulator's
-  statistics; :func:`active_warp_rows` formats those measurements next to
-  the paper's reference values.
+  warps sit in the active set each cycle); :func:`active_warp_rows`
+  formats those measurements next to the paper's reference values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.isa.optypes import ALL_OP_CLASSES, OpClass
-from repro.workloads.registry import build_kernel
-from repro.workloads.specs import BENCHMARK_NAMES, get_profile
+from repro.workloads.specs import get_profile
 
 
-def static_mix_for(name: str, seed: int = 0,
-                   scale: float = 1.0) -> Dict[OpClass, float]:
-    """Measured instruction-type mix of one benchmark's generated trace."""
-    return build_kernel(name, seed=seed, scale=scale).op_class_mix()
-
-
-def instruction_mix_table(names: Optional[Sequence[str]] = None,
-                          seed: int = 0, scale: float = 1.0,
+def instruction_mix_table(issued: Mapping[str, Mapping[OpClass, int]],
                           ) -> List[Dict[str, float]]:
     """Figure 5a data: one row per benchmark with per-type fractions.
 
-    Rows carry both the *measured* mix of the generated trace and the
-    *specified* mix from the profile so calibration drift is visible.
+    Args:
+        issued: benchmark name -> instructions issued per type, as in
+            ``SimResult.stats.issued_by_class`` of a baseline run.
+
+    Rows carry both the *measured* mix and the *specified* mix from the
+    profile so calibration drift is visible.
     """
-    selected = tuple(names) if names is not None else BENCHMARK_NAMES
     rows: List[Dict[str, float]] = []
-    for name in selected:
-        measured = static_mix_for(name, seed=seed, scale=scale)
+    for name, counts in issued.items():
+        total = sum(counts.values())
         spec_mix = get_profile(name).spec.mix
         row: Dict[str, float] = {"benchmark": name}  # type: ignore[dict-item]
         for cls in ALL_OP_CLASSES:
-            row[cls.short_name] = measured[cls]
+            row[cls.short_name] = counts[cls] / total if total else 0.0
             row[f"spec_{cls.short_name}"] = spec_mix.get(cls, 0.0)
         rows.append(row)
     return rows

@@ -15,7 +15,7 @@ PARAMS = GatingParams(idle_detect=3, bet=10, wakeup_delay=2)
 def gate_by_idling(domain: GatingDomain, start: int = 0) -> int:
     cycle = start
     while not domain.is_gated(cycle):
-        domain.observe(cycle, pipeline_busy=False)
+        domain.advance(cycle, 1, busy=False)
         cycle += 1
     return cycle
 
@@ -90,8 +90,8 @@ class TestCoordinatedBlackout:
         # With no waiters, every other cluster gates on its first idle
         # cycle.
         for domain in domains[1:]:
-            domain.observe(100, pipeline_busy=True)
-            domain.observe(101, pipeline_busy=False)
+            domain.advance(100, 1, busy=True)
+            domain.advance(101, 1, busy=False)
             assert domain.is_gated(102)
 
     def test_n_cluster_keeps_one_awake_with_waiters(self):
@@ -104,7 +104,7 @@ class TestCoordinatedBlackout:
         gate_by_idling(domains[0])
         for domain in domains[1:]:
             for cycle in range(100, 160):
-                domain.observe(cycle, pipeline_busy=False)
+                domain.advance(cycle, 1, busy=False)
             assert not domain.is_gated(160)
 
     def test_peer_lookup(self):
@@ -122,15 +122,15 @@ class TestCoordinatedBlackout:
         gate_by_idling(a)
         # b has been busy; it goes idle for a single cycle -> gates
         # immediately because a is gated and the subset is empty.
-        b.observe(100, pipeline_busy=True)
-        b.observe(101, pipeline_busy=False)
+        b.advance(100, 1, busy=True)
+        b.advance(101, 1, busy=False)
         assert b.is_gated(102)
 
     def test_second_cluster_never_gates_with_waiters(self):
         a, b, state = self.make_pair(actv=1)
         gate_by_idling(a)
         for cycle in range(100, 160):  # way past idle-detect
-            b.observe(cycle, pipeline_busy=False)
+            b.advance(cycle, 1, busy=False)
         assert not b.is_gated(160)
 
     def test_waiter_arrival_flips_decision(self):
@@ -138,10 +138,10 @@ class TestCoordinatedBlackout:
         gate_by_idling(a)
         state["actv"] = 2
         for cycle in range(100, 130):
-            b.observe(cycle, pipeline_busy=False)
+            b.advance(cycle, 1, busy=False)
         assert not b.is_gated(130)
         state["actv"] = 0
-        b.observe(130, pipeline_busy=False)
+        b.advance(130, 1, busy=False)
         assert b.is_gated(131)
 
     def test_blackout_wakeup_rules_apply(self):

@@ -19,8 +19,8 @@ MODULES = sorted(SRC.rglob("*.py"))
 #: Interface methods documented once on their base class / protocol
 #: (WarpScheduler, GatingPolicy, CycleHook); implementations inherit the
 #: contract and need not repeat it.
-OVERRIDE_EXEMPT = {"order", "on_issue", "reset", "want_gate", "may_wake",
-                   "on_cycle", "idle_cycles_until_gate", "idle_next_event",
+OVERRIDE_EXEMPT = {"order", "on_issue", "reset", "gate_threshold",
+                   "may_wake", "on_cycle", "idle_next_event",
                    "skip_idle_cycles"}
 
 

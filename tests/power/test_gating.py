@@ -20,7 +20,7 @@ def idle_until_gated(domain: GatingDomain, start: int) -> int:
     """Feed idle cycles until the domain gates; returns first gated cycle."""
     cycle = start
     while not domain.is_gated(cycle):
-        domain.observe(cycle, pipeline_busy=False)
+        domain.advance(cycle, 1, busy=False)
         cycle += 1
     return cycle
 
@@ -29,20 +29,20 @@ class TestStateMachine:
     def test_starts_on(self):
         domain = make_domain()
         assert domain.state(0) is DomainState.ON
-        assert domain.available_for_issue(0)
+        assert not domain.is_gated(0)
 
     def test_busy_resets_idle_counter(self):
         domain = make_domain()
-        domain.observe(0, pipeline_busy=False)
-        domain.observe(1, pipeline_busy=False)
-        domain.observe(2, pipeline_busy=True)
+        domain.advance(0, 1, busy=False)
+        domain.advance(1, 1, busy=False)
+        domain.advance(2, 1, busy=True)
         assert domain.idle_counter == 0
         assert not domain.is_gated(3)
 
     def test_gates_after_idle_detect(self):
         domain = make_domain()
         for cycle in range(3):
-            domain.observe(cycle, pipeline_busy=False)
+            domain.advance(cycle, 1, busy=False)
         # idle_counter reached 3 at cycle 2; gate takes effect cycle 3.
         assert domain.is_gated(3)
         assert domain.state(3) is DomainState.GATED
@@ -54,8 +54,8 @@ class TestStateMachine:
         wake_cycle = gated_at + 5
         assert domain.request_wakeup(wake_cycle) is False
         assert domain.state(wake_cycle) is DomainState.WAKING
-        assert not domain.available_for_issue(wake_cycle + 1)
-        assert domain.available_for_issue(wake_cycle + 2)
+        assert domain.state(wake_cycle + 1) is DomainState.WAKING
+        assert domain.state(wake_cycle + 2) is DomainState.ON
 
     def test_request_on_powered_domain_is_immediate(self):
         domain = make_domain()
@@ -73,7 +73,7 @@ class TestStateMachine:
                                           wakeup_delay=0))
         gated_at = idle_until_gated(domain, 0)
         domain.request_wakeup(gated_at + 1)
-        assert domain.available_for_issue(gated_at + 1)
+        assert domain.state(gated_at + 1) is DomainState.ON
 
 
 class TestAccounting:
@@ -120,11 +120,11 @@ class TestAccounting:
 
     def test_on_and_waking_cycles_counted(self):
         domain = make_domain()
-        domain.observe(0, pipeline_busy=True)
+        domain.advance(0, 1, busy=True)
         assert domain.stats.on_cycles == 1
         gated_at = idle_until_gated(domain, 1)
         domain.request_wakeup(gated_at)
-        domain.observe(gated_at, pipeline_busy=False)
+        domain.advance(gated_at, 1, busy=False)
         assert domain.stats.waking_cycles == 1
 
 
@@ -133,7 +133,7 @@ class TestInvariants:
         domain = make_domain()
         gated_at = idle_until_gated(domain, 0)
         with pytest.raises(RuntimeError, match="busy while gated"):
-            domain.observe(gated_at, pipeline_busy=True)
+            domain.advance(gated_at, 1, busy=True)
 
     def test_gated_length_monotonic(self):
         domain = make_domain()

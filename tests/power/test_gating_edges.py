@@ -15,20 +15,20 @@ class TestZeroIdleDetect:
         domain = GatingDomain("X", GatingParams(idle_detect=0, bet=5,
                                                 wakeup_delay=1),
                               ConventionalPolicy())
-        domain.observe(0, pipeline_busy=True)
+        domain.advance(0, 1, busy=True)
         assert not domain.is_gated(1)
-        domain.observe(1, pipeline_busy=False)
+        domain.advance(1, 1, busy=False)
         assert domain.is_gated(2)
 
     def test_regates_immediately_after_wakeup_idle(self):
         domain = GatingDomain("X", GatingParams(idle_detect=0, bet=5,
                                                 wakeup_delay=1),
                               ConventionalPolicy())
-        domain.observe(0, pipeline_busy=False)
+        domain.advance(0, 1, busy=False)
         assert domain.is_gated(1)
         domain.request_wakeup(5)
         # Awake at 6, still idle -> gates again right away.
-        domain.observe(6, pipeline_busy=False)
+        domain.advance(6, 1, busy=False)
         assert domain.is_gated(7)
         assert domain.stats.gating_events == 2
 
@@ -42,7 +42,7 @@ class TestWakeupRaces:
     def idle_until_gated(self, domain):
         cycle = 0
         while not domain.is_gated(cycle):
-            domain.observe(cycle, pipeline_busy=False)
+            domain.advance(cycle, 1, busy=False)
             cycle += 1
         return cycle
 
@@ -56,7 +56,7 @@ class TestWakeupRaces:
         assert domain.request_wakeup(gated_at + 2) is False
         assert domain.stats.wakeups == 1
         assert domain.state(gated_at + 2) is DomainState.WAKING
-        assert domain.available_for_issue(gated_at + 4)
+        assert domain.state(gated_at + 4) is DomainState.ON
 
     def test_request_at_gating_instant(self):
         domain = self.make()
@@ -73,11 +73,11 @@ class TestWakeupRaces:
         gated_at = self.idle_until_gated(domain)
         domain.request_wakeup(gated_at + 10)
         wake_done = gated_at + 13
-        domain.observe(gated_at + 10, pipeline_busy=False)  # waking
-        domain.observe(gated_at + 11, pipeline_busy=False)
-        domain.observe(gated_at + 12, pipeline_busy=False)
+        domain.advance(gated_at + 10, 1, busy=False)  # waking
+        domain.advance(gated_at + 11, 1, busy=False)
+        domain.advance(gated_at + 12, 1, busy=False)
         assert domain.idle_counter == 0  # waking cycles don't count
-        domain.observe(wake_done, pipeline_busy=False)
+        domain.advance(wake_done, 1, busy=False)
         assert domain.idle_counter == 1
 
 
@@ -86,7 +86,7 @@ class TestBlackoutEdges:
         domain = GatingDomain("X", GatingParams(idle_detect=1, bet=1,
                                                 wakeup_delay=0),
                               NaiveBlackoutPolicy())
-        domain.observe(0, pipeline_busy=False)
+        domain.advance(0, 1, busy=False)
         assert domain.is_gated(1)
         assert domain.request_wakeup(1) is False  # gated_len 0 < bet 1
         assert domain.is_gated(1)
@@ -98,7 +98,7 @@ class TestBlackoutEdges:
         domain = GatingDomain("X", GatingParams(idle_detect=1, bet=10,
                                                 wakeup_delay=1),
                               NaiveBlackoutPolicy())
-        domain.observe(0, pipeline_busy=False)
+        domain.advance(0, 1, busy=False)
         for cycle in range(2, 8):
             domain.request_wakeup(cycle)
         assert domain.stats.denied_wakeups == 6

@@ -17,7 +17,7 @@ def make_kernel(name: str, lengths):
 def launch(queue, warps):
     """Assign queued warp traces to the free slots, in slot order."""
     for warp in warps:
-        if queue and not warp.occupied:
+        if queue and warp.trace is None:
             warp.assign(queue.pop(0))
 
 
@@ -44,13 +44,13 @@ def test_fetch_delivers_every_instruction_exactly_once(
             while warp.ibuffer:
                 warp.pop_head()
                 delivered += 1
-            if warp.occupied and warp.trace_exhausted:
+            if warp.trace is not None and warp.fetch_pc >= warp.trace_len:
                 warp.release()
         launch(queue, warps)
         fetched = fetch.tick(warps)
         if (not queue and fetched == 0
                 and all(not w.ibuffer for w in warps)
-                and all(not w.occupied or w.trace_exhausted
+                and all(w.fetch_pc >= w.trace_len
                         for w in warps)):
             for warp in warps:
                 while warp.ibuffer:

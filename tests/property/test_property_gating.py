@@ -1,13 +1,16 @@
 """Property tests: the power-gating state machine never mis-accounts.
 
-A random but legal interaction sequence (idle/busy observations plus
-wakeup requests) is replayed against a domain under each policy; the
+A random but legal interaction sequence (idle/busy cycles plus wakeup
+requests) is replayed against a domain under each policy; the
 bookkeeping invariants of the paper's controller must hold afterwards.
+The span rule — one ``advance`` over a span the domain's own
+``next_event`` allows equals that many one-cycle advances — is checked
+at the domain level under all three policies.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.blackout import NaiveBlackoutPolicy
+from repro.core.blackout import CoordinatedBlackoutPolicy, NaiveBlackoutPolicy
 from repro.power.gating import (
     ConventionalPolicy,
     DomainState,
@@ -32,15 +35,26 @@ def build_domain(policy_name: str, params: GatingParams) -> GatingDomain:
     return GatingDomain("X", params, policy)
 
 
+def powered(domain: GatingDomain, cycle: int) -> bool:
+    """True when the SM could put work into the domain's pipeline."""
+    return domain.state(cycle) is DomainState.ON and not domain.is_gated(cycle)
+
+
+def step(domain: GatingDomain, cycle: int, busy: bool,
+         wants_wakeup: bool) -> None:
+    """One SM cycle: the wakeup request at issue, then the advance."""
+    # The SM only lets work into a powered domain.
+    effective_busy = busy and powered(domain, cycle)
+    if wants_wakeup and not effective_busy:
+        domain.request_wakeup(cycle)
+    domain.advance(cycle, 1, effective_busy)
+
+
 def replay(domain: GatingDomain, events) -> int:
     """Drive the domain like the SM does; returns final cycle count."""
     cycle = 0
     for busy, wants_wakeup in events:
-        # The SM only lets work into a powered domain.
-        effective_busy = busy and domain.available_for_issue(cycle)
-        if wants_wakeup and not effective_busy:
-            domain.request_wakeup(cycle)
-        domain.observe(cycle, effective_busy)
+        step(domain, cycle, busy, wants_wakeup)
         cycle += 1
     domain.finalize(cycle)
     return cycle
@@ -109,9 +123,68 @@ def test_state_is_always_well_defined(policy_name, params, events):
         assert state in (DomainState.ON, DomainState.GATED,
                          DomainState.WAKING)
         if state is not DomainState.ON:
-            assert not domain.available_for_issue(cycle)
-        effective_busy = busy and domain.available_for_issue(cycle)
-        if wants_wakeup and not effective_busy:
-            domain.request_wakeup(cycle)
-        domain.observe(cycle, effective_busy)
+            assert not powered(domain, cycle)
+        step(domain, cycle, busy, wants_wakeup)
         cycle += 1
+
+
+all_policies = st.sampled_from(["conventional", "naive_blackout",
+                                "coordinated_blackout"])
+# Each segment: (cycles, busy, wakeup requested, and the same two bits
+# for the peer), held for the segment's cycles.  Runs of constant
+# occupancy reach idle-detect, and a waiting instruction requests its
+# wakeup every cycle, so replays end ON, gated or waking.
+segment_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=12), st.booleans(),
+              st.booleans(), st.booleans(), st.booleans()),
+    max_size=20)
+
+
+def reach(policy_name: str, params: GatingParams, actv: int, segments):
+    """Replay ``segments`` one cycle at a time; return (domain, cycle).
+
+    Under coordinated blackout the domain shares its policy with a peer
+    cluster driven by its own segment bits, and the type's ACTV count is
+    ``actv`` throughout.
+    """
+    if policy_name == "coordinated_blackout":
+        policy = CoordinatedBlackoutPolicy(lambda: actv)
+        domain = GatingDomain("X", params, policy)
+        peer = GatingDomain("Y", params, policy)
+        policy.register(domain)
+        policy.register(peer)
+    else:
+        domain, peer = build_domain(policy_name, params), None
+    cycle = 0
+    for length, busy, wakeup, peer_busy, peer_wakeup in segments:
+        for _ in range(length):
+            step(domain, cycle, busy, wakeup)
+            if peer is not None:
+                step(peer, cycle, peer_busy, peer_wakeup)
+            cycle += 1
+    return domain, cycle
+
+
+@given(policy_name=all_policies, params=params_strategy,
+       actv=st.integers(min_value=0, max_value=2),
+       segments=segment_lists, busy=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_span_advance_equals_one_cycle_advances(policy_name, params, actv,
+                                                segments, busy, data):
+    bulk, cycle = reach(policy_name, params, actv, segments)
+    stepped, _ = reach(policy_name, params, actv, segments)
+    busy = busy and powered(bulk, cycle)
+    limit = bulk.next_event(cycle, busy) - cycle
+    assume(limit >= 1)
+    longest = min(limit, 200)
+    span = data.draw(st.just(longest)
+                     | st.integers(min_value=1, max_value=longest))
+
+    bulk.advance(cycle, span, busy)
+    for c in range(cycle, cycle + span):
+        stepped.advance(c, 1, busy)
+
+    assert bulk.stats == stepped.stats
+    assert bulk.idle_counter == stepped.idle_counter
+    assert bulk._gated_since == stepped._gated_since
+    assert bulk._wake_done == stepped._wake_done

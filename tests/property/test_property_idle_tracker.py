@@ -8,6 +8,7 @@ from repro.analysis.idle_periods import (
     region_fractions,
 )
 from repro.sim.stats import IdlePeriodTracker
+from tests.sim.test_stats import feed, histogram_mass
 
 busy_patterns = st.lists(st.booleans(), min_size=0, max_size=400)
 
@@ -15,18 +16,16 @@ busy_patterns = st.lists(st.booleans(), min_size=0, max_size=400)
 @given(pattern=busy_patterns)
 def test_histogram_mass_equals_idle_cycles(pattern):
     tracker = IdlePeriodTracker()
-    for busy in pattern:
-        tracker.observe(busy)
+    feed(tracker, pattern)
     tracker.finalize()
-    assert tracker.recorded_idle_cycles() == tracker.idle_cycles
+    assert histogram_mass(tracker) == tracker.idle_cycles
     assert tracker.busy_cycles + tracker.idle_cycles == len(pattern)
 
 
 @given(pattern=busy_patterns)
 def test_period_count_matches_transitions(pattern):
     tracker = IdlePeriodTracker()
-    for busy in pattern:
-        tracker.observe(busy)
+    feed(tracker, pattern)
     tracker.finalize()
     # Number of maximal idle runs computed independently.
     runs = 0
@@ -35,7 +34,7 @@ def test_period_count_matches_transitions(pattern):
         if not busy and previous_busy:
             runs += 1
         previous_busy = busy
-    assert tracker.total_periods == runs
+    assert sum(tracker.histogram.values()) == runs
 
 
 @given(pattern=busy_patterns,
@@ -43,11 +42,10 @@ def test_period_count_matches_transitions(pattern):
        bet=st.integers(min_value=1, max_value=30))
 def test_region_fractions_partition(pattern, idle_detect, bet):
     tracker = IdlePeriodTracker()
-    for busy in pattern:
-        tracker.observe(busy)
+    feed(tracker, pattern)
     tracker.finalize()
     regions = region_fractions(tracker.histogram, idle_detect, bet)
-    if tracker.total_periods:
+    if tracker.histogram:
         assert sum(regions.as_tuple()) == pytest_approx(1.0)
     else:
         assert regions.as_tuple() == (0.0, 0.0, 0.0)

@@ -59,7 +59,7 @@ def drive(config: MemoryConfig, stream):
             if mem.access(cycle, slot, inst) is None:
                 still.append((slot, inst))
         pending_retries = still
-        if not pending_retries and mem.in_flight_requests() == 0:
+        if not pending_retries and not mem._pending:
             break
     return mem, deliveries, expected_loads
 
@@ -84,7 +84,7 @@ def test_outcome_counters_partition_loads(config, stream):
 @settings(max_examples=100, deadline=None)
 def test_mshrs_fully_released(config, stream):
     mem, _, _ = drive(config, stream)
-    assert mem.outstanding_misses() == 0
+    assert not mem._outstanding
 
 
 @given(config=configs, stream=requests)
@@ -100,4 +100,4 @@ def test_mshr_occupancy_never_exceeds_capacity(config, stream):
                 if is_load else
                 store_op(line_addr=line, srcs=(1,), mem_space=space))
         mem.access(cycle, slot, inst)
-        assert mem.outstanding_misses() <= config.mshr_entries
+        assert len(mem._outstanding) <= config.mshr_entries

@@ -55,8 +55,9 @@ def reference_plan(sm, cycle: int) -> int:
         if warp.trace is None:
             free_slot = True
             continue
-        if warp.finished():
-            return cycle
+        if warp.fetch_pc >= warp.trace_len and not warp.ibuffer \
+                and warp.outstanding == 0:
+            return cycle  # finished: its slot frees this cycle
         buffered = len(warp.ibuffer)
         if buffered < sm.fetch.ibuffer_entries \
                 and warp.fetch_pc < warp.trace_len:
@@ -83,18 +84,13 @@ def reference_plan(sm, cycle: int) -> int:
         return cycle
 
     for pipe, domain in sm._gated_pipes:
-        if cycle < pipe.busy_until:
-            event = domain.next_busy_event(cycle)
-            if event is not None:
-                if event <= cycle:
-                    return cycle
-                bound = min(bound, event)
+        busy = cycle < pipe.busy_until
+        event = domain.next_event(cycle, busy)
+        if event <= cycle:
+            return cycle
+        bound = min(bound, event)
+        if busy:
             bound = min(bound, pipe.busy_until)
-        else:
-            event = domain.next_idle_event(cycle)
-            if event is None or event <= cycle:
-                return cycle
-            bound = min(bound, event)
     for hook in sm.hooks:
         event = hook.idle_next_event(cycle)
         if event <= cycle:

@@ -11,6 +11,7 @@ from repro.core.techniques import Technique, build_sm
 from repro.isa.optypes import ALL_OP_CLASSES
 from repro.isa.tracegen import TraceSpec, generate_kernel
 from repro.sim.config import MemoryConfig, SMConfig
+from tests.sim.test_stats import histogram_mass
 
 
 @st.composite
@@ -71,7 +72,7 @@ def test_domain_and_tracker_invariants(spec, technique, seed):
     _, result = run_random(spec, technique, seed)
     for name, tracker in result.stats.idle_trackers.items():
         assert tracker.busy_cycles + tracker.idle_cycles == result.cycles
-        assert tracker.recorded_idle_cycles() == tracker.idle_cycles
+        assert histogram_mass(tracker) == tracker.idle_cycles
         stats = result.domain_stats.get(name)
         if stats is not None:
             assert stats.gated_cycles <= tracker.idle_cycles

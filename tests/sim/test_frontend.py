@@ -12,25 +12,31 @@ def make_trace(warp_id: int, n: int = 4) -> WarpTrace:
                      instructions=tuple(int_op(dest=i % 8) for i in range(n)))
 
 
+def finished(ctx: WarpContext) -> bool:
+    """The SM's release test: every instruction issued and completed."""
+    return (ctx.fetch_pc >= ctx.trace_len and not ctx.ibuffer
+            and ctx.outstanding == 0)
+
+
 class TestWarpContext:
     def test_empty_slot(self):
         ctx = WarpContext(0)
-        assert not ctx.occupied
-        assert ctx.head() is None
+        assert ctx.trace is None
+        assert not ctx.ibuffer
 
     def test_assign_and_finish_lifecycle(self):
         ctx = WarpContext(0)
         ctx.assign(make_trace(0, n=1))
-        assert ctx.occupied and not ctx.finished()
+        assert ctx.trace is not None and not finished(ctx)
         ctx.ibuffer.append(ctx.trace[0])
         ctx.fetch_pc = 1
         ctx.pop_head()
         ctx.outstanding += 1
-        assert not ctx.finished()  # still one in flight
+        assert not finished(ctx)  # still one in flight
         ctx.outstanding -= 1
-        assert ctx.finished()
+        assert finished(ctx)
         ctx.release()
-        assert not ctx.occupied
+        assert ctx.trace is None
 
     def test_assign_resets_state(self):
         ctx = WarpContext(0)
@@ -62,7 +68,7 @@ class TestFetchEngine:
         warps[0].assign(make_trace(0, n=1))
         fetch = FetchEngine(fetch_width=4, ibuffer_entries=4)
         assert fetch.tick(warps) == 1
-        assert warps[0].trace_exhausted
+        assert warps[0].fetch_pc == warps[0].trace_len
 
     def test_round_robin_rotates(self):
         warps = [WarpContext(i) for i in range(3)]

@@ -29,7 +29,7 @@ class TestL1Cache:
     def test_no_allocate_probe_does_not_fill(self):
         cache = L1Cache(sets=4, ways=2)
         assert not cache.lookup(5, allocate=False)
-        assert not cache.contains(5)
+        assert not cache.lookup(5, allocate=False)
 
     def test_lru_eviction(self):
         cache = L1Cache(sets=1, ways=2)
@@ -37,21 +37,22 @@ class TestL1Cache:
         cache.lookup(1, allocate=True)
         cache.lookup(0, allocate=False)   # touch 0 -> 1 becomes LRU
         cache.lookup(2, allocate=True)    # evicts 1
-        assert cache.contains(0)
-        assert not cache.contains(1)
-        assert cache.contains(2)
+        assert cache.lookup(0, allocate=False)
+        assert not cache.lookup(1, allocate=False)
+        assert cache.lookup(2, allocate=False)
 
     def test_sets_partition_addresses(self):
         cache = L1Cache(sets=4, ways=1)
         cache.lookup(0, allocate=True)
         cache.lookup(1, allocate=True)  # different set, no conflict
-        assert cache.contains(0) and cache.contains(1)
+        assert cache.lookup(0, allocate=False)
+        assert cache.lookup(1, allocate=False)
 
     def test_flush(self):
         cache = L1Cache(sets=2, ways=2)
         cache.lookup(3, allocate=True)
         cache.flush()
-        assert not cache.contains(3)
+        assert not cache.lookup(3, allocate=False)
 
 
 class TestAccessPaths:
@@ -64,7 +65,7 @@ class TestAccessPaths:
         mem = make_mem()
         assert mem.access(5, 0, store_op(line_addr=1)) == 5
         assert mem.stats.stores == 1
-        assert mem.in_flight_requests() == 0
+        assert not mem._pending
 
     def test_shared_access_fixed_latency(self):
         mem = make_mem()
@@ -103,7 +104,7 @@ class TestMSHR:
         r1 = mem.access(0, 0, load_op(dest=1, line_addr=3))
         r2 = mem.access(10, 1, load_op(dest=2, line_addr=3))
         assert r1 == r2 == 100
-        assert mem.outstanding_misses() == 1
+        assert len(mem._outstanding) == 1
 
     def test_full_mshr_rejects(self):
         mem = make_mem(mshr_entries=2)
@@ -116,7 +117,7 @@ class TestMSHR:
         mem = make_mem(mshr_entries=1)
         mem.access(0, 0, load_op(dest=1, line_addr=1))
         mem.tick(100)
-        assert mem.outstanding_misses() == 0
+        assert not mem._outstanding
         assert mem.access(101, 0, load_op(dest=1, line_addr=2)) is not None
 
 
@@ -136,7 +137,7 @@ class TestCompletionDelivery:
         mem = make_mem()
         mem.access(0, 0, load_op(dest=1, line_addr=9))
         mem.tick(100)
-        assert mem.l1.contains(9)
+        assert mem.l1.lookup(9, allocate=False)
 
 
 class TestJitter:

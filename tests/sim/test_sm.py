@@ -10,6 +10,7 @@ from repro.sim.sched.two_level import TwoLevelScheduler
 from repro.sim.sm import StreamingMultiprocessor
 
 from tests.conftest import SMALL_SM
+from tests.sim.test_stats import histogram_mass
 
 
 def make_sm(kernel: KernelTrace, config: SMConfig = SMALL_SM,
@@ -128,7 +129,7 @@ class TestAccounting:
     def test_idle_histogram_mass_invariant(self, tiny_kernel):
         result = make_sm(tiny_kernel).run()
         for tracker in result.stats.idle_trackers.values():
-            assert tracker.recorded_idle_cycles() == tracker.idle_cycles
+            assert histogram_mass(tracker) == tracker.idle_cycles
 
     def test_unit_activity_without_gating(self, tiny_kernel):
         result = make_sm(tiny_kernel).run()
@@ -233,7 +234,7 @@ class TestLaunch:
         result = sm.run()
         assert sm._unlaunched == 0
         assert sorted(row[0] for row in result.warp_rows) == [0, 1]
-        assert not any(w.occupied for w in sm.warps)
+        assert all(w.trace is None for w in sm.warps)
 
 
 class TestSMWideTracker:

