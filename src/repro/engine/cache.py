@@ -89,8 +89,9 @@ RESULT_SCHEMA = 4
 #: Salt of every trace key, bumped only when the stored
 #: :class:`~repro.isa.trace.KernelTrace` format changes, so a result
 #: format change keeps every cached trace.  Versions 2 and 3 were
-#: shared with the results.
-TRACE_SCHEMA = 3
+#: shared with the results.  4: a warp trace stores packed columns,
+#: not instruction objects.
+TRACE_SCHEMA = 4
 
 #: Entry header: magic tag + SHA-256 digest of the pickled payload.
 MAGIC = b"RPC2"

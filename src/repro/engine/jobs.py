@@ -63,8 +63,9 @@ def load_or_build_kernel(benchmark: str, seed: int, scale: float,
     cache, the generated trace is stored on disk so parallel workers
     (and later sessions) deserialise instead of regenerating — trace
     generation is a visible fraction of small-run wall time.  A disk
-    miss is not kept in process: holding every full-scale trace would
-    grow a long-lived server's memory by tens of megabytes.
+    miss is not kept in process, so a long-lived server holds no trace
+    between jobs; the 18 full-scale traces, as packed columns, would
+    take about 2 MB if it did.
     """
     if cache is None:
         return build_kernel(benchmark, seed=seed, scale=scale)
@@ -386,10 +387,11 @@ class SMPartJob:
     """One SM's share of a multi-SM :class:`~repro.sim.gpu.GPU` run.
 
     Carries the already-split part trace, so workers need no access to
-    the parent kernel.  That is not cheap: the fifteen parts of one
-    ``gtx480`` launch pickle to about 292 kB (the benchmark's
-    ``engine.part_pickle_kb``).  ROADMAP item "Ship identities, not
-    payloads" plans to send a trace identity instead.
+    the parent kernel.  The part's warps pickle as their packed trace
+    columns: the fifteen parts of one full-scale ``gtx480`` hotspot
+    launch pickle to about 94 kB (the benchmark's
+    ``engine.part_pickle_kb``), and each worker decodes a warp's
+    instructions when the warp launches.
     """
 
     part: KernelTrace

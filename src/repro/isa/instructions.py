@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.isa.optypes import OpClass
 
@@ -26,6 +26,65 @@ class MemorySpace(enum.IntEnum):
 
     GLOBAL = 0
     SHARED = 1
+
+
+#: Largest register index.  A trace stores each register in one byte
+#: (:mod:`repro.isa.trace`) and keeps 255 for "no destination".
+MAX_REGISTER = 254
+#: Most source registers one instruction reads (a one-byte count).
+MAX_SRCS = 255
+#: Largest pipeline latency (two bytes per instruction in a trace).
+MAX_LATENCY = 0xFFFF
+#: Largest cache-line address (four bytes per instruction in a trace).
+MAX_LINE_ADDR = 0xFFFFFFFF
+#: Lanes of a warp, the most ``active_lanes`` can be.
+WARP_LANES = 32
+
+_OP_CLASSES = tuple(OpClass)
+_SPACES = tuple(MemorySpace)
+
+
+def check_fields(op_class: OpClass, dest: Optional[int],
+                 srcs: Sequence[int], latency: int, is_load: bool,
+                 is_store: bool, mem_space: MemorySpace, line_addr: int,
+                 active_lanes: int) -> None:
+    """Raise ``ValueError``, naming the field, if an instruction is invalid.
+
+    The one statement of what an instruction may hold: the
+    :class:`Instruction` constructor and the trace encoder
+    (:class:`repro.isa.trace.WarpTraceBuilder`) both call it, so every
+    valid instruction fits its trace columns.
+    """
+    if op_class not in _OP_CLASSES:
+        raise ValueError(f"op_class must be an OpClass, got {op_class!r}")
+    if mem_space not in _SPACES:
+        raise ValueError(f"mem_space must be a MemorySpace, "
+                         f"got {mem_space!r}")
+    if not 1 <= latency <= MAX_LATENCY:
+        raise ValueError(f"latency must be in 1..{MAX_LATENCY}, "
+                         f"got {latency}")
+    if not 1 <= active_lanes <= WARP_LANES:
+        raise ValueError(f"active_lanes must be in 1..{WARP_LANES}, "
+                         f"got {active_lanes}")
+    if dest is not None and not 0 <= dest <= MAX_REGISTER:
+        raise ValueError(f"dest must be None or a register in "
+                         f"0..{MAX_REGISTER}, got {dest}")
+    if len(srcs) > MAX_SRCS:
+        raise ValueError(f"srcs holds at most {MAX_SRCS} registers, "
+                         f"got {len(srcs)}")
+    for src in srcs:
+        if not 0 <= src <= MAX_REGISTER:
+            raise ValueError(f"srcs must be registers in "
+                             f"0..{MAX_REGISTER}, got {src}")
+    if not 0 <= line_addr <= MAX_LINE_ADDR:
+        raise ValueError(f"line_addr must be in 0..{MAX_LINE_ADDR}, "
+                         f"got {line_addr}")
+    if (is_load or is_store) and op_class is not OpClass.LDST:
+        raise ValueError("memory instructions must be OpClass.LDST")
+    if is_load and dest is None:
+        raise ValueError("loads must have a destination register")
+    if is_load and is_store:
+        raise ValueError("an instruction cannot be both load and store")
 
 
 @dataclass(frozen=True)
@@ -65,17 +124,9 @@ class Instruction:
     active_lanes: int = 32
 
     def __post_init__(self) -> None:
-        if self.latency < 1:
-            raise ValueError(f"latency must be >= 1, got {self.latency}")
-        if not 1 <= self.active_lanes <= 32:
-            raise ValueError(
-                f"active_lanes must be in 1..32, got {self.active_lanes}")
-        if (self.is_load or self.is_store) and self.op_class is not OpClass.LDST:
-            raise ValueError("memory instructions must be OpClass.LDST")
-        if self.is_load and self.dest is None:
-            raise ValueError("loads must have a destination register")
-        if self.is_load and self.is_store:
-            raise ValueError("an instruction cannot be both load and store")
+        check_fields(self.op_class, self.dest, self.srcs, self.latency,
+                     self.is_load, self.is_store, self.mem_space,
+                     self.line_addr, self.active_lanes)
 
     @property
     def is_mem(self) -> bool:

@@ -30,9 +30,9 @@ from typing import Dict, List
 import numpy as np
 
 from repro.isa.divergence import DivergenceModel
-from repro.isa.instructions import Instruction, MemorySpace
+from repro.isa.instructions import MemorySpace
 from repro.isa.optypes import ALL_OP_CLASSES, OpClass
-from repro.isa.trace import KernelTrace, WarpTrace
+from repro.isa.trace import KernelTrace, WarpTrace, WarpTraceBuilder
 
 #: Architectural registers available per warp.  Fermi allows up to 63
 #: registers per thread; 32 is a typical compiled footprint and keeps the
@@ -184,7 +184,7 @@ class TraceGenerator:
                    for i in rng.choice(len(ALL_OP_CLASSES),
                                        size=spec.instructions_per_warp,
                                        p=probs)]
-        instructions: List[Instruction] = []
+        builder = WarpTraceBuilder()
         # Destination registers rotate through the register file so that
         # dependency distance maps onto distinct registers.
         recent_dests: List[int] = []
@@ -204,7 +204,7 @@ class TraceGenerator:
         rng_integers = rng.integers
         rng_geometric = rng.geometric
         div_step = divergence.step
-        append = instructions.append
+        append = builder.append
         dep_prob = spec.dep_prob
         # Geometric distance back into the recent-producer window.
         geo_p = 1.0 / max(1.0, spec.dep_distance_mean)
@@ -232,7 +232,6 @@ class TraceGenerator:
                     srcs.append(recent_dests[-distance])
                 else:
                     srcs.append(int(rng_integers(0, REGS_PER_WARP)))
-            srcs_t = tuple(srcs)
             if op_class is ldst:
                 shared = rng_random() < shared_fraction
                 if recent_lines and rng_random() < locality:
@@ -246,29 +245,22 @@ class TraceGenerator:
                     recent_lines.pop(0)
                 space = shared_space if shared else global_space
                 if rng_random() < load_fraction:
-                    inst = Instruction(opcode="LD", op_class=ldst,
-                                       dest=dest, srcs=srcs_t,
-                                       latency=ldst_latency,
-                                       is_load=True, mem_space=space,
-                                       line_addr=line, active_lanes=lanes)
+                    append("LD", ldst, dest, srcs, ldst_latency, True,
+                           False, space, line, lanes)
                 else:
-                    inst = Instruction(opcode="ST", op_class=ldst,
-                                       dest=None, srcs=srcs_t,
-                                       latency=ldst_latency,
-                                       is_store=True, mem_space=space,
-                                       line_addr=line, active_lanes=lanes)
+                    dest = None
+                    append("ST", ldst, None, srcs, ldst_latency, False,
+                           True, space, line, lanes)
             else:
                 ops = _OPCODES[op_class]
-                inst = Instruction(
-                    opcode=ops[int(rng_integers(0, len(ops)))],
-                    op_class=op_class, dest=dest, srcs=srcs_t,
-                    latency=latency_of[op_class], active_lanes=lanes)
-            append(inst)
-            if inst.dest is not None:
-                recent_dests.append(inst.dest)
+                append(ops[int(rng_integers(0, len(ops)))], op_class, dest,
+                       srcs, latency_of[op_class], False, False,
+                       global_space, 0, lanes)
+            if dest is not None:
+                recent_dests.append(dest)
                 if len(recent_dests) > REGS_PER_WARP:
                     recent_dests.pop(0)
-        return WarpTrace(warp_id=warp_id, instructions=tuple(instructions))
+        return builder.build(warp_id)
 
 
 def generate_kernel(spec: TraceSpec, seed: int = 0) -> KernelTrace:

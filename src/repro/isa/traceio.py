@@ -3,8 +3,11 @@
 A trace-driven simulator should be able to persist its traces: to share
 a workload between machines, to pin an exact regression input, or to
 hand-edit a kernel for a case study.  The format is a versioned JSON
-document; round-tripping is exact (tested property-style), and loading
-validates through the normal :class:`Instruction` constructors so a
+document, one record per instruction, independent of the packed
+columns a :class:`~repro.isa.trace.WarpTrace` holds in memory;
+round-tripping is exact (tested property-style), and loading encodes
+each record through :class:`~repro.isa.trace.WarpTraceBuilder`, which
+validates it as the :class:`Instruction` constructor does, so a
 corrupt file cannot build an unrepresentable trace.
 """
 
@@ -12,11 +15,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.isa.instructions import Instruction, MemorySpace
 from repro.isa.optypes import OpClass
-from repro.isa.trace import KernelTrace, WarpTrace
+from repro.isa.trace import KernelTrace, WarpTrace, WarpTraceBuilder
 
 #: Format version written into every document.
 FORMAT_VERSION = 1
@@ -45,26 +48,23 @@ def instruction_to_dict(inst: Instruction) -> Dict:
     return record
 
 
-def instruction_from_dict(record: Dict) -> Instruction:
-    """Rebuild one instruction, validating via the constructor."""
+def _fields_from_dict(record: Dict) -> Tuple:
+    """One record's instruction fields, in constructor order."""
     try:
         op_class = OpClass[record["cls"]]
     except KeyError as exc:
         raise ValueError(f"unknown op class in trace file: {exc}") from None
     space = MemorySpace[record["space"]] if "space" in record \
         else MemorySpace.GLOBAL
-    return Instruction(
-        opcode=record["op"],
-        op_class=op_class,
-        dest=record.get("dest"),
-        srcs=tuple(record.get("srcs", ())),
-        latency=record["lat"],
-        is_load=record.get("load", False),
-        is_store=record.get("store", False),
-        mem_space=space,
-        line_addr=record.get("line", 0),
-        active_lanes=record.get("lanes", 32),
-    )
+    return (record["op"], op_class, record.get("dest"),
+            tuple(record.get("srcs", ())), record["lat"],
+            record.get("load", False), record.get("store", False), space,
+            record.get("line", 0), record.get("lanes", 32))
+
+
+def instruction_from_dict(record: Dict) -> Instruction:
+    """Rebuild one instruction, validating via the constructor."""
+    return Instruction(*_fields_from_dict(record))
 
 
 def kernel_to_dict(kernel: KernelTrace) -> Dict:
@@ -75,7 +75,8 @@ def kernel_to_dict(kernel: KernelTrace) -> Dict:
         "max_resident_warps": kernel.max_resident_warps,
         "warps": [
             {"id": warp.warp_id,
-             "instructions": [instruction_to_dict(i) for i in warp]}
+             "instructions": [instruction_to_dict(i)
+                              for i in warp.decode()]}
             for warp in kernel.warps
         ],
     }
@@ -89,10 +90,10 @@ def kernel_from_dict(document: Dict) -> KernelTrace:
                          f"(this build reads {FORMAT_VERSION})")
     warps: List[WarpTrace] = []
     for entry in document["warps"]:
-        instructions = tuple(instruction_from_dict(r)
-                             for r in entry["instructions"])
-        warps.append(WarpTrace(warp_id=entry["id"],
-                               instructions=instructions))
+        builder = WarpTraceBuilder()
+        for record in entry["instructions"]:
+            builder.append(*_fields_from_dict(record))
+        warps.append(builder.build(entry["id"]))
     return KernelTrace(name=document["name"], warps=warps,
                        max_resident_warps=document["max_resident_warps"])
 

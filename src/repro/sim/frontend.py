@@ -47,7 +47,9 @@ class WarpContext:
         #: len(trace), 0 while unoccupied — ``fetch_pc >= trace_len`` is
         #: the branch the fetch loop takes per warp per cycle.
         self.trace_len = 0
-        #: The trace's raw instruction sequence (skips WarpTrace.__getitem__).
+        #: The warp's instructions, decoded from its trace's columns at
+        #: ``assign`` and dropped at ``release``: only resident warps
+        #: hold instruction objects.
         self.trace_insts: Sequence[Instruction] = ()
         self.fetch_pc = 0            # next trace index to fetch
         self.ibuffer: Deque[Instruction] = deque()
@@ -77,11 +79,12 @@ class WarpContext:
     # ------------------------------------------------------------------
 
     def assign(self, trace: WarpTrace) -> None:
-        """Occupy this slot with a freshly launched warp."""
+        """Occupy this slot with a freshly launched warp, decoding its
+        instructions."""
         WarpContext.assign_generation += 1
         self.trace = trace
         self.trace_len = len(trace)
-        self.trace_insts = trace.instructions
+        self.trace_insts = trace.decode()
         self.fetch_pc = 0
         self.ibuffer.clear()
         self.scoreboard.reset()

@@ -25,7 +25,7 @@ registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.isa.optypes import ExecUnitKind
 from repro.isa.trace import KernelTrace, WarpTrace
@@ -38,11 +38,16 @@ from repro.power.params import (
 from repro.sim.config import SMConfig
 from repro.sim.sm import SimResult
 
+if TYPE_CHECKING:
+    from repro.engine.jobs import SMPartJob
+
 
 def split_kernel(kernel: KernelTrace, n_sms: int) -> List[KernelTrace]:
     """Distribute a kernel's warps round-robin over ``n_sms`` SMs.
 
     SMs with no warps are dropped (a tiny kernel may not fill the GPU).
+    A part's warps are renumbered from 0 and share the kernel's trace
+    columns.
     """
     if n_sms < 1:
         raise ValueError("n_sms must be >= 1")
@@ -53,8 +58,7 @@ def split_kernel(kernel: KernelTrace, n_sms: int) -> List[KernelTrace]:
     for sm_id, bucket in enumerate(buckets):
         if not bucket:
             continue
-        renumbered = [WarpTrace(warp_id=j, instructions=w.instructions)
-                      for j, w in enumerate(bucket)]
+        renumbered = [w.renumbered(j) for j, w in enumerate(bucket)]
         parts.append(KernelTrace(
             name=f"{kernel.name}#sm{sm_id}", warps=renumbered,
             max_resident_warps=kernel.max_resident_warps))
@@ -169,6 +173,18 @@ class GPU:
             base = (self.sm_config or SMConfig()).memory.dram_latency
         return self.memory_side.effective_dram_latency(base, n_active)
 
+    def part_jobs(self, kernel: KernelTrace) -> List[SMPartJob]:
+        """One :class:`~repro.engine.jobs.SMPartJob` per non-empty part
+        of ``kernel``, in SM order: what :meth:`run` dispatches."""
+        from repro.engine.jobs import SMPartJob
+        parts = split_kernel(kernel, self.n_sms)
+        dram_latency = self._effective_dram_latency(len(parts))
+        return [SMPartJob(part=part, config=self.config,
+                          sm_config=self.sm_config or SMConfig(),
+                          dram_latency=dram_latency,
+                          fast_forward=self.fast_forward)
+                for part in parts]
+
     def run(self, kernel: KernelTrace, engine=None) -> GPUResult:
         """Split, run and aggregate one kernel launch.
 
@@ -177,14 +193,8 @@ class GPU:
         ``engine``'s workers when one is given, in process otherwise.
         Results are aggregated in part order either way.
         """
-        from repro.engine.jobs import SMPartJob, execute_sm_part
-        parts = split_kernel(kernel, self.n_sms)
-        dram_latency = self._effective_dram_latency(len(parts))
-        jobs = [SMPartJob(part=part, config=self.config,
-                          sm_config=self.sm_config or SMConfig(),
-                          dram_latency=dram_latency,
-                          fast_forward=self.fast_forward)
-                for part in parts]
+        from repro.engine.jobs import execute_sm_part
+        jobs = self.part_jobs(kernel)
         if engine is not None:
             results = engine.map(execute_sm_part, jobs)
         else:

@@ -49,11 +49,12 @@ def _generate_cached(name: str, seed: int, scale: float) -> KernelTrace:
 def build_kernel(name: str, seed: int = 0, scale: float = 1.0) -> KernelTrace:
     """Generate the kernel trace for one benchmark.
 
-    Generation is deterministic and every trace object is frozen, so
-    results are memoised per ``(name, seed, scale)``: an experiment grid
-    that replays the same workload under several techniques builds the
-    trace once instead of once per cell.  Callers share the returned
-    object and must keep treating it as immutable.
+    Generation is deterministic and a trace is immutable, so results
+    are memoised per ``(name, seed, scale)``: an experiment grid that
+    replays the same workload under several techniques builds the trace
+    once instead of once per cell.  The memo holds packed trace columns
+    (about 70 kB per full-scale benchmark); each SM run decodes its
+    warps' instructions as they launch.
 
     Args:
         name: Benchmark name (see ``BENCHMARK_NAMES``).

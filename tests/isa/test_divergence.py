@@ -103,11 +103,11 @@ class TestTraceIntegration:
     def test_no_divergence_by_default(self):
         kernel = generate_kernel(self.spec(0.0))
         for warp in kernel.warps:
-            assert all(i.active_lanes == WARP_LANES for i in warp)
+            assert all(i.active_lanes == WARP_LANES for i in warp.decode())
 
     def test_divergent_trace_has_partial_masks(self):
         kernel = generate_kernel(self.spec(0.2))
-        lanes = [i.active_lanes for w in kernel.warps for i in w]
+        lanes = [i.active_lanes for w in kernel.warps for i in w.decode()]
         assert min(lanes) < WARP_LANES
         assert all(1 <= l <= WARP_LANES for l in lanes)
 
@@ -115,11 +115,11 @@ class TestTraceIntegration:
         a = generate_kernel(self.spec(0.2), seed=9)
         b = generate_kernel(self.spec(0.2), seed=9)
         for wa, wb in zip(a.warps, b.warps):
-            assert [i.active_lanes for i in wa] == \
-                [i.active_lanes for i in wb]
+            assert [i.active_lanes for i in wa.decode()] == \
+                [i.active_lanes for i in wb.decode()]
 
     def test_lane_fraction_property(self):
         kernel = generate_kernel(self.spec(0.2))
         for warp in kernel.warps:
-            for inst in warp:
+            for inst in warp.decode():
                 assert inst.lane_fraction == inst.active_lanes / 32.0

@@ -17,12 +17,12 @@ class TestWarpTrace:
     def test_len_and_iteration(self):
         warp = make_warp(0, n_int=3, n_fp=2)
         assert len(warp) == 5
-        assert [i.op_class for i in warp].count(OpClass.INT) == 3
+        assert [i.op_class for i in warp.decode()].count(OpClass.INT) == 3
 
     def test_indexing(self):
         warp = make_warp(0)
-        assert warp[0].op_class is OpClass.INT
-        assert warp[2].op_class is OpClass.FP
+        assert warp.decode()[0].op_class is OpClass.INT
+        assert warp.decode()[2].op_class is OpClass.FP
 
     def test_op_class_counts(self):
         counts = make_warp(0, n_int=2, n_fp=1).op_class_counts()

@@ -54,12 +54,12 @@ class TestGeneration:
         a = generate_kernel(spec(), seed=7)
         b = generate_kernel(spec(), seed=7)
         for wa, wb in zip(a.warps, b.warps):
-            assert tuple(wa.instructions) == tuple(wb.instructions)
+            assert wa.decode() == wb.decode()
 
     def test_seed_changes_trace(self):
         a = generate_kernel(spec(), seed=1)
         b = generate_kernel(spec(), seed=2)
-        assert any(tuple(wa.instructions) != tuple(wb.instructions)
+        assert any(wa.decode() != wb.decode()
                    for wa, wb in zip(a.warps, b.warps))
 
     def test_mix_converges(self):
@@ -79,7 +79,7 @@ class TestGeneration:
     def test_registers_in_range(self):
         kernel = generate_kernel(spec())
         for warp in kernel.warps:
-            for inst in warp:
+            for inst in warp.decode():
                 for reg in inst.srcs:
                     assert 0 <= reg < REGS_PER_WARP
                 if inst.dest is not None:
@@ -89,7 +89,7 @@ class TestGeneration:
         s = spec(footprint_lines=64)
         kernel = generate_kernel(s)
         for warp in kernel.warps:
-            for inst in warp:
+            for inst in warp.decode():
                 if inst.is_mem:
                     assert 0 <= inst.line_addr < 64
 
@@ -98,7 +98,7 @@ class TestGeneration:
                  mix={OpClass.INT: 0.2, OpClass.FP: 0.0,
                       OpClass.SFU: 0.0, OpClass.LDST: 0.8})
         kernel = generate_kernel(s)
-        mem = [i for w in kernel.warps for i in w if i.is_mem]
+        mem = [i for w in kernel.warps for i in w.decode() if i.is_mem]
         assert mem and all(i.is_load for i in mem)
 
     def test_latency_by_class_respected(self):
@@ -106,7 +106,7 @@ class TestGeneration:
                                    OpClass.SFU: 20, OpClass.LDST: 3})
         kernel = generate_kernel(s)
         for warp in kernel.warps:
-            for inst in warp:
+            for inst in warp.decode():
                 if inst.op_class is OpClass.INT:
                     assert inst.latency == 6
                 elif inst.op_class is OpClass.FP:
@@ -121,7 +121,7 @@ class TestGeneration:
         warp = kernel.warps[0]
         written = set()
         dependent_sources = 0
-        for inst in warp:
+        for inst in warp.decode():
             dependent_sources += sum(1 for r in inst.srcs if r in written)
             written.update(inst.registers_written())
         assert dependent_sources > 10  # plenty of real RAW edges

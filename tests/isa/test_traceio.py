@@ -67,7 +67,7 @@ class TestKernelRoundTrip:
         assert loaded.max_resident_warps == tiny_kernel.max_resident_warps
         for a, b in zip(loaded.warps, tiny_kernel.warps):
             assert a.warp_id == b.warp_id
-            assert tuple(a.instructions) == tuple(b.instructions)
+            assert a.decode() == b.decode()
 
     def test_generated_benchmark_round_trips(self, tmp_path):
         kernel = build_kernel("MUM", scale=0.1)  # divergent + memory
@@ -77,7 +77,7 @@ class TestKernelRoundTrip:
         assert loaded.total_instructions == kernel.total_instructions
         assert loaded.op_class_counts() == kernel.op_class_counts()
         for a, b in zip(loaded.warps, kernel.warps):
-            assert tuple(a.instructions) == tuple(b.instructions)
+            assert a.decode() == b.decode()
 
     def test_version_checked(self, tiny_kernel):
         document = kernel_to_dict(tiny_kernel)

@@ -131,7 +131,7 @@ def run_against_full_scan(steps, n_slots, fetch_width, buffer_size):
                 warp = warps[slot]
                 queued = slot in fetch._refill
                 popped = warp.pop_head()
-                assert popped is ref[slot].pop_head()
+                assert popped == ref[slot].pop_head()
                 assert (slot in fetch._refill) == (
                     queued or warp.fetch_pc < warp.trace_len)
         elif op == "release":

@@ -40,8 +40,7 @@ def test_split_conserves_warps(n_warps, n_sms):
         == kernel.total_instructions
     # Recover each original warp by its instruction-count fingerprint:
     # the multiset over all parts must be exactly {1, ..., n_warps}.
-    fingerprints = sorted(len(w.instructions)
-                          for p in parts for w in p.warps)
+    fingerprints = sorted(len(w) for p in parts for w in p.warps)
     assert fingerprints == list(range(1, n_warps + 1))
 
 
@@ -54,7 +53,7 @@ def test_split_round_robin_assignment(n_warps, n_sms):
     by_sm = {int(p.name.rsplit("#sm", 1)[1]): p for p in parts}
     for sm_id, part in by_sm.items():
         expected = [i for i in range(n_warps) if i % n_sms == sm_id]
-        assert [len(w.instructions) - 1 for w in part.warps] == expected
+        assert [len(w) - 1 for w in part.warps] == expected
         # Local slots are renumbered densely from zero.
         assert [w.warp_id for w in part.warps] \
             == list(range(len(part.warps)))
@@ -71,5 +70,5 @@ def test_split_is_deterministic(n_warps, n_sms):
     second = split_kernel(kernel, n_sms)
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
-        assert [(w.warp_id, w.instructions) for w in a.warps] \
-            == [(w.warp_id, w.instructions) for w in b.warps]
+        assert [(w.warp_id, w.decode()) for w in a.warps] \
+            == [(w.warp_id, w.decode()) for w in b.warps]

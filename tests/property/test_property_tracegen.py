@@ -32,7 +32,7 @@ def test_generation_is_deterministic(spec, seed):
     a = generate_kernel(spec, seed=seed)
     b = generate_kernel(spec, seed=seed)
     for wa, wb in zip(a.warps, b.warps):
-        assert tuple(wa.instructions) == tuple(wb.instructions)
+        assert wa.decode() == wb.decode()
 
 
 @given(spec=trace_specs())
@@ -40,7 +40,7 @@ def test_generation_is_deterministic(spec, seed):
 def test_every_instruction_is_well_formed(spec):
     kernel = generate_kernel(spec)
     for warp in kernel.warps:
-        for inst in warp:
+        for inst in warp.decode():
             assert inst.latency >= 1
             assert all(0 <= r < REGS_PER_WARP for r in inst.srcs)
             if inst.dest is not None:

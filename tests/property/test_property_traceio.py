@@ -36,7 +36,7 @@ def test_round_trip_preserves_every_instruction(spec, seed):
     assert restored.n_warps == kernel.n_warps
     for a, b in zip(restored.warps, kernel.warps):
         assert a.warp_id == b.warp_id
-        assert tuple(a.instructions) == tuple(b.instructions)
+        assert a.decode() == b.decode()
 
 
 @given(spec=random_specs(), seed=st.integers(min_value=0, max_value=99))

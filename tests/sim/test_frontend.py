@@ -28,7 +28,7 @@ class TestWarpContext:
         ctx = WarpContext(0)
         ctx.assign(make_trace(0, n=1))
         assert ctx.trace is not None and not finished(ctx)
-        ctx.ibuffer.append(ctx.trace[0])
+        ctx.ibuffer.append(ctx.trace_insts[0])
         ctx.fetch_pc = 1
         ctx.pop_head()
         ctx.outstanding += 1

@@ -29,7 +29,7 @@ def test_memory_instructions_respect_footprint(name):
     from repro.workloads.registry import scaled_spec
     footprint = scaled_spec(get_profile(name).spec, 0.25).footprint_lines
     for warp in kernel.warps:
-        for inst in warp:
+        for inst in warp.decode():
             if inst.is_mem:
                 assert 0 <= inst.line_addr < footprint
 
@@ -37,7 +37,7 @@ def test_memory_instructions_respect_footprint(name):
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_divergence_masks_legal(name):
     kernel = build_kernel(name, scale=0.25)
-    lanes = [i.active_lanes for w in kernel.warps for i in w]
+    lanes = [i.active_lanes for w in kernel.warps for i in w.decode()]
     assert all(1 <= l <= 32 for l in lanes)
     profile = get_profile(name)
     if profile.spec.branch_prob == 0.0:

@@ -21,8 +21,7 @@ class TestBuildKernel:
         a = build_kernel("bfs", seed=5, scale=0.25)
         b = build_kernel("bfs", seed=5, scale=0.25)
         assert a.total_instructions == b.total_instructions
-        assert tuple(a.warps[0].instructions) == \
-            tuple(b.warps[0].instructions)
+        assert a.warps[0].decode() == b.warps[0].decode()
 
     def test_different_benchmarks_different_traces(self):
         a = build_kernel("bfs", scale=0.25)
