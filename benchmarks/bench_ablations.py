@@ -7,12 +7,6 @@ argue for:
   (``blackout_no_gates`` vs ``naive_blackout``)
 * What does GATES scheduling alone cost/do, without any gating?
   (``gates_no_pg`` vs ``baseline``)
-* Does the two-level baseline matter, or would single-level
-  round-robin behave the same under conventional gating?
-  (``lrr_conv_pg`` vs ``conv_pg``)
-* Is *any* warp clustering enough, or does GATES' type clustering
-  specifically matter?  (``fetch_group_conv_pg`` — a Narasiman-style
-  fetch-group scheduler — vs ``gates``-family results)
 """
 
 from repro.analysis.report import format_table
@@ -24,9 +18,6 @@ from conftest import print_figure
 
 ABLATION_TECHNIQUES = (
     Technique.CONV_PG,
-    Technique.LRR_CONV_PG,
-    Technique.FETCH_GROUP_CONV_PG,
-    Technique.CCWS_CONV_PG,
     Technique.GATES_NO_PG,
     Technique.NAIVE_BLACKOUT,
     Technique.BLACKOUT_NO_GATES,

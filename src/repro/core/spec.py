@@ -62,12 +62,7 @@ from repro.core.blackout import (
 from repro.power.gating import ConventionalPolicy
 from repro.power.params import GatingParams
 from repro.sim.config import MemoryConfig, SMConfig
-from repro.sim.sched.ccws import CCWSScheduler, MonitorDecayHook
-from repro.sim.sched.fetch_group import FetchGroupScheduler
-from repro.sim.sched.two_level import (
-    LooseRoundRobinScheduler,
-    TwoLevelScheduler,
-)
+from repro.sim.sched.two_level import TwoLevelScheduler
 
 #: Number of hex chars of the sha256 digest a spec hash keeps.
 SPEC_HASH_LEN = 16
@@ -243,9 +238,6 @@ class SchedulerPlugin:
     #: The factory accepts ``blackout_aware`` (GATES' extended priority
     #: switch); derived into :attr:`TechniqueSpec.blackout_aware`.
     supports_blackout_aware: bool = False
-    #: Optional post-construction hook ``attach(sm, scheduler)`` for
-    #: schedulers needing SM-side wiring (CCWS' locality feedback).
-    attach: Optional[Callable[[object, object], None]] = None
 
     def build(self, n_slots: int, spec: SchedulerSpec,
               blackout_aware: bool = False):
@@ -306,7 +298,6 @@ GATING_POLICIES: Dict[str, GatingPolicyPlugin] = {}
 def register_scheduler(name: str, *, description: str = "",
                        params: Iterable[str] = (),
                        supports_blackout_aware: bool = False,
-                       attach: Optional[Callable] = None,
                        allow_replace: bool = False):
     """Decorator registering a scheduler factory under ``name``."""
     def decorate(factory: Callable[..., object]) -> Callable[..., object]:
@@ -315,7 +306,7 @@ def register_scheduler(name: str, *, description: str = "",
         SCHEDULERS[name] = SchedulerPlugin(
             name=name, factory=factory, description=description,
             params=frozenset(params),
-            supports_blackout_aware=supports_blackout_aware, attach=attach)
+            supports_blackout_aware=supports_blackout_aware)
         return factory
     return decorate
 
@@ -362,39 +353,6 @@ def gating_policy_plugin(name: str) -> GatingPolicyPlugin:
                 "(the paper's baseline, Gebhart et al.)")
 def _build_two_level(n_slots: int):
     return TwoLevelScheduler(n_slots=n_slots)
-
-
-@register_scheduler(
-    "lrr",
-    description="single-level loose round-robin over all resident warps")
-def _build_lrr(n_slots: int):
-    return LooseRoundRobinScheduler(n_slots=n_slots)
-
-
-@register_scheduler(
-    "fetch_group", params=("group_size",),
-    description="group-prioritised two-level scheduler "
-                "(fetch-group / Narasiman-style)")
-def _build_fetch_group(n_slots: int, group_size: int = 8):
-    return FetchGroupScheduler(n_slots=n_slots, group_size=group_size)
-
-
-def _attach_ccws(sm, scheduler) -> None:
-    """Wire CCWS' lost-locality feedback loop onto the SM."""
-    sm.memory.attach_locality_monitor(scheduler.monitor)
-    sm.add_hook(MonitorDecayHook(scheduler.monitor))
-
-
-@register_scheduler(
-    "ccws", params=("score_per_excluded_warp", "min_active_warps"),
-    attach=_attach_ccws,
-    description="cache-conscious wavefront scheduling with lost-locality "
-                "warp throttling (Rogers et al.)")
-def _build_ccws(n_slots: int, score_per_excluded_warp: float = 64.0,
-                min_active_warps: int = 2):
-    return CCWSScheduler(n_slots=n_slots,
-                         score_per_excluded_warp=score_per_excluded_warp,
-                         min_active_warps=min_active_warps)
 
 
 @register_scheduler(

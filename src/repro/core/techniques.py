@@ -25,8 +25,6 @@ Plus ablations the paper's design discussion motivates but does not name:
 * ``GATES_NO_PG``       — GATES scheduling alone (performance isolation).
 * ``BLACKOUT_NO_GATES`` — Naive Blackout under the baseline scheduler
   (how much of Blackout's win needs GATES' coalescing?).
-* ``LRR_CONV_PG``       — conventional gating under a single-level
-  round-robin scheduler (pre-two-level reference point).
 """
 
 from __future__ import annotations
@@ -73,9 +71,6 @@ class Technique(enum.Enum):
     # ablations
     GATES_NO_PG = "gates_no_pg"
     BLACKOUT_NO_GATES = "blackout_no_gates"
-    LRR_CONV_PG = "lrr_conv_pg"
-    FETCH_GROUP_CONV_PG = "fetch_group_conv_pg"
-    CCWS_CONV_PG = "ccws_conv_pg"
 
     @property
     def spec(self) -> TechniqueSpec:
@@ -135,19 +130,6 @@ for _spec, _group in (
         "blackout_no_gates", scheduler=_TWO_LEVEL, gating_policy=_NAIVE,
         description="Naive Blackout under the baseline scheduler"),
      "ablation"),
-    (TechniqueSpec(
-        "lrr_conv_pg", scheduler=SchedulerSpec("lrr"), gating_policy=_CONV,
-        description="conventional gating under single-level round-robin"),
-     "ablation"),
-    (TechniqueSpec(
-        "fetch_group_conv_pg", scheduler=SchedulerSpec("fetch_group"),
-        gating_policy=_CONV,
-        description="conventional gating under fetch-group scheduling"),
-     "ablation"),
-    (TechniqueSpec(
-        "ccws_conv_pg", scheduler=SchedulerSpec("ccws"), gating_policy=_CONV,
-        description="conventional gating under CCWS locality throttling"),
-     "ablation"),
 ):
     register_technique(_spec, group=_group, allow_replace=True)
 del _spec, _group
@@ -182,16 +164,13 @@ def build_sm(kernel: KernelTrace, config,
     sm_config = spec.apply_sm_overrides(sm_config or SMConfig())
 
     n_slots = min(sm_config.max_resident_warps, kernel.max_resident_warps)
-    sched_plugin = scheduler_plugin(spec.scheduler.name)
-    scheduler = sched_plugin.build(n_slots, spec.scheduler,
-                                   blackout_aware=spec.blackout_aware)
+    scheduler = scheduler_plugin(spec.scheduler.name).build(
+        n_slots, spec.scheduler, blackout_aware=spec.blackout_aware)
 
     sm = StreamingMultiprocessor(kernel, sm_config, scheduler,
                                  dram_latency=dram_latency,
                                  technique=spec.name,
                                  bus=bus, fast_forward=fast_forward)
-    if sched_plugin.attach is not None:
-        sched_plugin.attach(sm, scheduler)
     if not spec.gated:
         return sm
 

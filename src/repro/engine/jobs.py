@@ -12,6 +12,7 @@ on-disk cache sound.
 from __future__ import annotations
 
 import copy
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -105,7 +106,9 @@ class JobRequest:
 
     The request is frozen, so its spec and :meth:`key` are derived once
     per instance and travel with it (into pool workers too).  ``scale``
-    is stored as a float: ``scale=1`` and ``scale=1.0`` are one run.
+    is stored as a float: ``scale=1`` and ``scale=1.0`` are one run.  A
+    ``scale`` that is not finite or not greater than 0 raises
+    ValueError.
     """
 
     benchmark: str
@@ -121,7 +124,11 @@ class JobRequest:
         if self.benchmark not in BENCHMARK_NAMES:
             raise unknown_name_error("benchmark", self.benchmark,
                                      BENCHMARK_NAMES)
-        object.__setattr__(self, "scale", float(self.scale))
+        scale = float(self.scale)
+        if not math.isfinite(scale) or scale <= 0:
+            raise ValueError("'scale' must be a finite number > 0, got "
+                             f"{self.scale!r}")
+        object.__setattr__(self, "scale", scale)
         self.spec  # resolve (and memoise) the technique now
 
     @cached_property

@@ -31,9 +31,10 @@ same gate rule the one-cycle advance applies.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional, Tuple
 
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.obs.events import BlackoutBlocked, GateOff, GateOn, Wakeup
@@ -70,14 +71,9 @@ class GatingStats:
     on_cycles: int = 0
     denied_wakeups: int = 0
 
-    #: Counter names as exported into the metrics registry, in field
-    #: order; the registry view and this dataclass stay in lockstep.
-    METRIC_NAMES = (
-        "gating_events", "wakeups", "wakeups_uncompensated",
-        "critical_wakeups", "gated_cycles", "compensated_cycles",
-        "uncompensated_cycles", "waking_cycles", "on_cycles",
-        "denied_wakeups",
-    )
+    #: Counter names as exported into the metrics registry: the
+    #: dataclass fields in order (set below the class).
+    METRIC_NAMES: ClassVar[Tuple[str, ...]] = ()
 
     def export_metrics(self, registry, domain: str) -> None:
         """Publish these counters into a metrics registry.
@@ -88,6 +84,10 @@ class GatingStats:
         """
         for name in self.METRIC_NAMES:
             registry.counter(name, domain=domain).inc(getattr(self, name))
+
+
+GatingStats.METRIC_NAMES = tuple(
+    field.name for field in dataclasses.fields(GatingStats))
 
 
 class GatingPolicy:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
@@ -169,7 +170,12 @@ class ServiceAPI:
 
     async def _read_request(self, reader: asyncio.StreamReader,
                             ) -> Tuple[str, str, Dict[str, str], bytes]:
-        head = await reader.readuntil(b"\r\n\r\n")
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            # The stream's buffer limit (64 KiB, as MAX_HEAD_BYTES) ran
+            # out before the head ended.
+            raise ApiError(413, "request head too large")
         if len(head) > MAX_HEAD_BYTES:
             raise ApiError(413, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
@@ -182,7 +188,14 @@ class ServiceAPI:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ApiError(400, "Content-Length must be an integer >= 0, "
+                                f"got {raw_length!r}")
         if length > MAX_BODY_BYTES:
             raise ApiError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -273,7 +286,17 @@ class ServiceAPI:
 
     async def _result(self, ticket: JobTicket, query: Dict[str, str],
                       writer: asyncio.StreamWriter) -> None:
-        wait = float(query.get("wait", "0") or "0")
+        raw_wait = query.get("wait", "0") or "0"
+        try:
+            wait = float(raw_wait)
+        except ValueError:
+            wait = -1.0
+        # NaN fails both comparisons; a wait beyond TIMEOUT_MAX would
+        # overflow the ticket's Event.wait.
+        if not 0 <= wait <= threading.TIMEOUT_MAX:
+            raise ApiError(400, "'wait' must be a number of seconds in "
+                                f"0..{threading.TIMEOUT_MAX:g}, got "
+                                f"{raw_wait!r}")
         if not ticket.done and wait > 0:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None,

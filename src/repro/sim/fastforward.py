@@ -66,8 +66,8 @@ stateful component, each reporting its next *state-changing* cycle:
 When the minimum of those bounds lies beyond the current cycle, the
 span up to (but excluding) the bound is applied in bulk: rejected-retry
 counts, warp-population samples, the issue stalls (``mshr_full`` per
-held head, or ``no_ready_warp`` per issue lane), the fetch and
-scheduler round-robin pointers, the gating domains (through the SM's
+held head, or ``no_ready_warp`` per issue lane), the fetch round-robin
+pointer, the gating domains (through the SM's
 stage-6 ``_update_power``, the same advance a stepped cycle makes) and
 the cycle count all advance by exactly what ``span`` stepped cycles
 would have produced.  (The per-pipeline idle trackers
@@ -127,11 +127,6 @@ class SpanFastForwarder:
             return False
         for hook in sm.hooks:
             if not hasattr(hook, "idle_next_event"):
-                return False
-            if hook.idle_next_event(0) <= 0:
-                # The hook pins every cycle (e.g. the CCWS decay hook):
-                # no span could ever be skipped, so don't pay the
-                # planning cost either.
                 return False
         return True
 
@@ -295,8 +290,8 @@ class SpanFastForwarder:
             stats.active_warp_max = n_active
 
         # stage 5: the walk meets only LDST heads held by MSHR
-        # back-pressure, or no ready warp at all; the scheduler's
-        # pointer drifts as ``order`` would move it.
+        # back-pressure, or no ready warp at all; ``order`` changes no
+        # scheduler state on such a cycle (``supports_idle_skip``).
         blocked = len(kernel._ready_all)
         if blocked:
             stats.stalls.mshr_full += span * blocked
@@ -305,7 +300,6 @@ class SpanFastForwarder:
             per_cycle = sm.config.issue_width
             stats.stalls.no_ready_warp += span * per_cycle
             reason = "no_ready_warp"
-        sm.scheduler.skip_idle_cycles(span)
         if sm.bus.enabled:
             # The span's only events, in serial order.
             for c in range(cycle, target):

@@ -29,13 +29,13 @@ What the kernel owns:
   An unchanged warp costs two integer compares.
 * **Per cycle** — each slot carries a category (no head / unresolved /
   memory-pending / active-not-ready / ready); aggregate counts (active,
-  pending, unresolved), the per-class ACTV counters, the active slot
-  set and the sorted ready and per-class ready slot lists change only
-  when a slot's category does.  They are bound to the scheduler view
-  (``actv_counts``, ``active``, ``ready``, ``ready_by_class``) at each
-  sync, so a cycle copies none of them.  Issued slots re-sync after
-  the power update, so the view holds still from classification to
-  the end of the cycle, as the serial step's does.  Time-driven
+  pending, unresolved), the per-class ACTV counters and the sorted
+  ready and per-class ready slot lists change only when a slot's
+  category does.  They are bound to the scheduler view
+  (``actv_counts``, ``ready``, ``ready_by_class``) at each sync, so
+  a cycle copies none of them.  Issued slots re-sync after the power
+  update, so the view holds still from classification to the end of
+  the cycle, as the serial step's does.  Time-driven
   changes (a pending window expiring at ``mem_until``, a ready flip
   at ``ready_at``) come from a min-heap of per-slot transition events;
   state-driven changes come from exactly the events that can
@@ -118,10 +118,8 @@ class DenseStepKernel:
         #: Active slots per op-class index: the view's own ACTV list,
         #: which ``sm.actv_counts`` is too.
         self._actv4: List[int] = sm._view.actv_counts
-        #: Active slots, and the ready slots overall and per op-class
-        #: index (both ascending): the view's ``active``, ``ready`` and
-        #: ``ready_by_class``.
-        self._active: Set[int] = set()
+        #: Ready slots overall and per op-class index (both ascending):
+        #: the view's ``ready`` and ``ready_by_class``.
         self._ready_all: List[int] = []
         self._ready_cls: List[List[int]] = [[], [], [], []]
 
@@ -177,7 +175,6 @@ class DenseStepKernel:
         self._n_unresolved = 0
         self._actv4[:] = (0, 0, 0, 0)
         view = sm._view
-        view.active = self._active = set()
         view.ready = self._ready_all = []
         view.ready_by_class = self._ready_cls = [[], [], [], []]
         empty = self._empty
@@ -224,7 +221,6 @@ class DenseStepKernel:
             return
         self._n_active += 1
         self._actv4[opx] += 1
-        self._active.add(slot)
         ready_at = warp.head_ready_at
         if cycle >= ready_at:
             self._cat[slot] = CAT_READY
@@ -241,7 +237,6 @@ class DenseStepKernel:
             self._n_active -= 1
             opx = self._opx[slot]
             self._actv4[opx] -= 1
-            self._active.remove(slot)
             if cat == CAT_READY:
                 self._ready_all.remove(slot)
                 self._ready_cls[opx].remove(slot)

@@ -39,18 +39,13 @@ class L1Cache:
         self.ways = ways
         # One OrderedDict per set: line -> None, MRU at the end.
         self._lines: List[OrderedDict] = [OrderedDict() for _ in range(sets)]
-        #: Line evicted by the most recent allocating lookup, or None.
-        #: Consumed by the lost-locality monitor (CCWS victim tags).
-        self.last_evicted: Optional[int] = None
 
     def lookup(self, line_addr: int, allocate: bool) -> bool:
         """Probe for ``line_addr``; returns True on hit.
 
         On a hit the line becomes MRU.  On a miss with ``allocate`` the
-        line is filled, evicting the LRU way if the set is full (the
-        victim lands in :attr:`last_evicted`).
+        line is filled, evicting the LRU way if the set is full.
         """
-        self.last_evicted = None
         index = line_addr & (self.sets - 1)
         cache_set = self._lines[index]
         if line_addr in cache_set:
@@ -58,7 +53,7 @@ class L1Cache:
             return True
         if allocate:
             if len(cache_set) >= self.ways:
-                self.last_evicted, _ = cache_set.popitem(last=False)
+                cache_set.popitem(last=False)
             cache_set[line_addr] = None
         return False
 
@@ -99,10 +94,6 @@ class MemorySubsystem:
                              else config.dram_latency)
         self.l1 = L1Cache(config.l1_sets, config.l1_ways)
         self.stats = MemoryStats()
-        #: Optional CCWS lost-locality monitor (attach_locality_monitor).
-        self.locality_monitor = None
-        # line -> warp slot that requested the fill (victim attribution).
-        self._fill_owner: Dict[int, int] = {}
         # line -> completion cycle of the outstanding fill.
         self._outstanding: Dict[int, int] = {}
         # Min-heap of (ready_cycle, seq, warp_slot) load deliveries.
@@ -172,9 +163,6 @@ class MemorySubsystem:
 
         self.stats.loads += 1
         self.stats.misses += 1
-        if self.locality_monitor is not None:
-            self.locality_monitor.record_miss(warp_slot, line)
-            self._fill_owner[line] = warp_slot
         ready = cycle + self._miss_latency(line, cycle)
         self._outstanding[line] = ready
         self._schedule(ready, warp_slot)
@@ -202,13 +190,6 @@ class MemorySubsystem:
         for line in finished_lines:
             del self._outstanding[line]
             self.l1.lookup(line, allocate=True)
-            if self.locality_monitor is not None:
-                evicted = self.l1.last_evicted
-                if evicted is not None:
-                    owner = self._fill_owner.pop(evicted, None)
-                    if owner is not None:
-                        self.locality_monitor.record_eviction(owner,
-                                                              evicted)
         bound: float = float("inf")
         if self._pending:
             bound = self._pending[0][0]
@@ -229,10 +210,6 @@ class MemorySubsystem:
         Returns ``inf`` when the subsystem is completely quiet.
         """
         return self.next_event
-
-    def attach_locality_monitor(self, monitor) -> None:
-        """Enable CCWS lost-locality detection on this memory path."""
-        self.locality_monitor = monitor
 
     def _miss_latency(self, line: int, cycle: int) -> int:
         """DRAM round trip with deterministic queueing jitter.

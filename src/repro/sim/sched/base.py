@@ -1,11 +1,11 @@
 """Scheduler interface between the SM issue stage and warp schedulers.
 
 Each cycle the SM classifies its resident warps and fills one
-:class:`SchedulerView`: the ascending slot lists of the *active set*
-(warps whose head instruction is not blocked on a long-latency memory
-event) and of its *ready* subset, the ready slots split by head
-instruction type, and the aggregate state the paper's issue logic keeps
-in hardware (the INT_ACTV/FP_ACTV counters, per-type blackout status).
+:class:`SchedulerView`: the ascending slot list of the *ready* subset of
+the *active set* (warps whose head instruction is not blocked on a
+long-latency memory event), the ready slots split by head instruction
+type, and the aggregate state the paper's issue logic keeps in hardware
+(the INT_ACTV/FP_ACTV counters, per-type blackout status).
 The scheduler returns the ready slots in issue-priority order; the SM
 walks that order, skipping warps whose unit has a structural or
 power-gating hazard, until the issue width is filled.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.obs.bus import NULL_BUS, EventBus
@@ -45,11 +45,6 @@ class SchedulerView:
             ascending.
         ready_by_class: The ready slots split by head instruction type:
             four ascending lists indexed by ``int(OpClass)``.
-        active: Active slots, ready or not, as a collection to size,
-            iterate or test (the serial step's ascending list, the
-            dense kernel's set).
-        ages: Per-slot launch sequence numbers (lower = older), the
-            SM's own list, bound once when the SM is built.
     """
 
     actv_counts: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
@@ -57,8 +52,6 @@ class SchedulerView:
         default_factory=lambda: dict.fromkeys(ALL_OP_CLASSES, False))
     ready: Sequence[int] = ()
     ready_by_class: Sequence[Sequence[int]] = ((), (), (), ())
-    active: Collection[int] = ()
-    ages: Sequence[int] = ()
 
 
 def rotate(slots: Sequence[int], start: int) -> Sequence[int]:
@@ -89,11 +82,9 @@ class WarpScheduler(abc.ABC):
     #: Whether the span fast-forward (:mod:`repro.sim.fastforward`) may
     #: skip cycles on which nothing issues: no warp is ready, or every
     #: ready head is an LDST instruction held by MSHR back-pressure.  A
-    #: scheduler must opt in only when, on such a cycle, (a) ``order``
-    #: returns all of ``view.ready`` and either mutates no state or the
-    #: mutation is replayed exactly by :meth:`skip_idle_cycles`, and
-    #: (b) any other state change is reported by
-    #: :meth:`idle_flip_pending`.
+    #: scheduler must opt in only when, on such a cycle, ``order``
+    #: returns all of ``view.ready`` and mutates no state except what
+    #: :meth:`idle_flip_pending` reports.
     supports_idle_skip = False
 
     @abc.abstractmethod
@@ -110,19 +101,9 @@ class WarpScheduler(abc.ABC):
     def reset(self) -> None:
         """Clear internal state before a fresh run (optional)."""
 
-    def skip_idle_cycles(self, span: int) -> None:
-        """Replay the state drift of ``span`` cycles that issue nothing.
-
-        Called by the fast-forward path instead of ``span`` ``order``
-        calls on one unchanging view — no ready warp, or only LDST heads
-        held by MSHR back-pressure — with no ``on_issue`` between them.
-        Default: nothing (``order`` is pure on such views).
-        """
-
     def idle_flip_pending(self, cycle: int, view: SchedulerView) -> bool:
         """True when ``order`` at ``cycle`` on ``view`` would change
-        state that :meth:`skip_idle_cycles` does not replay, although
-        nothing issues (e.g. a priority flip).
+        state although nothing issues (e.g. a priority flip).
 
         The fast-forward planner steps such cycles so the change
         happens inside an ordinary ``order`` call.  Default: False.

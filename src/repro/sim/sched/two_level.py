@@ -1,4 +1,4 @@
-"""Baseline warp schedulers.
+"""The baseline warp scheduler.
 
 :class:`TwoLevelScheduler` is the paper's baseline (Gebhart et al. [12]):
 warps blocked on long-latency events live in a pending set (the SM
@@ -10,9 +10,6 @@ instructions and chopping idle windows into useless slivers.
 Greedy selection is modelled as a loose round-robin over warp slots
 starting just after the last slot that issued, which is how the
 interleaving arises in GPGPU-Sim's two-level configuration.
-
-:class:`LooseRoundRobinScheduler` is a single-level round-robin over all
-warps, kept as an ablation reference (pre-two-level GPU schedulers).
 """
 
 from __future__ import annotations
@@ -47,33 +44,3 @@ class TwoLevelScheduler(WarpScheduler):
     def reset(self) -> None:
         self._last_slot = self.n_slots - 1
 
-
-class LooseRoundRobinScheduler(WarpScheduler):
-    """Single-level loose round-robin (ablation baseline).
-
-    Identical ready-warp treatment to :class:`TwoLevelScheduler` except
-    the rotation pointer advances every cycle rather than following the
-    last issuer, approximating classic LRR fairness.
-    """
-
-    name = "lrr"
-    # ``order`` advances the rotation pointer every cycle; the skip
-    # override below replays exactly that drift.
-    supports_idle_skip = True
-
-    def __init__(self, n_slots: int = 48) -> None:
-        if n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
-        self.n_slots = n_slots
-        self._pointer = 0
-
-    def skip_idle_cycles(self, span: int) -> None:
-        self._pointer = (self._pointer + span) % self.n_slots
-
-    def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
-        start = self._pointer
-        self._pointer = (start + 1) % self.n_slots
-        return rotate(view.ready, start)
-
-    def reset(self) -> None:
-        self._pointer = 0

@@ -133,16 +133,9 @@ class SimResult:
             stats = self.domain_stats.get(name)
             if stats is None:
                 continue
-            total.gating_events += stats.gating_events
-            total.wakeups += stats.wakeups
-            total.wakeups_uncompensated += stats.wakeups_uncompensated
-            total.critical_wakeups += stats.critical_wakeups
-            total.gated_cycles += stats.gated_cycles
-            total.compensated_cycles += stats.compensated_cycles
-            total.uncompensated_cycles += stats.uncompensated_cycles
-            total.waking_cycles += stats.waking_cycles
-            total.on_cycles += stats.on_cycles
-            total.denied_wakeups += stats.denied_wakeups
+            for counter in GatingStats.METRIC_NAMES:
+                setattr(total, counter,
+                        getattr(total, counter) + getattr(stats, counter))
         return total
 
     def idle_histogram(self, kind: ExecUnitKind) -> Dict[int, int]:
@@ -205,8 +198,6 @@ class StreamingMultiprocessor:
         self._queue = iter(kernel.warps)
         #: Warps not yet launched (read every cycle).
         self._unlaunched = kernel.n_warps
-        self._ages: List[int] = [0] * n_slots
-        self._age_counter = 0
         self._launch_cycles: List[int] = [0] * n_slots
         self._warp_rows: List[WarpRow] = []
 
@@ -253,10 +244,9 @@ class StreamingMultiprocessor:
         #: instruction retired, or an empty trace was assigned);
         #: _manage_warps only scans for finished warps when it is set.
         self._finish_check = False
-        #: Persistent per-cycle scheduler view: the counter dicts are
-        #: zeroed in place each cycle rather than reallocated, and the
-        #: age list is the SM's own.
-        self._view = SchedulerView(ages=self._ages)
+        #: Persistent per-cycle scheduler view: the counter list is
+        #: zeroed in place each cycle rather than reallocated.
+        self._view = SchedulerView()
         # int(OpClass) -> (pipes, domains, n_pipes, is_ldst) issue
         # dispatch.
         self._unit_table: List[tuple] = []
@@ -496,9 +486,7 @@ class StreamingMultiprocessor:
                 if not warp.trace_len:
                     # A zero-instruction warp is finished already.
                     self._finish_check = True
-                self._ages[warp.slot] = self._age_counter
                 self._launch_cycles[warp.slot] = cycle
-                self._age_counter += 1
                 launched += 1
                 self._unlaunched -= 1
                 if not self._unlaunched:
@@ -526,7 +514,7 @@ class StreamingMultiprocessor:
         view = self._view
         actv = view.actv_counts
         actv[:] = (0, 0, 0, 0)
-        active: List[int] = []
+        n_active = 0
         ready: List[int] = []
         ready_by_class: Tuple[List[int], ...] = ([], [], [], [])
         pending = 0
@@ -542,18 +530,16 @@ class StreamingMultiprocessor:
                 pending += 1
                 continue
             slot = warp.slot
-            active.append(slot)
+            n_active += 1
             actv[warp.head_opx] += 1
             if cycle >= warp.head_ready_at:
                 ready.append(slot)
                 ready_by_class[warp.head_opx].append(slot)
-        view.active = active
         view.ready = ready
         view.ready_by_class = ready_by_class
         if self._has_blackout:
             self._blackout_flags(cycle, view.type_in_blackout)
         stats = self.stats
-        n_active = len(active)
         stats.active_warp_sum += n_active
         stats.pending_warp_sum += pending
         if n_active > stats.active_warp_max:

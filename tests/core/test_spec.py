@@ -66,8 +66,7 @@ def scratch_registry():
 
 class TestRegistries:
     def test_builtin_schedulers_registered(self):
-        assert {"two_level", "lrr", "fetch_group", "ccws",
-                "gates"} <= set(SCHEDULERS)
+        assert {"two_level", "gates"} <= set(SCHEDULERS)
 
     def test_builtin_policies_registered(self):
         assert {"none", "conventional", "naive_blackout",
@@ -100,7 +99,8 @@ class TestRegistries:
         assert [s.name for s in grouped["paper"]] == [
             "baseline", "conv_pg", "gates", "naive_blackout",
             "coord_blackout", "warped_gates"]
-        assert "lrr_conv_pg" in {s.name for s in grouped["ablation"]}
+        assert [s.name for s in grouped["ablation"]] == [
+            "gates_no_pg", "blackout_no_gates"]
 
     def test_every_registered_technique_has_a_description(self):
         for name in technique_names():
@@ -112,7 +112,7 @@ class TestRegistries:
 
     def test_user_registration_runs_by_name(self, scratch_registry):
         spec = register_technique(
-            TechniqueSpec("my_combo", scheduler=SchedulerSpec("lrr"),
+            TechniqueSpec("my_combo", scheduler=SchedulerSpec("two_level"),
                           gating_policy=GatingPolicySpec("naive_blackout")))
         assert technique_spec("my_combo") is spec
         assert "my_combo" in technique_names("user")
@@ -163,10 +163,11 @@ class TestCapabilityFlags:
         assert not spec.blackout_aware
 
     def test_coordination_needs_scheduler_support(self):
-        # CCWS does not track blacked-out units even under a
-        # coordinated policy — coordination is a property of the pair.
+        # The two-level baseline does not track blacked-out units even
+        # under a coordinated policy — coordination is a property of
+        # the pair.
         spec = TechniqueSpec(
-            "ccws_coord", scheduler=SchedulerSpec("ccws"),
+            "two_level_coord", scheduler=SchedulerSpec("two_level"),
             gating_policy=GatingPolicySpec("coordinated_blackout"))
         assert spec.gated
         assert not spec.blackout_aware
@@ -193,7 +194,7 @@ class TestRoundTrip:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        scheduler=st.sampled_from(["two_level", "lrr", "gates"]),
+        scheduler=st.sampled_from(["two_level", "gates"]),
         policy=st.sampled_from(["none", "conventional", "naive_blackout",
                                 "coordinated_blackout"]),
         idle_detect=st.integers(min_value=0, max_value=10),
@@ -232,7 +233,7 @@ class TestRoundTrip:
     def test_spec_hash_stable_across_process_restart(self):
         """The hash keys .repro-cache/ — it must survive a fresh
         interpreter (no dict-order or enum-identity dependence)."""
-        names = ("baseline", "warped_gates", "ccws_conv_pg")
+        names = ("baseline", "warped_gates", "blackout_no_gates")
         script = (
             "from repro.core.spec import technique_spec\n"
             "import repro.core.techniques\n"

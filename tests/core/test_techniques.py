@@ -17,10 +17,7 @@ from repro.core.techniques import (
     run_benchmark,
 )
 from repro.power.gating import ConventionalPolicy
-from repro.sim.sched.two_level import (
-    LooseRoundRobinScheduler,
-    TwoLevelScheduler,
-)
+from repro.sim.sched.two_level import TwoLevelScheduler
 
 from tests.conftest import SMALL_SM, TEST_SCALE
 
@@ -78,10 +75,6 @@ class TestWiring:
         assert isinstance(sm.scheduler, TwoLevelScheduler)
         assert all(isinstance(d.policy, NaiveBlackoutPolicy)
                    for d in sm.domains.values())
-
-    def test_lrr_ablation(self, tiny_kernel):
-        sm = build_sm(tiny_kernel, Technique.LRR_CONV_PG, sm_config=SMALL_SM)
-        assert isinstance(sm.scheduler, LooseRoundRobinScheduler)
 
     def test_gates_no_pg_has_no_domains(self, tiny_kernel):
         sm = build_sm(tiny_kernel, Technique.GATES_NO_PG, sm_config=SMALL_SM)

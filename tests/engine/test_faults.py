@@ -200,7 +200,8 @@ class TestSimJobGrid:
     def _grid(self):
         jobs = [JobRequest(benchmark=name, technique=technique,
                            scale=self.SCALE)
-                for name in ("hotspot", "bfs") for technique in Technique]
+                for name in ("hotspot", "bfs", "nw")
+                for technique in Technique]
         assert len(jobs) >= 20
         return jobs
 

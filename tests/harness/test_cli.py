@@ -429,13 +429,13 @@ class TestFaultFlags:
         assert "1 job(s) failed" in err
 
 
-#: A composition no enum member ever named: CCWS locality throttling
-#: crossed with Coordinated Blackout and adaptive idle-detect.
+#: A composition no enum member ever named: the two-level baseline
+#: scheduler crossed with Coordinated Blackout and adaptive idle-detect.
 CUSTOM_SPEC = {
-    "name": "ccws_coord_blackout_adaptive",
-    "description": "CCWS x Coordinated Blackout x adaptive idle-detect",
-    "scheduler": {"name": "ccws",
-                  "params": {"score_per_excluded_warp": 64.0}},
+    "name": "two_level_coord_blackout_adaptive",
+    "description": "two-level x Coordinated Blackout x adaptive "
+                   "idle-detect",
+    "scheduler": {"name": "two_level"},
     "gating_policy": {"name": "coordinated_blackout",
                       "params": {"max_domains": 8}},
     "gating": {"idle_detect": 5, "bet": 14, "wakeup_delay": 3},

@@ -20,8 +20,7 @@ MODULES = sorted(SRC.rglob("*.py"))
 #: (WarpScheduler, GatingPolicy, CycleHook); implementations inherit the
 #: contract and need not repeat it.
 OVERRIDE_EXEMPT = {"order", "on_issue", "reset", "gate_threshold",
-                   "may_wake", "on_cycle", "idle_next_event",
-                   "skip_idle_cycles"}
+                   "may_wake", "on_cycle", "idle_next_event"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))

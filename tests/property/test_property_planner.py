@@ -47,7 +47,7 @@ def reference_plan(sm, cycle: int) -> int:
     bound = min(bound, mem_event)
 
     view = SchedulerView()
-    ready, active = [], []
+    ready = []
     ready_by_class = ([], [], [], [])
     unresolved_any = False
     free_slot = False
@@ -71,7 +71,6 @@ def reference_plan(sm, cycle: int) -> int:
         elif cycle < warp.head_mem_until:
             bound = min(bound, warp.head_mem_until)
         else:
-            active.append(warp.slot)
             view.actv_counts[warp.head_inst.op_class] += 1
             if cycle >= warp.head_ready_at:
                 if not retry or warp.head_inst.op_class is not OpClass.LDST:
@@ -102,9 +101,7 @@ def reference_plan(sm, cycle: int) -> int:
         return cycle
 
     sm._blackout_flags(cycle, view.type_in_blackout)
-    view.ready, view.ready_by_class, view.active = ready, ready_by_class, \
-        active
-    view.ages = sm._ages
+    view.ready, view.ready_by_class = ready, ready_by_class
     if sm.scheduler.idle_flip_pending(cycle, view):
         return cycle
     return int(bound)

@@ -8,6 +8,7 @@ streaming and error surfaces — and the acceptance guarantee that a
 """
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.core.digest import result_digest
 from repro.engine import JobRequest, ParallelEngine
 from repro.harness.experiment import ExperimentRunner, ExperimentSettings
-from repro.service.api import ServiceAPI
+from repro.service.api import MAX_HEAD_BYTES, ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.core import SimulationService
 
@@ -143,6 +144,41 @@ class TestErrors:
                                   "technique": "conv_pg"})
         assert excinfo.value.status == 400
         assert "did you mean" in excinfo.value.message
+
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_bad_scale_is_400_naming_scale(self, served, scale):
+        with pytest.raises(ServiceError) as excinfo:
+            served.client.submit(job_doc(scale=scale))
+        assert excinfo.value.status == 400
+        assert "'scale'" in excinfo.value.message
+
+    def _raw_status(self, served, head: str) -> str:
+        """Send one raw request head; return the response status code."""
+        with socket.create_connection(
+                (served.client.host, served.client.port), timeout=30) as conn:
+            conn.sendall(head.encode())
+            return conn.makefile("rb").readline().decode().split()[1]
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, served, length):
+        assert self._raw_status(
+            served, f"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {length}\r\n\r\n") == "400"
+
+    def test_oversized_head_is_413(self, served):
+        padding = "a" * (MAX_HEAD_BYTES + 1000)
+        assert self._raw_status(
+            served, f"GET /healthz HTTP/1.1\r\nX-Pad: {padding}"
+                    "\r\n\r\n") == "413"
+
+    @pytest.mark.parametrize("wait", ["abc", "nan", "inf", "-1", "1e12"])
+    def test_bad_wait_is_400(self, served, wait):
+        job_id = served.client.submit(job_doc())["job_id"]
+        with pytest.raises(ServiceError) as excinfo:
+            served.client._call("GET",
+                                f"/v1/jobs/{job_id}/result?wait={wait}")
+        assert excinfo.value.status == 400
+        assert "'wait'" in excinfo.value.message
 
     def test_unknown_endpoint_is_404(self, served):
         with pytest.raises(ServiceError) as excinfo:

@@ -43,11 +43,6 @@ GOLDEN_TECHNIQUES = ("baseline", "gates", "naive_blackout",
 GOLDEN_BENCHMARKS = ("hotspot", "bfs")
 GOLDEN_SCALE = 0.5
 
-#: Ablation techniques pinned single-SM: each runs one of the scheduler
-#: orderings the paper techniques above never exercise (LRR, fetch
-#: group, CCWS) under conventional gating.
-GOLDEN_ABLATIONS = ("lrr_conv_pg", "fetch_group_conv_pg", "ccws_conv_pg")
-
 #: Device preset pinned at chip scale (the paper's 15-SM GTX480).
 GOLDEN_DEVICE_PRESET = "gtx480"
 
@@ -165,11 +160,6 @@ def compute_goldens() -> dict:
                                         fast_forward=True)
             digests[f"kernel/{benchmark}/{technique}"] = \
                 result_digest(forwarded)
-    for benchmark in GOLDEN_BENCHMARKS:
-        for technique in GOLDEN_ABLATIONS:
-            result = run_golden_cell(benchmark, technique)
-            digests[f"ablation/{benchmark}/{technique}"] = \
-                result_digest(result)
     result, events = run_instrumented_golden()
     digests["events/hotspot/warped_gates"] = event_stream_digest(events)
     digests["events/hotspot/warped_gates/result"] = result_digest(result)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.sim.identity import (GOLDEN_ABLATIONS, GOLDEN_BENCHMARKS,
-                                GOLDEN_TECHNIQUES,
+from tests.sim.identity import (GOLDEN_BENCHMARKS, GOLDEN_TECHNIQUES,
                                 device_result_digest, event_stream_digest,
                                 load_goldens, result_digest,
                                 run_golden_cell, run_golden_device,
@@ -108,37 +107,6 @@ def test_device_fast_forward_matches_golden(bench_name, technique):
     assert digest == GOLDENS[f"device/{bench_name}/{technique}"], (
         f"fast-forward device-scale {technique} on {bench_name} "
         "diverged from the serial device core")
-
-
-_ABLATION_CELLS = [(b, t) for b in GOLDEN_BENCHMARKS
-                   for t in GOLDEN_ABLATIONS]
-
-#: Single-SM runs each ablation cell is pinned under: the serial
-#: oracle, the stepping engine, and the engine with the dense kernel
-#: stepping every cycle.
-_CELL_MODES = {
-    "serial": run_golden_cell,
-    "fast_forward": lambda bench, tech: run_golden_cell(
-        bench, tech, fast_forward=True),
-    "kernel": run_kernel_cell,
-}
-
-
-@pytest.mark.parametrize("mode", list(_CELL_MODES))
-@pytest.mark.parametrize("bench_name,technique", _ABLATION_CELLS)
-def test_ablation_digest_matches_golden(bench_name, technique, mode):
-    """The LRR, fetch-group and CCWS orderings reproduce their digests.
-
-    The committed ``ablation/...`` references were computed serially;
-    each run below must match them, so a change to one of these
-    schedulers' ``order`` fails here even when it moves the serial and
-    kernel paths together.
-    """
-    result = _CELL_MODES[mode](bench_name, technique)
-    assert (result_digest(result)
-            == GOLDENS[f"ablation/{bench_name}/{technique}"]), (
-        f"{mode} {technique} on {bench_name} drifted from the golden "
-        "digest")
 
 
 #: Execution paths the instrumented golden run is pinned under: the

@@ -1,13 +1,10 @@
-"""Tests for the baseline warp schedulers."""
+"""Tests for the baseline warp scheduler."""
 
 import pytest
 
 from repro.isa.optypes import OpClass
 from repro.sim.sched.base import rotate
-from repro.sim.sched.two_level import (
-    LooseRoundRobinScheduler,
-    TwoLevelScheduler,
-)
+from repro.sim.sched.two_level import TwoLevelScheduler
 from tests.sim.views import make_view, ready_ints
 
 
@@ -54,20 +51,3 @@ class TestTwoLevelScheduler:
         with pytest.raises(ValueError):
             TwoLevelScheduler(n_slots=0)
 
-
-class TestLooseRoundRobin:
-    def test_pointer_advances_every_cycle(self):
-        sched = LooseRoundRobinScheduler(n_slots=4)
-        view = ready_ints(range(4))
-        assert list(sched.order(0, view)) == [0, 1, 2, 3]
-        assert list(sched.order(1, view)) == [1, 2, 3, 0]
-
-    def test_reset(self):
-        sched = LooseRoundRobinScheduler(n_slots=4)
-        sched.order(0, make_view())
-        sched.reset()
-        assert list(sched.order(0, ready_ints(range(2)))) == [0, 1]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LooseRoundRobinScheduler(n_slots=-1)
