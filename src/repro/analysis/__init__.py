@@ -22,7 +22,7 @@ from repro.analysis.idle_periods import (
 from repro.analysis.correlation import pearson_r
 from repro.analysis.occupancy import OccupancyRecorder
 from repro.analysis.timeline import PowerTimeline
-from repro.analysis.stalls import stall_profile, stalls_per_kilocycle
+from repro.analysis.stalls import stalls_per_kilocycle
 from repro.analysis.report import format_table, format_fraction
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "pearson_r",
     "OccupancyRecorder",
     "PowerTimeline",
-    "stall_profile",
     "stalls_per_kilocycle",
     "format_table",
     "format_fraction",

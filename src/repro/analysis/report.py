@@ -7,7 +7,7 @@ without pulling in a plotting stack.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -60,10 +60,3 @@ def format_table(headers: Sequence[str],
         lines.append("  ".join(_render_cell(row[c], widths[c], numeric[c])
                                for c in range(n_cols)))
     return "\n".join(lines)
-
-
-def format_mapping_table(title: str, mapping: Mapping[str, Cell]) -> str:
-    """Two-column key/value table (for scalar summaries)."""
-    return format_table(["metric", "value"],
-                        [(k, v) for k, v in mapping.items()],
-                        title=title)

@@ -28,15 +28,6 @@ def stall_counts(result: SimResult) -> Dict[str, int]:
     return {field: getattr(stalls, field) for field in STALL_FIELDS}
 
 
-def stall_profile(result: SimResult) -> Dict[str, float]:
-    """Stall events normalised to the run's total (sums to 1)."""
-    counts = stall_counts(result)
-    total = sum(counts.values())
-    if total == 0:
-        return {field: 0.0 for field in STALL_FIELDS}
-    return {field: count / total for field, count in counts.items()}
-
-
 def stalls_per_kilocycle(result: SimResult) -> Dict[str, float]:
     """Stall events per 1000 cycles (comparable across run lengths)."""
     if result.cycles == 0:

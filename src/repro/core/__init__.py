@@ -9,8 +9,8 @@
 * :mod:`repro.core.adaptive` -- Adaptive idle-detect (section 5.1),
   the epoch-based critical-wakeup feedback controller.
 * :mod:`repro.core.spec` -- declarative technique identity: frozen
-  :class:`~repro.core.spec.TechniqueSpec` values, the scheduler /
-  gating-policy plugin registries, JSON round-trip and ``spec_hash()``.
+  :class:`~repro.core.spec.TechniqueSpec` values, the closed table of
+  schedulers and gating policies, JSON round-trip and ``spec_hash()``.
 * :mod:`repro.core.techniques` -- the paper's named techniques
   registered as specs and the ``build_sm`` factory wiring scheduler +
   policies + hooks onto a simulator instance;
@@ -25,8 +25,6 @@ from repro.core.spec import (
     SchedulerSpec,
     TechniqueSpec,
     as_spec,
-    register_gating_policy,
-    register_scheduler,
     register_technique,
     technique_names,
     technique_spec,
@@ -46,8 +44,6 @@ __all__ = [
     "SchedulerSpec",
     "TechniqueSpec",
     "as_spec",
-    "register_gating_policy",
-    "register_scheduler",
     "register_technique",
     "technique_names",
     "technique_spec",

@@ -29,7 +29,7 @@ one rule that both the stepped cycle and the span planner read.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.power.gating import GatingDomain, GatingPolicy
 
@@ -48,8 +48,8 @@ class CoordinatedBlackoutPolicy(GatingPolicy):
 
     One policy instance is shared by all clusters of a unit type; it
     needs a callable returning the type's current active-warp subset
-    occupancy (wired to ``StreamingMultiprocessor.actv_counts`` by the
-    technique factory).
+    occupancy (wired to ``StreamingMultiprocessor.actv_counts`` by
+    :func:`repro.core.techniques.build_sm`).
 
     The paper describes the two-cluster (Fermi) case and motivates the
     generalisation — "the more recent Kepler architecture uses six
@@ -81,13 +81,6 @@ class CoordinatedBlackoutPolicy(GatingPolicy):
                 f"coordinated blackout configured for at most "
                 f"{self._max_domains} clusters; build one policy per type")
         self._domains.append(domain)
-
-    def peer_of(self, domain: GatingDomain) -> Optional[GatingDomain]:
-        """One other cluster of the group (None while partially wired)."""
-        for other in self._domains:
-            if other is not domain:
-                return other
-        return None
 
     def any_peer_gated(self, domain: GatingDomain, cycle: int) -> bool:
         """True when another cluster of this type has its gate closed."""

@@ -49,10 +49,9 @@ class GatesScheduler(WarpScheduler):
     """Gating-aware two-level warp scheduler."""
 
     name = "gates"
-    # Span fast-forward: on cycles that issue nothing, ``order``'s only
-    # mutation is ``_update_priority``, whose triggers are exposed
+    # The no-issue contract: on cycles that issue nothing, ``order``'s
+    # only mutation is ``_update_priority``, whose triggers are exposed
     # through ``idle_flip_pending`` (the planner steps those cycles).
-    supports_idle_skip = True
 
     def __init__(self, n_slots: int = 48,
                  blackout_aware: bool = False) -> None:

@@ -1,37 +1,30 @@
-"""Declarative, serializable technique specs and plugin registries.
+"""Declarative, serializable technique specs.
 
 The paper's contribution is a *composition* — GATES scheduling x
 Blackout gating x Adaptive idle-detect — and this module makes that
 composition first-class.  A :class:`TechniqueSpec` is a frozen,
 validated value object naming
 
-* a **scheduler** (a :class:`SchedulerSpec` resolved against the
-  string-keyed :data:`SCHEDULERS` plugin registry),
-* a **gating policy** (a :class:`GatingPolicySpec` resolved against
-  :data:`GATING_POLICIES`),
+* a **scheduler** (a :class:`SchedulerSpec`: ``two_level`` or
+  ``gates``),
+* a **gating policy** (a :class:`GatingPolicySpec`: ``none``,
+  ``conventional``, ``naive_blackout`` or ``coordinated_blackout``),
 * an optional **adaptive idle-detect** configuration, and
 * the :class:`~repro.power.params.GatingParams` plus structural
   :class:`~repro.sim.config.SMConfig` overrides the run should use.
 
-Every capability the wiring layer needs (is the spec power-gated? must
-the scheduler be blackout-aware?) is *derived* from the registries —
-there are no hidden membership sets to keep in sync.  Specs round-trip
-losslessly through :meth:`TechniqueSpec.to_dict` /
-:meth:`TechniqueSpec.from_dict` (the CLI's ``--spec file.json``), and
-:meth:`TechniqueSpec.spec_hash` is a canonical-JSON digest that is
-stable across process restarts — the identity the experiment runner's
-memoisation, the persistent ``.repro-cache/`` keys and the provenance
-manifests all share.
-
-New schedulers and gating policies register with the decorators::
-
-    @register_scheduler("my_sched", description="...",
-                        params=("aggressiveness",))
-    def _build_my_sched(n_slots, aggressiveness=1.0):
-        return MyScheduler(n_slots=n_slots, aggressiveness=aggressiveness)
-
-and any cross-product becomes runnable by name or by JSON file without
-touching core code (see "Defining a custom technique" in DESIGN.md).
+The components a spec may name form one closed table,
+:data:`COMPONENTS`, which maps each name to the parameters it accepts;
+validation and the derived flags (is the spec power-gated? must the
+scheduler be blackout-aware?) read it, and
+:func:`repro.core.techniques.build_sm` constructs each component.  A
+new scheduler or policy is a class plus one entry in that table (and
+its construction in ``build_sm``).  Specs round-trip losslessly through
+:meth:`TechniqueSpec.to_dict` / :meth:`TechniqueSpec.from_dict` (the
+CLI's ``--spec file.json``), and :meth:`TechniqueSpec.spec_hash` is a
+canonical-JSON digest that is stable across process restarts — the
+identity the experiment runner's memoisation, the persistent
+``.repro-cache/`` keys and the provenance manifests all share.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -55,19 +47,13 @@ from typing import (
 )
 
 from repro.core.adaptive import AdaptiveConfig
-from repro.core.blackout import (
-    CoordinatedBlackoutPolicy,
-    NaiveBlackoutPolicy,
-)
-from repro.power.gating import ConventionalPolicy
 from repro.power.params import GatingParams
 from repro.sim.config import MemoryConfig, SMConfig
-from repro.sim.sched.two_level import TwoLevelScheduler
 
 #: Number of hex chars of the sha256 digest a spec hash keeps.
 SPEC_HASH_LEN = 16
 
-#: JSON-scalar types allowed as plugin parameter values.
+#: JSON-scalar types allowed as component parameter values.
 _SCALARS = (bool, int, float, str, type(None))
 
 #: Characters allowed in technique names (they become cache-file name
@@ -163,14 +149,44 @@ def _thaw_params(params: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
 # component specs
 # ----------------------------------------------------------------------
 
+#: A parameter's value check: a predicate and what it asks for.
+ParamCheck = Tuple[Callable[[Any], bool], str]
+
+
+def _positive_int(value: Any) -> bool:
+    """An int >= 1; a bool is not one."""
+    return type(value) is int and value >= 1
+
+
+#: The closed set of components a spec may name, by kind: each name
+#: mapped to the parameters it accepts and the check each value must
+#: pass.  ``max_domains`` caps the clusters one Coordinated Blackout
+#: policy enrols.
+COMPONENTS: Dict[str, Dict[str, Dict[str, ParamCheck]]] = {
+    "scheduler": {
+        "two_level": {},
+        "gates": {},
+    },
+    "gating policy": {
+        "none": {},
+        "conventional": {},
+        "naive_blackout": {},
+        "coordinated_blackout": {
+            "max_domains": (_positive_int, "an int >= 1"),
+        },
+    },
+}
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
-    """A named, parameterised reference into one plugin registry."""
+    """A named, parameterised reference to one entry of
+    :data:`COMPONENTS`."""
 
     name: str
     params: Tuple[Tuple[str, Any], ...] = ()
 
-    #: Registry kind, used in error messages ("scheduler", ...).
+    #: Table kind, used in error messages ("scheduler", ...).
     kind = "component"
 
     def __post_init__(self) -> None:
@@ -209,201 +225,42 @@ class ComponentSpec:
             raise ValueError(f"{cls.kind} spec is missing its 'name'")
         return cls(doc["name"], tuple(dict(doc.get("params") or {}).items()))
 
+    @property
+    def known_name(self) -> str:
+        """:attr:`name`, checked against :data:`COMPONENTS` (ValueError
+        with the closest known name when it is not there)."""
+        known = COMPONENTS[self.kind]
+        if self.name not in known:
+            raise unknown_name_error(self.kind, self.name, known)
+        return self.name
+
+    def validate(self) -> None:
+        """Check the name and every parameter against :data:`COMPONENTS`."""
+        accepted = COMPONENTS[self.kind][self.known_name]
+        unknown = set(self.param_dict()) - set(accepted)
+        if unknown:
+            raise ValueError(
+                f"{self.kind} {self.name!r} does not accept "
+                f"parameter(s) {sorted(unknown)}; accepted: "
+                f"{sorted(accepted) or 'none'}")
+        for key, value in self.params:
+            check, what = accepted[key]
+            if not check(value):
+                raise ValueError(
+                    f"{self.kind} {self.name!r} parameter {key!r} must "
+                    f"be {what}, got {value!r}")
+
 
 class SchedulerSpec(ComponentSpec):
-    """Reference to a registered warp scheduler."""
+    """Reference to one of the paper's warp schedulers."""
 
     kind = "scheduler"
 
 
 class GatingPolicySpec(ComponentSpec):
-    """Reference to a registered power-gating policy."""
+    """Reference to one of the paper's power-gating policies."""
 
     kind = "gating policy"
-
-
-# ----------------------------------------------------------------------
-# plugin registries
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchedulerPlugin:
-    """One registered scheduler: factory plus declared capabilities."""
-
-    name: str
-    factory: Callable[..., object]
-    description: str = ""
-    #: Parameter names the factory accepts beyond ``n_slots``.
-    params: FrozenSet[str] = frozenset()
-    #: The factory accepts ``blackout_aware`` (GATES' extended priority
-    #: switch); derived into :attr:`TechniqueSpec.blackout_aware`.
-    supports_blackout_aware: bool = False
-
-    def build(self, n_slots: int, spec: SchedulerSpec,
-              blackout_aware: bool = False):
-        """Construct the scheduler from one reference's parameters."""
-        kwargs = spec.param_dict()
-        if self.supports_blackout_aware:
-            kwargs["blackout_aware"] = blackout_aware
-        return self.factory(n_slots=n_slots, **kwargs)
-
-
-@dataclass(frozen=True)
-class GatingPolicyPlugin:
-    """One registered gating policy: factory plus capabilities.
-
-    ``gates_units=False`` marks the null policy — no gating domains are
-    attached at all.  ``coordinated=True`` marks cluster-coordinating
-    policies; a blackout-capable scheduler paired with one becomes
-    blackout-aware (the derived flag that replaced the old hidden
-    ``_BLACKOUT_AWARE`` set).
-    """
-
-    name: str
-    factory: Callable[..., object]
-    description: str = ""
-    params: FrozenSet[str] = frozenset()
-    gates_units: bool = True
-    coordinated: bool = False
-    #: Optional hook ``wire(policy, domain)`` run per domain before it
-    #: is attached (Coordinated Blackout enrols its cluster domains).
-    wire: Optional[Callable[[object, object], None]] = None
-
-    def build(self, context: "PolicyContext", spec: GatingPolicySpec):
-        """Construct the policy from one reference's parameters."""
-        return self.factory(context, **spec.param_dict())
-
-
-@dataclass(frozen=True)
-class PolicyContext:
-    """What a gating-policy factory may read off the SM being built."""
-
-    sm: object
-    op_class: object
-
-    def actv_count(self) -> Callable[[], int]:
-        """Late-bound reader of the SM's per-type ACTV counter."""
-        sm, cls = self.sm, self.op_class
-
-        def read() -> int:
-            return sm.actv_counts[cls]
-        return read
-
-
-#: String-keyed plugin registries (populated below and by user code).
-SCHEDULERS: Dict[str, SchedulerPlugin] = {}
-GATING_POLICIES: Dict[str, GatingPolicyPlugin] = {}
-
-
-def register_scheduler(name: str, *, description: str = "",
-                       params: Iterable[str] = (),
-                       supports_blackout_aware: bool = False,
-                       allow_replace: bool = False):
-    """Decorator registering a scheduler factory under ``name``."""
-    def decorate(factory: Callable[..., object]) -> Callable[..., object]:
-        if name in SCHEDULERS and not allow_replace:
-            raise ValueError(f"scheduler {name!r} is already registered")
-        SCHEDULERS[name] = SchedulerPlugin(
-            name=name, factory=factory, description=description,
-            params=frozenset(params),
-            supports_blackout_aware=supports_blackout_aware)
-        return factory
-    return decorate
-
-
-def register_gating_policy(name: str, *, description: str = "",
-                           params: Iterable[str] = (),
-                           gates_units: bool = True,
-                           coordinated: bool = False,
-                           wire: Optional[Callable] = None,
-                           allow_replace: bool = False):
-    """Decorator registering a gating-policy factory under ``name``."""
-    def decorate(factory: Callable[..., object]) -> Callable[..., object]:
-        if name in GATING_POLICIES and not allow_replace:
-            raise ValueError(f"gating policy {name!r} is already registered")
-        GATING_POLICIES[name] = GatingPolicyPlugin(
-            name=name, factory=factory, description=description,
-            params=frozenset(params), gates_units=gates_units,
-            coordinated=coordinated, wire=wire)
-        return factory
-    return decorate
-
-
-def scheduler_plugin(name: str) -> SchedulerPlugin:
-    """Resolve a scheduler name (ValueError with suggestion if unknown)."""
-    if name not in SCHEDULERS:
-        raise unknown_name_error("scheduler", name, SCHEDULERS)
-    return SCHEDULERS[name]
-
-
-def gating_policy_plugin(name: str) -> GatingPolicyPlugin:
-    """Resolve a gating-policy name (ValueError if unknown)."""
-    if name not in GATING_POLICIES:
-        raise unknown_name_error("gating policy", name, GATING_POLICIES)
-    return GATING_POLICIES[name]
-
-
-# ----------------------------------------------------------------------
-# builtin scheduler plugins
-# ----------------------------------------------------------------------
-
-@register_scheduler(
-    "two_level",
-    description="two-level active/pending warp scheduler "
-                "(the paper's baseline, Gebhart et al.)")
-def _build_two_level(n_slots: int):
-    return TwoLevelScheduler(n_slots=n_slots)
-
-
-@register_scheduler(
-    "gates", supports_blackout_aware=True,
-    description="GATES gating-aware two-level scheduler: per-type "
-                "dynamic issue priority (paper section 4)")
-def _build_gates(n_slots: int, blackout_aware: bool = False):
-    from repro.core.gates import GatesScheduler
-    return GatesScheduler(n_slots=n_slots, blackout_aware=blackout_aware)
-
-
-# ----------------------------------------------------------------------
-# builtin gating-policy plugins
-# ----------------------------------------------------------------------
-
-@register_gating_policy(
-    "none", gates_units=False,
-    description="no power gating; execution units stay on")
-def _build_no_policy(context: PolicyContext):  # pragma: no cover - never built
-    return None
-
-
-@register_gating_policy(
-    "conventional",
-    description="Hu et al.: gate after idle-detect, wake on demand "
-                "(wakeups may arrive before break-even)")
-def _build_conventional(context: PolicyContext):
-    return ConventionalPolicy()
-
-
-@register_gating_policy(
-    "naive_blackout",
-    description="per-cluster Blackout: once gated, wakeups are denied "
-                "until break-even is reached (paper section 5)")
-def _build_naive_blackout(context: PolicyContext):
-    return NaiveBlackoutPolicy()
-
-
-def _wire_coordinated(policy, domain) -> None:
-    policy.register(domain)
-
-
-@register_gating_policy(
-    "coordinated_blackout", params=("max_domains",), coordinated=True,
-    wire=_wire_coordinated,
-    description="cluster-coordinated Blackout: keeps one cluster of a "
-                "type awake while warps of the type wait (section 5)")
-def _build_coordinated_blackout(context: PolicyContext,
-                                max_domains: int = 8):
-    return CoordinatedBlackoutPolicy(actv_count=context.actv_count(),
-                                     max_domains=max_domains)
 
 
 # ----------------------------------------------------------------------
@@ -422,15 +279,16 @@ class TechniqueSpec:
     Attributes:
         name: Unique technique name (cache-key prefix, CLI argument,
             ``SimResult.technique`` label).
-        scheduler: Warp-scheduler reference (:data:`SCHEDULERS`).
-        gating_policy: Gating-policy reference (:data:`GATING_POLICIES`);
+        scheduler: Warp-scheduler reference (:data:`COMPONENTS`).
+        gating_policy: Gating-policy reference (:data:`COMPONENTS`);
             ``"none"`` leaves the SM ungated.
         gating: Per-domain controller parameters (idle-detect / BET /
             wakeup).
         adaptive: Epoch-based adaptive idle-detect configuration, or
-            None to disable adaptation.
+            None to disable adaptation (needs a gating policy).
         gate_sfu: Also gate the SFU group conventionally (off by
-            default; the paper reports INT/FP only).
+            default; the paper reports INT/FP only; needs a gating
+            policy).
         sm_overrides: Structural :class:`SMConfig` field overrides
             applied on top of the run's SM configuration; the
             ``"memory"`` key takes a mapping of
@@ -468,50 +326,42 @@ class TechniqueSpec:
             _freeze_params(self.sm_overrides, nested=True,
                            where=f"technique {self.name!r} sm_overrides"))
 
-    # -- derived capabilities (no hidden membership sets) --------------
+    # -- derived capabilities -----------------------------------------
 
     @property
     def gated(self) -> bool:
         """True when gating domains are attached at all."""
-        return gating_policy_plugin(self.gating_policy.name).gates_units
+        return self.gating_policy.known_name != "none"
 
     @property
     def blackout_aware(self) -> bool:
-        """True when the scheduler should track blacked-out units."""
-        return (gating_policy_plugin(self.gating_policy.name).coordinated
-                and scheduler_plugin(self.scheduler.name)
-                .supports_blackout_aware)
-
-    @property
-    def adaptive_enabled(self) -> bool:
-        """True when adaptive idle-detect hooks will be installed."""
-        return self.adaptive is not None and self.gated
+        """True when the scheduler should track blacked-out units: GATES
+        under Coordinated Blackout (its extended priority switch)."""
+        scheduler = self.scheduler.known_name
+        policy = self.gating_policy.known_name
+        return scheduler == "gates" and policy == "coordinated_blackout"
 
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "TechniqueSpec":
-        """Resolve both plugins and sanity-check every parameter.
+        """Check both components against :data:`COMPONENTS` and
+        sanity-check every parameter.
 
-        Raises ValueError (never KeyError) with the offending name and
-        a closest-match suggestion.  Returns self for chaining.
+        Raises ValueError (never KeyError) naming the offending field,
+        with a closest-match suggestion for unknown names.  Returns self
+        for chaining.
         """
-        sched = scheduler_plugin(self.scheduler.name)
-        unknown = set(self.scheduler.param_dict()) - set(sched.params)
-        if unknown:
-            raise ValueError(
-                f"scheduler {self.scheduler.name!r} does not accept "
-                f"parameter(s) {sorted(unknown)}; accepted: "
-                f"{sorted(sched.params) or 'none'}")
-        policy = gating_policy_plugin(self.gating_policy.name)
-        unknown = set(self.gating_policy.param_dict()) - set(policy.params)
-        if unknown:
-            raise ValueError(
-                f"gating policy {self.gating_policy.name!r} does not "
-                f"accept parameter(s) {sorted(unknown)}; accepted: "
-                f"{sorted(policy.params) or 'none'}")
-        # A dry construction surfaces bad parameter values now, not
-        # mid-experiment (factories validate their own arguments).
-        sched.build(8, self.scheduler, self.blackout_aware)
+        self.scheduler.validate()
+        self.gating_policy.validate()
+        if not self.gated:
+            # Both act on gating domains, and policy "none" attaches
+            # none: the spec would run as the ungated baseline.
+            if self.adaptive is not None:
+                raise ValueError("'adaptive' needs a gating policy; "
+                                 "gating policy 'none' gates nothing")
+            if self.gate_sfu:
+                raise ValueError("'gate_sfu' needs a gating policy; "
+                                 "gating policy 'none' gates nothing")
         self.apply_sm_overrides(SMConfig())
         return self
 
@@ -560,7 +410,7 @@ class TechniqueSpec:
         """Build and fully validate a spec from its dict form.
 
         Every schema violation — unknown keys, wrong types, unknown
-        plugin names, out-of-range parameters (the dataclasses'
+        component names, out-of-range parameters (the dataclasses'
         ``__post_init__`` guards) — raises ValueError.
         """
         if not isinstance(doc, Mapping):
@@ -734,26 +584,18 @@ def technique_label(technique: Any) -> str:
 
 
 __all__ = [
+    "COMPONENTS",
     "ComponentSpec",
-    "GATING_POLICIES",
-    "GatingPolicyPlugin",
     "GatingPolicySpec",
-    "PolicyContext",
     "RegisteredTechnique",
-    "SCHEDULERS",
     "SPEC_HASH_LEN",
-    "SchedulerPlugin",
     "SchedulerSpec",
     "TECHNIQUES",
     "TECHNIQUE_GROUPS",
     "TechniqueSpec",
     "as_spec",
     "closest_name",
-    "gating_policy_plugin",
-    "register_gating_policy",
-    "register_scheduler",
     "register_technique",
-    "scheduler_plugin",
     "technique_label",
     "technique_names",
     "technique_spec",

@@ -1,14 +1,15 @@
 """Technique registry and simulator wiring.
 
 Technique identity lives in :mod:`repro.core.spec`: a
-:class:`~repro.core.spec.TechniqueSpec` names a registered scheduler, a
-registered gating policy, an optional adaptive idle-detect config and
-the gating/SM parameter overrides.  This module registers the paper's
-named techniques (plus the design-discussion ablations) as specs and
-keeps the original closed :class:`Technique` enum as *named aliases*
-into that registry — every ``Technique.X`` / ``.value`` call site keeps
-working, while arbitrary scheduler x gating x adaptive compositions run
-through the same :func:`build_sm` without touching core code.
+:class:`~repro.core.spec.TechniqueSpec` names one of the paper's two
+schedulers, one of its gating policies (or none), an optional adaptive
+idle-detect config and the gating/SM parameter overrides.  This module
+registers the paper's named techniques (plus the design-discussion
+ablations) as specs and keeps the original closed :class:`Technique`
+enum as *named aliases* into that registry — every ``Technique.X`` /
+``.value`` call site keeps working, while any scheduler x gating x
+adaptive composition runs through the same :func:`build_sm`, which
+constructs each component.
 
 Names follow the paper's evaluation nomenclature (section 7.2):
 
@@ -33,22 +34,22 @@ import enum
 from typing import List, Optional
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveIdleDetect
+from repro.core.blackout import CoordinatedBlackoutPolicy, NaiveBlackoutPolicy
+from repro.core.gates import GatesScheduler
 from repro.core.spec import (
     GatingPolicySpec,
-    PolicyContext,
     SchedulerSpec,
     TechniqueSpec,
     as_spec,
-    gating_policy_plugin,
     register_technique,
-    scheduler_plugin,
     technique_spec,
 )
-from repro.isa.optypes import CUDA_CORE_CLASSES, UNIT_FOR_OP_CLASS
+from repro.isa.optypes import CUDA_CORE_CLASSES, UNIT_FOR_OP_CLASS, OpClass
 from repro.isa.trace import KernelTrace
 from repro.obs.bus import EventBus
-from repro.power.gating import ConventionalPolicy, GatingDomain
+from repro.power.gating import ConventionalPolicy, GatingDomain, GatingPolicy
 from repro.sim.config import SMConfig
+from repro.sim.sched.two_level import TwoLevelScheduler
 from repro.sim.sm import SimResult, StreamingMultiprocessor
 from repro.workloads.registry import build_kernel
 from repro.workloads.specs import get_profile
@@ -145,7 +146,7 @@ def build_sm(kernel: KernelTrace, config,
     ``config`` is anything :func:`repro.core.spec.as_spec` resolves: a
     :class:`TechniqueSpec`, a registered technique name or a
     :class:`Technique` member.  The wiring mirrors Figure 7: the
-    scheduler plugin, the per-cluster gating domains with their policy,
+    scheduler, the per-cluster gating domains with their policy,
     and — when the spec enables adaptation — the per-type adaptive
     idle-detect hooks.
 
@@ -164,8 +165,11 @@ def build_sm(kernel: KernelTrace, config,
     sm_config = spec.apply_sm_overrides(sm_config or SMConfig())
 
     n_slots = min(sm_config.max_resident_warps, kernel.max_resident_warps)
-    scheduler = scheduler_plugin(spec.scheduler.name).build(
-        n_slots, spec.scheduler, blackout_aware=spec.blackout_aware)
+    if spec.scheduler.known_name == "gates":
+        scheduler = GatesScheduler(n_slots=n_slots,
+                                   blackout_aware=spec.blackout_aware)
+    else:
+        scheduler = TwoLevelScheduler(n_slots=n_slots)
 
     sm = StreamingMultiprocessor(kernel, sm_config, scheduler,
                                  dram_latency=dram_latency,
@@ -183,26 +187,39 @@ def build_sm(kernel: KernelTrace, config,
 
 def _attach_cuda_core_domains(sm: StreamingMultiprocessor,
                               spec: TechniqueSpec) -> None:
-    plugin = gating_policy_plugin(spec.gating_policy.name)
     for cls in CUDA_CORE_CLASSES:
         pipes = sm.pipelines_of(UNIT_FOR_OP_CLASS[cls])
         # One policy instance per unit type, shared by the type's
-        # cluster domains (coordinated policies require it; stateless
-        # ones don't care).
-        policy = plugin.build(PolicyContext(sm=sm, op_class=cls),
-                              spec.gating_policy)
+        # cluster domains (Coordinated Blackout requires it; the
+        # stateless policies don't care).
+        policy = _gating_policy(sm, spec.gating_policy, cls)
 
         domains: List[GatingDomain] = []
         for pipe in pipes:
             domain = GatingDomain(pipe.name, spec.gating, policy)
-            if plugin.wire is not None:
-                plugin.wire(policy, domain)
+            if isinstance(policy, CoordinatedBlackoutPolicy):
+                policy.register(domain)
             sm.attach_domain(pipe.name, domain)
             domains.append(domain)
 
         if spec.adaptive is not None:
             sm.add_hook(AdaptiveIdleDetect(domains, spec.adaptive,
                                            bus=sm.bus, label=cls.name))
+
+
+def _gating_policy(sm: StreamingMultiprocessor, policy: GatingPolicySpec,
+                   cls: OpClass) -> GatingPolicy:
+    """The policy instance shared by the clusters of ``cls``."""
+    if policy.name == "conventional":
+        return ConventionalPolicy()
+    if policy.name == "naive_blackout":
+        return NaiveBlackoutPolicy()
+    # coordinated_blackout: the one other gated entry of COMPONENTS.
+
+    def actv_count() -> int:
+        return sm.actv_counts[cls]
+    return CoordinatedBlackoutPolicy(actv_count=actv_count,
+                                     **policy.param_dict())
 
 
 def run_benchmark(name: str, config,

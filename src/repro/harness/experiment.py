@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.spec import TechniqueSpec, as_spec
-from repro.core.techniques import (
-    PAPER_TECHNIQUES,
-    Technique,
-)
+from repro.core.techniques import Technique
 from repro.isa.optypes import ExecUnitKind
 from repro.obs.manifest import RunManifest
 from repro.power.energy import domain_energy, EnergyBreakdown
@@ -223,18 +220,6 @@ class ExperimentRunner:
     def baseline(self, benchmark: str) -> SimResult:
         """The no-gating two-level reference run for one benchmark."""
         return self.run(benchmark, Technique.BASELINE)
-
-    def suite(self, techniques: Sequence = PAPER_TECHNIQUES,
-              ) -> Dict[Tuple[str, object], SimResult]:
-        """Run every benchmark under every requested technique."""
-        self.prefetch([(name, technique)
-                       for name in self.settings.benchmarks
-                       for technique in techniques])
-        out: Dict[Tuple[str, object], SimResult] = {}
-        for name in self.settings.benchmarks:
-            for technique in techniques:
-                out[(name, technique)] = self.run(name, technique)
-        return out
 
     # ------------------------------------------------------------------
     # derived metrics

@@ -58,8 +58,6 @@ from repro.obs.ledger import (
 from repro.obs.manifest import (
     RunManifest,
     config_hash,
-    load_manifests,
-    write_manifests,
 )
 from repro.obs.metrics import (
     Counter,
@@ -95,7 +93,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "metric_key",
     "JsonlEventLog", "ChromeTraceExporter", "EngineTraceExporter",
     "load_jsonl_events", "validate_chrome_trace",
-    "RunManifest", "config_hash", "write_manifests", "load_manifests",
+    "RunManifest", "config_hash",
     "ENGINE_EVENT_TYPES", "EngineEvent", "EngineTelemetry",
     "JobQueued", "JobStarted", "JobRetry",
     "JobFinished", "PoolRebuilt", "CacheHit", "CacheMiss",

@@ -13,11 +13,9 @@ run's exact configuration.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict
 
 from repro.core.digest import canonical_json
 
@@ -132,17 +130,3 @@ class RunManifest:
     def ok(self) -> bool:
         """True when the recorded run completed successfully."""
         return self.status == "ok"
-
-
-def write_manifests(manifests: Sequence[RunManifest],
-                    path: Union[str, Path]) -> None:
-    """Write a manifest list as a JSON document."""
-    document = {"manifests": [m.to_dict() for m in manifests]}
-    Path(path).write_text(json.dumps(document, indent=2),
-                          encoding="utf-8")
-
-
-def load_manifests(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Read back records written by :func:`write_manifests`."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    return document["manifests"]

@@ -21,7 +21,7 @@ with stable ``name{label="value",...}`` keys.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 LabelSet = Tuple[Tuple[str, str], ...]
 MetricValue = Union[int, float, Dict[int, int]]
@@ -188,7 +188,3 @@ class MetricsRegistry:
         for histogram in self._histograms.values():
             flat[histogram.key] = dict(sorted(histogram.buckets.items()))
         return dict(sorted(flat.items()))
-
-    def counter_families(self) -> List[str]:
-        """Distinct counter names present in the registry."""
-        return sorted({name for name, _ in self._counters})

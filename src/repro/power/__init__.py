@@ -23,7 +23,6 @@ from repro.power.energy import (
     DomainEnergy,
     EnergyBreakdown,
     domain_energy,
-    static_energy_savings,
     chip_level_savings,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "DomainEnergy",
     "EnergyBreakdown",
     "domain_energy",
-    "static_energy_savings",
     "chip_level_savings",
 ]

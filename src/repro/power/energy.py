@@ -21,7 +21,6 @@ chip-level estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.power.params import EnergyParams, GTX480PowerModel
 
@@ -115,20 +114,6 @@ def domain_energy(activity: DomainEnergy,
         static=powered * params.leak_per_cycle,
         overhead=activity.gating_events * params.gate_overhead,
         baseline_static=activity.cycles * params.leak_per_cycle)
-
-
-def static_energy_savings(activity: DomainEnergy,
-                          params: EnergyParams) -> float:
-    """Shortcut for :attr:`EnergyBreakdown.static_savings`."""
-    return domain_energy(activity, params).static_savings
-
-
-def combine_savings(per_benchmark: Sequence[float]) -> float:
-    """Suite-level average savings, as the paper's Figure 9 reports."""
-    values = list(per_benchmark)
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
 
 
 def chip_level_savings(int_saving: float, fp_saving: float,

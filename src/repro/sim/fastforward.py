@@ -123,8 +123,6 @@ class SpanFastForwarder:
 
     def _check_supported(self) -> bool:
         sm = self.sm
-        if not sm.scheduler.supports_idle_skip:
-            return False
         for hook in sm.hooks:
             if not hasattr(hook, "idle_next_event"):
                 return False
@@ -291,7 +289,8 @@ class SpanFastForwarder:
 
         # stage 5: the walk meets only LDST heads held by MSHR
         # back-pressure, or no ready warp at all; ``order`` changes no
-        # scheduler state on such a cycle (``supports_idle_skip``).
+        # scheduler state on such a cycle (the no-issue contract of
+        # ``WarpScheduler.order``).
         blocked = len(kernel._ready_all)
         if blocked:
             stats.stalls.mshr_full += span * blocked

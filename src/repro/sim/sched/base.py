@@ -79,20 +79,19 @@ class WarpScheduler(abc.ABC):
     #: instances (unit tests) publishing into the shared disabled bus.
     bus: EventBus = NULL_BUS
 
-    #: Whether the span fast-forward (:mod:`repro.sim.fastforward`) may
-    #: skip cycles on which nothing issues: no warp is ready, or every
-    #: ready head is an LDST instruction held by MSHR back-pressure.  A
-    #: scheduler must opt in only when, on such a cycle, ``order``
-    #: returns all of ``view.ready`` and mutates no state except what
-    #: :meth:`idle_flip_pending` reports.
-    supports_idle_skip = False
-
     @abc.abstractmethod
     def order(self, cycle: int, view: SchedulerView) -> Sequence[int]:
         """Return ``view.ready`` in descending issue priority.
 
         Called every stepped cycle, ready warps or not.  Must not
         mutate the view's lists; may return one of them.
+
+        The no-issue contract: the span fast-forward
+        (:mod:`repro.sim.fastforward`) skips cycles on which nothing
+        issues (no warp is ready, or every ready head is an LDST
+        instruction held by MSHR back-pressure) without calling
+        ``order``.  So on such a cycle ``order`` must mutate no state
+        except what :meth:`idle_flip_pending` reports.
         """
 
     def on_issue(self, cycle: int, slot: int) -> None:

@@ -24,8 +24,7 @@ class TwoLevelScheduler(WarpScheduler):
 
     name = "two_level"
     # ``order`` mutates nothing (only ``on_issue`` moves the pointer),
-    # so skipping cycles that issue nothing is trivially safe.
-    supports_idle_skip = True
+    # so it keeps the no-issue contract trivially.
 
     def __init__(self, n_slots: int = 48) -> None:
         if n_slots < 1:

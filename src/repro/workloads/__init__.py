@@ -19,16 +19,13 @@ from repro.workloads.specs import (
     INTEGER_ONLY_BENCHMARKS,
     BenchmarkProfile,
     get_profile,
-    iter_profiles,
 )
-from repro.workloads.registry import build_kernel, build_all_kernels
+from repro.workloads.registry import build_kernel
 
 __all__ = [
     "BENCHMARK_NAMES",
     "INTEGER_ONLY_BENCHMARKS",
     "BenchmarkProfile",
     "get_profile",
-    "iter_profiles",
     "build_kernel",
-    "build_all_kernels",
 ]

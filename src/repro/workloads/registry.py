@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, Optional, Sequence
 
 from repro.isa.trace import KernelTrace
 from repro.isa.tracegen import TraceGenerator, TraceSpec
-from repro.workloads.specs import BENCHMARK_NAMES, get_profile
+from repro.workloads.specs import get_profile
 
 
 def scaled_spec(spec: TraceSpec, scale: float) -> TraceSpec:
@@ -63,12 +62,3 @@ def build_kernel(name: str, seed: int = 0, scale: float = 1.0) -> KernelTrace:
         scale: Workload size multiplier (1.0 = full model).
     """
     return _generate_cached(name, int(seed), float(scale))
-
-
-def build_all_kernels(seed: int = 0, scale: float = 1.0,
-                      names: Optional[Sequence[str]] = None,
-                      ) -> Dict[str, KernelTrace]:
-    """Generate traces for several benchmarks (default: all 18)."""
-    selected = tuple(names) if names is not None else BENCHMARK_NAMES
-    return {name: build_kernel(name, seed=seed, scale=scale)
-            for name in selected}

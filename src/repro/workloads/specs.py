@@ -26,7 +26,7 @@ section 2 documents the substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from repro.isa.optypes import OpClass
 from repro.isa.tracegen import TraceSpec
@@ -346,8 +346,3 @@ def get_profile(name: str) -> BenchmarkProfile:
     except KeyError:
         known = ", ".join(BENCHMARK_NAMES)
         raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
-
-
-def iter_profiles() -> Iterator[BenchmarkProfile]:
-    """Iterate profiles in the paper's figure order."""
-    return iter(_PROFILES)

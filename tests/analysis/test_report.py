@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import (
-    format_fraction,
-    format_mapping_table,
-    format_table,
-)
+from repro.analysis.report import format_fraction, format_table
 
 
 class TestFormatFraction:
@@ -51,10 +47,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(("a", "b"), [])
         assert "a" in text and "b" in text
-
-
-class TestMappingTable:
-    def test_round_trip(self):
-        text = format_mapping_table("Summary", {"ipc": 1.5, "cycles": 10})
-        assert "Summary" in text
-        assert "ipc" in text and "1.500" in text

@@ -109,8 +109,10 @@ class TestCoordinatedBlackout:
 
     def test_peer_lookup(self):
         a, b, _ = self.make_pair(actv=0)
-        assert a.policy.peer_of(a) is b
-        assert a.policy.peer_of(b) is a
+        gated_at = gate_by_idling(a)
+        # Each cluster looks at its peers only, never at itself.
+        assert a.policy.any_peer_gated(b, gated_at)
+        assert not a.policy.any_peer_gated(a, gated_at)
 
     def test_both_on_uses_idle_detect(self):
         a, b, _ = self.make_pair(actv=5)

@@ -1,8 +1,8 @@
 """Tests for the declarative technique-spec layer.
 
-Covers the plugin registries (duplicate/unknown names, difflib
-suggestions), the derived capability flags that replaced the hidden
-membership sets, JSON round-trip losslessness (property-tested), the
+Covers the closed component table and the technique registry
+(duplicate/unknown names, difflib suggestions), the derived capability
+flags, JSON round-trip losslessness (property-tested), the
 cross-process stability of ``spec_hash()`` that keys the persistent
 cache, and the validation guards of the spec schema and the structural
 config dataclasses.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,19 +23,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.spec import (
-    GATING_POLICIES,
+    COMPONENTS,
     GatingPolicySpec,
-    SCHEDULERS,
     SPEC_HASH_LEN,
     SchedulerSpec,
     TECHNIQUES,
     TechniqueSpec,
     as_spec,
     closest_name,
-    register_gating_policy,
-    register_scheduler,
     register_technique,
     technique_label,
     technique_names,
@@ -51,13 +50,11 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 @pytest.fixture
 def scratch_registry():
-    """Track registry additions made by a test and remove them after."""
-    before = (set(SCHEDULERS), set(GATING_POLICIES), set(TECHNIQUES))
+    """Track registrations made by a test and remove them after."""
+    before = set(TECHNIQUES)
     yield
-    for registry, names in zip((SCHEDULERS, GATING_POLICIES, TECHNIQUES),
-                               before):
-        for name in set(registry) - names:
-            del registry[name]
+    for name in set(TECHNIQUES) - before:
+        del TECHNIQUES[name]
 
 
 # ----------------------------------------------------------------------
@@ -66,19 +63,13 @@ def scratch_registry():
 
 class TestRegistries:
     def test_builtin_schedulers_registered(self):
-        assert {"two_level", "gates"} <= set(SCHEDULERS)
+        # The paper's two schedulers, and nothing else.
+        assert set(COMPONENTS["scheduler"]) == {"two_level", "gates"}
 
     def test_builtin_policies_registered(self):
-        assert {"none", "conventional", "naive_blackout",
-                "coordinated_blackout"} <= set(GATING_POLICIES)
-
-    def test_duplicate_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheduler("two_level")(lambda n_slots: None)
-
-    def test_duplicate_policy_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_gating_policy("conventional")(lambda context: None)
+        assert set(COMPONENTS["gating policy"]) == {
+            "none", "conventional", "naive_blackout",
+            "coordinated_blackout"}
 
     def test_duplicate_technique_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -155,7 +146,7 @@ class TestCapabilityFlags:
         spec = technique_spec("warped_gates")
         assert spec.gated
         assert spec.blackout_aware
-        assert spec.adaptive_enabled
+        assert spec.adaptive is not None
 
     def test_naive_blackout_is_not_coordinated(self):
         spec = technique_spec("naive_blackout")
@@ -207,14 +198,15 @@ class TestRoundTrip:
     def test_property_every_spec_round_trips(self, scheduler, policy,
                                              idle_detect, bet, wakeup,
                                              adaptive, gate_sfu, mshr):
+        gated = policy != "none"  # adaptation and SFU gating need domains
         spec = TechniqueSpec(
             "prop_case",
             scheduler=SchedulerSpec(scheduler),
             gating_policy=GatingPolicySpec(policy),
             gating=GatingParams(idle_detect=idle_detect, bet=bet,
                                 wakeup_delay=wakeup),
-            adaptive=AdaptiveConfig() if adaptive else None,
-            gate_sfu=gate_sfu,
+            adaptive=AdaptiveConfig() if adaptive and gated else None,
+            gate_sfu=gate_sfu and gated,
             sm_overrides={"memory": {"mshr_entries": mshr}},
         ).validate()
         clone = TechniqueSpec.from_dict(
@@ -421,6 +413,52 @@ class TestSpecValidationErrors:
         assert merged.issue_width == 1
         assert merged.memory.mshr_entries == 8
         assert merged.memory.l1_ways == MemoryConfig().l1_ways
+
+
+#: Spec fields that validated once but could not run as written: a
+#: bad ``max_domains`` failed inside the job, and adaptation or SFU
+#: gating under policy "none" ran as the ungated baseline.
+UNRUNNABLE = [
+    ({"gating_policy": {"name": "coordinated_blackout",
+                        "params": {"max_domains": 0}}},
+     r"parameter 'max_domains' must be an int >= 1, got 0"),
+    ({"gating_policy": {"name": "coordinated_blackout",
+                        "params": {"max_domains": "8"}}},
+     r"parameter 'max_domains' must be an int >= 1, got '8'"),
+    ({"gating_policy": {"name": "coordinated_blackout",
+                        "params": {"max_domains": True}}},
+     r"parameter 'max_domains' must be an int >= 1, got True"),
+    ({"gating_policy": {"name": "coordinated_blackout",
+                        "params": {"max_domains": 8.0}}},
+     r"parameter 'max_domains' must be an int >= 1, got 8.0"),
+    ({"adaptive": {}}, r"'adaptive' needs a gating policy"),
+    ({"gating_policy": "none", "gate_sfu": True},
+     r"'gate_sfu' needs a gating policy"),
+]
+
+
+class TestUnrunnableSpecsRejected:
+    @pytest.mark.parametrize("fields,match", UNRUNNABLE)
+    def test_from_dict_rejects(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            TechniqueSpec.from_dict({"name": "x", **fields})
+
+    @pytest.mark.parametrize("fields,match", UNRUNNABLE)
+    def test_spec_validate_exits_non_zero(self, tmp_path, fields, match):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"name": "x", **fields}))
+        with pytest.raises(SystemExit) as err:
+            main(["spec", "validate", str(path)])
+        # A message as the exit code means exit status 1.
+        assert isinstance(err.value.code, str)
+        assert re.search(match, err.value.code)
+
+    def test_max_domains_of_one_accepted(self):
+        spec = TechniqueSpec.from_dict({
+            "name": "x", "gating_policy": {
+                "name": "coordinated_blackout",
+                "params": {"max_domains": 1}}})
+        assert spec.gating_policy.param_dict() == {"max_domains": 1}
 
 
 class TestSMConfigGuards:

@@ -3,12 +3,7 @@
 import dataclasses
 
 from repro.core.adaptive import AdaptiveConfig
-from repro.obs.manifest import (
-    RunManifest,
-    config_hash,
-    load_manifests,
-    write_manifests,
-)
+from repro.obs.manifest import RunManifest, config_hash
 from repro.power.params import GatingParams
 from repro.sim.config import SMConfig
 
@@ -96,11 +91,3 @@ class TestRunManifest:
         record = manifest.to_dict()
         assert record["status"] == "timed_out"
         assert record["attempts"] == 3
-
-    def test_round_trips_through_file(self, tmp_path):
-        manifests = [_manifest(), _manifest(benchmark="bfs", cycles=7)]
-        path = tmp_path / "manifests.json"
-        write_manifests(manifests, path)
-        loaded = load_manifests(path)
-        assert [m["benchmark"] for m in loaded] == ["hotspot", "bfs"]
-        assert loaded == [m.to_dict() for m in manifests]

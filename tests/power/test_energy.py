@@ -5,9 +5,7 @@ import pytest
 from repro.power.energy import (
     DomainEnergy,
     chip_level_savings,
-    combine_savings,
     domain_energy,
-    static_energy_savings,
 )
 from repro.power.params import EnergyParams, GTX480PowerModel
 
@@ -48,23 +46,24 @@ class TestBreakdown:
         # savings = (gated - events * BET) / cycles for canonical overhead
         activity = DomainEnergy(cycles=1000, gated_cycles=300, issues=0,
                                 gating_events=10)
-        saving = static_energy_savings(activity, PARAMS)
+        saving = domain_energy(activity, PARAMS).static_savings
         assert saving == pytest.approx((300 - 140) / 1000)
 
     def test_negative_savings_possible(self):
         activity = DomainEnergy(cycles=1000, gated_cycles=50, issues=0,
                                 gating_events=10)
-        assert static_energy_savings(activity, PARAMS) < 0
+        assert domain_energy(activity, PARAMS).static_savings < 0
 
     def test_exact_bet_windows_are_energy_neutral(self):
         activity = DomainEnergy(cycles=1000, gated_cycles=140, issues=0,
                                 gating_events=10)
-        assert static_energy_savings(activity, PARAMS) == pytest.approx(0.0)
+        saving = domain_energy(activity, PARAMS).static_savings
+        assert saving == pytest.approx(0.0)
 
     def test_no_gating_zero_savings(self):
         activity = DomainEnergy(cycles=1000, gated_cycles=0, issues=500,
                                 gating_events=0)
-        assert static_energy_savings(activity, PARAMS) == 0.0
+        assert domain_energy(activity, PARAMS).static_savings == 0.0
 
     def test_normalized_sums_to_one_without_gating(self):
         activity = DomainEnergy(cycles=1000, gated_cycles=0, issues=250,
@@ -83,16 +82,8 @@ class TestBreakdown:
                                   leak_per_cycle=1.0)
         b = EnergyParams.for_unit(dyn_per_issue=14.0, bet=14,
                                   leak_per_cycle=7.0)
-        assert static_energy_savings(activity, a) == \
-            pytest.approx(static_energy_savings(activity, b))
-
-
-class TestSuiteAggregation:
-    def test_combine_savings_mean(self):
-        assert combine_savings([0.1, 0.3, 0.5]) == pytest.approx(0.3)
-
-    def test_combine_savings_empty(self):
-        assert combine_savings([]) == 0.0
+        assert domain_energy(activity, a).static_savings == \
+            pytest.approx(domain_energy(activity, b).static_savings)
 
 
 class TestChipLevel:

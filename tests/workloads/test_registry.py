@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.workloads.registry import (
-    build_all_kernels,
-    build_kernel,
-    scaled_spec,
-)
+from repro.workloads.registry import build_kernel, scaled_spec
 from repro.workloads.specs import BENCHMARK_NAMES, get_profile
 
 
@@ -67,9 +63,5 @@ class TestScaling:
 
 class TestBuildAll:
     def test_builds_full_suite(self):
-        kernels = build_all_kernels(scale=0.1)
-        assert set(kernels) == set(BENCHMARK_NAMES)
-
-    def test_subset_selection(self):
-        kernels = build_all_kernels(scale=0.1, names=("hotspot", "bfs"))
-        assert set(kernels) == {"hotspot", "bfs"}
+        for name in BENCHMARK_NAMES:
+            assert build_kernel(name, scale=0.1).name == name

@@ -6,9 +6,9 @@ from repro.isa.optypes import ALL_OP_CLASSES, OpClass
 from repro.workloads.specs import (
     BENCHMARK_NAMES,
     INTEGER_ONLY_BENCHMARKS,
+    PROFILES,
     _mix,
     get_profile,
-    iter_profiles,
 )
 
 
@@ -28,7 +28,7 @@ class TestSuiteShape:
         assert set(BENCHMARK_NAMES) == expected
 
     def test_suites_are_the_papers(self):
-        assert {p.suite for p in iter_profiles()} == \
+        assert {p.suite for p in PROFILES.values()} == \
             {"Rodinia", "Parboil", "ISPASS"}
 
     def test_integer_only_benchmarks(self):
@@ -58,13 +58,13 @@ class TestProfiles:
     def test_fig5b_low_occupancy_count(self):
         # Section 4: "Only 5 out of 18 benchmarks have fewer than ten
         # active warps on average" -- the reference values must agree.
-        low = [p.name for p in iter_profiles()
+        low = [p.name for p in PROFILES.values()
                if p.paper_avg_active_warps < 10]
         assert len(low) == 5
 
     def test_fig5b_extremes(self):
         # Figure 5b orders srad highest and nw lowest.
-        avgs = {p.name: p.paper_avg_active_warps for p in iter_profiles()}
+        avgs = {p.name: p.paper_avg_active_warps for p in PROFILES.values()}
         assert max(avgs, key=avgs.get) == "srad"
         assert min(avgs, key=avgs.get) == "nw"
 

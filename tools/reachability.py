@@ -33,7 +33,11 @@ when the first one starts with a flag (``-- "--scale 0.25 figures
 dense kernel.  ``--exclude service/ --exclude cli.py`` drops whole
 files or directories from the report.  A finding is a candidate for
 deletion, not a verdict: a path no listed command takes may still be
-a product path.  This is a diagnostic, not a CI gate.  A command that
+a product path.  One known path depends on timing, not on code:
+``JobTicket.wait`` (``repro/service/core.py``) is reached in the
+serve/submit smoke only when the submit's ``/result`` request has to
+wait for its job, so two runs of the same commands can differ by about
+3 lines.  This is a diagnostic, not a CI gate.  A command that
 fails (a non-zero exit or an exception, whose traceback goes to
 stderr) does not stop the others; the report still prints, and the
 tool exits 1.
